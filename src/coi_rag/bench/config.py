@@ -65,7 +65,6 @@ class ModelSpec:
                 model_id=self.model_id or self.name,
                 script=script,
                 behavior=self.behavior,
-                cache=cache,
             )
         raise ValueError(f"unknown model kind: {self.kind}")
 

@@ -24,14 +24,10 @@ from ..planner import CandidateQuestion, IllocutionPlan, SelectedQuestion
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate
 from ..providers import CallCache, ProviderError
 from ..question_bank import QuestionBank, build_bank
-from ..records import QuestionRecord
+from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from ..vector_index import VectorIndex, build_index
 from .config import ExperimentConfig
 from .report import write_analysis, write_csv_and_plots
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
 def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> list[QuestionRecord]:
@@ -156,7 +152,7 @@ def stage_build_bank(ctx: StageContext) -> None:
     """Extract implicit questions from every chunk of every corpus."""
     if not ctx.cfg.bank_model:
         for spec in ctx.cfg.corpora:
-            (ctx.out / f"bank.{spec.tag}.jsonl").write_text("", encoding="utf-8")
+            write_jsonl(ctx.out / f"bank.{spec.tag}.jsonl", [])
         return
     generator = ctx.generator(ctx.cfg.bank_model)
     for spec in ctx.cfg.corpora:
@@ -173,25 +169,25 @@ def _load_bank(ctx: StageContext, tag: str) -> QuestionBank:
 def stage_plan(ctx: StageContext) -> None:
     """Write one illocution plan per question (rag_coi runs only)."""
     if "rag_coi" not in ctx.cfg.modes:
-        (ctx.out / "plans.jsonl").write_text("", encoding="utf-8")
+        write_jsonl(ctx.out / "plans.jsonl", [])
         return
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
     banks = {tag: _load_bank(ctx, tag) for tag in sorted(ctx.cfg.tags)}
     indexes = {tag: _load_chunk_index(ctx, tag) for tag in sorted(ctx.cfg.tags)}
-    with open(ctx.out / "plans.jsonl", "w", encoding="utf-8") as fh:
-        for q in questions:
-            p = planner_mod.plan(
-                q,
-                banks[q.tag],
-                indexes[q.tag],
-                ctx.embedder,
-                pool_size=ctx.cfg.pool_size,
-                per_question_chunks=ctx.cfg.per_question_chunks,
-                keep=ctx.cfg.keep_questions,
-            )
-            primary = _primary_chunks(ctx, indexes[q.tag], q)
-            planner_mod.flag_primary_overlap(p, [c for c, _ in primary])
-            fh.write(_dump(p.to_json()) + "\n")
+    plans = []
+    for q in questions:
+        p = planner_mod.plan(
+            q,
+            banks[q.tag],
+            indexes[q.tag],
+            ctx.embedder,
+            pool_size=ctx.cfg.pool_size,
+            per_question_chunks=ctx.cfg.per_question_chunks,
+            keep=ctx.cfg.keep_questions,
+        )
+        primary = _primary_chunks(ctx, indexes[q.tag], q)
+        plans.append(planner_mod.flag_primary_overlap(p, [c for c, _ in primary]).to_json())
+    write_jsonl(ctx.out / "plans.jsonl", plans)
 
 
 def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord):
@@ -201,16 +197,10 @@ def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord):
 
 
 def _load_plans(ctx: StageContext) -> dict[str, dict]:
-    plans: dict[str, dict] = {}
     path = ctx.out / "plans.jsonl"
     if not path.exists():
-        return plans
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                plans[rec["primary_id"]] = rec
-    return plans
+        return {}
+    return {rec["primary_id"]: rec for rec in read_jsonl(path)}
 
 
 def _plan_from_json(rec: dict, q: QuestionRecord, chunks_by_id: dict[str, Chunk]) -> IllocutionPlan:
@@ -243,41 +233,40 @@ def stage_answer(ctx: StageContext) -> None:
             indexes[tag] = _load_chunk_index(ctx, tag)
             chunk_maps[tag] = _load_chunks(ctx, tag)
 
-    with open(ctx.out / "explanations.jsonl", "w", encoding="utf-8") as fh:
-        for q in questions:
-            title = ctx.cfg.corpus(q.tag).title
-            primary = (
-                [c for c, _ in _primary_chunks(ctx, indexes[q.tag], q)]
-                if ctx.needs_retrieval()
-                else []
-            )
-            for model_spec in ctx.cfg.answer_models:
-                generator = ctx.generator(model_spec.name)
-                for mode in ctx.cfg.modes:
-                    rec = {
-                        "question_id": q.id,
-                        "tag": q.tag,
-                        "model": model_spec.name,
-                        "mode": mode,
-                    }
-                    try:
-                        if mode == "genai":
-                            bundle = assemble_genai(q)
-                        elif mode == "rag":
-                            bundle = assemble_rag(q, title, primary)
-                        else:
-                            plan_rec = plans.get(q.id)
-                            plan_obj = (
-                                _plan_from_json(plan_rec, q, chunk_maps[q.tag])
-                                if plan_rec
-                                else IllocutionPlan(primary=q)
-                            )
-                            bundle = assemble_rag_coi(q, title, primary, plan_obj)
-                        explanation = generate(bundle, generator, question_id=q.id)
-                    except (ProviderError, ValueError) as exc:
-                        rec["error"] = str(exc)
-                        fh.write(_dump(rec) + "\n")
-                        continue
+    rows = []
+    for q in questions:
+        title = ctx.cfg.corpus(q.tag).title
+        primary = (
+            [c for c, _ in _primary_chunks(ctx, indexes[q.tag], q)]
+            if ctx.needs_retrieval()
+            else []
+        )
+        for model_spec in ctx.cfg.answer_models:
+            generator = ctx.generator(model_spec.name)
+            for mode in ctx.cfg.modes:
+                rec = {
+                    "question_id": q.id,
+                    "tag": q.tag,
+                    "model": model_spec.name,
+                    "mode": mode,
+                }
+                try:
+                    if mode == "genai":
+                        bundle = assemble_genai(q)
+                    elif mode == "rag":
+                        bundle = assemble_rag(q, title, primary)
+                    else:
+                        plan_rec = plans.get(q.id)
+                        plan_obj = (
+                            _plan_from_json(plan_rec, q, chunk_maps[q.tag])
+                            if plan_rec
+                            else IllocutionPlan(primary=q)
+                        )
+                        bundle = assemble_rag_coi(q, title, primary, plan_obj)
+                    explanation = generate(bundle, generator, question_id=q.id)
+                except (ProviderError, ValueError) as exc:
+                    rec["error"] = str(exc)
+                else:
                     rec.update(
                         {
                             "text": explanation.text,
@@ -289,7 +278,8 @@ def stage_answer(ctx: StageContext) -> None:
                             ).hexdigest(),
                         }
                     )
-                    fh.write(_dump(rec) + "\n")
+                rows.append(rec)
+    write_jsonl(ctx.out / "explanations.jsonl", rows)
 
 
 ITEM_CSV_FIELDS = (
@@ -312,44 +302,38 @@ def stage_evaluate(ctx: StageContext) -> None:
         titles[spec.tag] = spec.title
 
     items: list[dict] = []
-    with open(ctx.out / "explanations.jsonl", encoding="utf-8") as src:
-        for line in src:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if "error" in rec:
-                items.append(rec)
-                continue
-            stripped = strip_citations(rec["text"], titles[rec["tag"]])
-            report = evaluate_text(
-                stripped,
-                sources[rec["tag"]],
-                ctx.embedder,
-                question_id=rec["question_id"],
-                mode_label=rec["mode"],
-                t=ctx.cfg.threshold,
-                matching=ctx.cfg.matching,
+    for rec in read_jsonl(ctx.out / "explanations.jsonl"):
+        if "error" in rec:
+            items.append(rec)
+            continue
+        stripped = strip_citations(rec["text"], titles[rec["tag"]])
+        report = evaluate_text(
+            stripped,
+            sources[rec["tag"]],
+            ctx.embedder,
+            question_id=rec["question_id"],
+            mode_label=rec["mode"],
+            t=ctx.cfg.threshold,
+            matching=ctx.cfg.matching,
+        )
+        item = dict(rec)
+        if report is None:
+            item["unevaluable"] = True
+        else:
+            item.update(
+                {
+                    "threshold": report.threshold,
+                    "matching": ctx.cfg.matching,
+                    "factscore": report.factscore,
+                    "mean_similarity": report.mean_similarity,
+                    "adherent_count": report.adherent_count,
+                    "clause_count": report.clause_count,
+                    "word_count": report.word_count,
+                }
             )
-            item = dict(rec)
-            if report is None:
-                item["unevaluable"] = True
-            else:
-                item.update(
-                    {
-                        "threshold": report.threshold,
-                        "matching": ctx.cfg.matching,
-                        "factscore": report.factscore,
-                        "mean_similarity": report.mean_similarity,
-                        "adherent_count": report.adherent_count,
-                        "clause_count": report.clause_count,
-                        "word_count": report.word_count,
-                    }
-                )
-            items.append(item)
+        items.append(item)
 
-    with open(ctx.out / "items.jsonl", "w", encoding="utf-8") as dst:
-        for item in items:
-            dst.write(_dump(item) + "\n")
+    write_jsonl(ctx.out / "items.jsonl", items)
     with open(ctx.out / "items.csv", "w", encoding="utf-8", newline="") as dst:
         writer = csv.DictWriter(
             dst, fieldnames=ITEM_CSV_FIELDS, extrasaction="ignore", lineterminator="\n"
@@ -359,12 +343,7 @@ def stage_evaluate(ctx: StageContext) -> None:
 
 
 def load_items(ctx: StageContext) -> list[dict]:
-    items = []
-    with open(ctx.out / "items.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                items.append(json.loads(line))
-    return items
+    return read_jsonl(ctx.out / "items.jsonl")
 
 
 def stage_analyze(ctx: StageContext) -> dict:
@@ -480,7 +459,7 @@ def write_manifest(out: Path) -> None:
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name != "manifest.json":
             files[str(p.relative_to(out))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    (out / "manifest.json").write_text(_dump({"files": files}) + "\n", encoding="utf-8")
+    (out / "manifest.json").write_text(json_line({"files": files}), encoding="utf-8")
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
+
+from .records import read_jsonl, write_jsonl
 
 PAGE_SENTINEL = re.compile(r"^\x0c?@@PAGE (\d+)@@\s*$")
 
@@ -160,34 +161,10 @@ def chunk(
 
 
 def chunks_to_jsonl(chunks: Iterable[Chunk], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in chunks:
-            rec = {
-                "id": c.id,
-                "doc_id": c.doc_id,
-                "token_start": c.token_start,
-                "token_end": c.token_end,
-                "text": c.text,
-                "page_span": list(c.page_span),
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, (asdict(c) for c in chunks))
 
 
 def chunks_from_jsonl(path: str | Path) -> list[Chunk]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Chunk(
-                    id=rec["id"],
-                    doc_id=rec["doc_id"],
-                    token_start=rec["token_start"],
-                    token_end=rec["token_end"],
-                    text=rec["text"],
-                    page_span=(rec["page_span"][0], rec["page_span"][1]),
-                )
-            )
-    return out
+    return [
+        Chunk(**{**rec, "page_span": tuple(rec["page_span"])}) for rec in read_jsonl(path)
+    ]

@@ -9,7 +9,6 @@ scaffold for prompt assembly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,9 +172,3 @@ def flag_primary_overlap(p: IllocutionPlan, primary_chunks: list[Chunk]) -> Illo
     primary_ids = {c.id for c in primary_chunks}
     p.primary_overlap_ids = sorted(set(p.chunk_ids()) & primary_ids)
     return p
-
-
-def plans_to_jsonl(plans: list[IllocutionPlan], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in plans:
-            fh.write(json.dumps(p.to_json(), ensure_ascii=False, sort_keys=True) + "\n")

@@ -2,7 +2,9 @@
 
 Two provider families exist for each role: a remote one speaking an
 OpenAI-compatible HTTP API, and a hermetic one (hashed embeddings,
-scripted generators) that keeps tests and demos fully offline.
+scripted generators) that keeps tests and demos fully offline. Remote
+calls are cached per request; hermetic ones are cheap and deterministic,
+so they are not.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -19,6 +22,9 @@ from typing import Callable
 
 import numpy as np
 import requests
+
+# Stamped on every scripted reply so hermetic runs are byte-identical.
+SCRIPTED_CREATED_AT = "1970-01-01T00:00:00Z"
 
 
 class ProviderError(RuntimeError):
@@ -38,9 +44,10 @@ def request_hash(payload: dict) -> str:
 class CallCache:
     """Directory-backed map from request-content hash to response payload.
 
-    Writes go through a temp file and ``os.replace`` so an interrupted run
-    never leaves a truncated entry. Hits return the stored payload
-    byte-for-byte as first written.
+    Writes go through a uniquely named temp file and ``os.replace``, so an
+    interrupted run never leaves a truncated entry and concurrent writers
+    of one key cannot tear it. An entry that does not parse is a miss and
+    the next ``put`` overwrites it. Hits return the stored payload.
     """
 
     def __init__(self, directory: str | Path):
@@ -51,42 +58,89 @@ class CallCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        p = self._path(key)
-        if not p.exists():
+        try:
+            return json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
             return None
-        return json.loads(p.read_text(encoding="utf-8"))
 
     def put(self, key: str, payload: dict) -> None:
-        p = self._path(key)
-        tmp = p.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-        )
-        os.replace(tmp, p)
-
-
-def _post_with_retries(
-    url: str,
-    body: dict,
-    headers: dict,
-    transport: Callable[[str, dict, dict], dict] | None,
-    retries: int = 3,
-    backoff: float = 0.5,
-) -> dict:
-    """POST JSON with bounded retries and exponential backoff."""
-    last_exc: Exception | None = None
-    for attempt in range(1, retries + 1):
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            if transport is not None:
-                return transport(url, body, headers)
-            resp = requests.post(url, json=body, headers=headers, timeout=60)
-            resp.raise_for_status()
-            return resp.json()
-        except Exception as exc:  # transport, HTTP, or decode failure
-            last_exc = exc
-            if attempt < retries:
-                time.sleep(backoff * (2 ** (attempt - 1)))
-    raise ProviderError(f"request to {url} failed: {last_exc}", attempts=retries)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _transient(exc: OSError) -> bool:
+    """Connection errors, timeouts and HTTP 408, 429 and 5xx are retried."""
+    if isinstance(exc, requests.HTTPError):
+        status = getattr(exc.response, "status_code", 0)
+        return status in (408, 429) or status >= 500
+    return True
+
+
+class RemoteProvider:
+    """Endpoint, credentials, cache and retry settings of a remote client."""
+
+    def __init__(
+        self,
+        model_id: str,
+        endpoint: str = "https://api.openai.com/v1",
+        api_key_env: str = "OPENAI_API_KEY",
+        cache: CallCache | None = None,
+        transport: Callable[[str, dict, dict], dict] | None = None,
+        retries: int = 3,
+        backoff: float = 0.5,
+    ):
+        self.model_id = model_id
+        self.endpoint = endpoint.rstrip("/")
+        self.api_key_env = api_key_env
+        self.cache = cache
+        self.transport = transport
+        self.retries = retries
+        self.backoff = backoff
+
+    def _cached_post(self, path: str, body: dict, parse: Callable[[dict], dict]) -> dict:
+        """``parse`` of the response to POSTing ``body`` to ``path``, cached.
+
+        The cache key is the body tagged with the first segment of
+        ``path``. Transient failures are retried with exponential backoff;
+        any other HTTP error, or a response ``parse`` cannot read, raises
+        at once.
+        """
+        key = request_hash({"endpoint": path.partition("/")[0], **body})
+        payload = self.cache.get(key) if self.cache else None
+        if payload is not None:
+            return payload
+        url = f"{self.endpoint}/{path}"
+        headers = {
+            "Authorization": f"Bearer {os.environ.get(self.api_key_env, '')}",
+            "Content-Type": "application/json",
+        }
+        attempts = max(1, self.retries)
+        for attempt in range(1, attempts + 1):
+            try:
+                if self.transport is not None:
+                    response = self.transport(url, body, headers)
+                else:
+                    resp = requests.post(url, json=body, headers=headers, timeout=60)
+                    resp.raise_for_status()
+                    response = resp.json()
+                break
+            except OSError as exc:  # requests' errors are OSErrors too
+                if not _transient(exc) or attempt == attempts:
+                    raise ProviderError(f"request to {url} failed: {exc}", attempts=attempt) from exc
+                time.sleep(self.backoff * (2 ** (attempt - 1)))
+        try:
+            payload = parse(response)
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"malformed response from {url}: {exc!r}") from exc
+        if self.cache:
+            self.cache.put(key, payload)
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -131,53 +185,26 @@ class HashedEmbedder:
         return v
 
 
-class RemoteEmbedder:
-    """OpenAI-compatible embeddings client with caching and retries."""
+def _embedding_payload(response: dict) -> dict:
+    """The cached part of a one-input embeddings response: its vector."""
+    return {"data": [{"embedding": response["data"][0]["embedding"]}]}
 
-    def __init__(
-        self,
-        model_id: str,
-        endpoint: str = "https://api.openai.com/v1",
-        api_key_env: str = "OPENAI_API_KEY",
-        cache: CallCache | None = None,
-        transport: Callable[[str, dict, dict], dict] | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-    ):
-        self.model_id = model_id
-        self.endpoint = endpoint.rstrip("/")
-        self.api_key_env = api_key_env
-        self.cache = cache
-        self.transport = transport
-        self.retries = retries
-        self.backoff = backoff
-        self.dims: int | None = None  # learned from the first response
 
-    def _headers(self) -> dict:
-        key = os.environ.get(self.api_key_env, "")
-        return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+class RemoteEmbedder(RemoteProvider):
+    """OpenAI-compatible embeddings client, one cached request per text."""
+
+    dims: int | None = None  # learned from the first response
 
     def embed(self, texts: list[str]) -> np.ndarray:
         for i, t in enumerate(texts):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")
-        vectors: list[list[float]] = []
-        for text in texts:
-            body = {"model": self.model_id, "input": [text]}
-            key = request_hash({"endpoint": "embeddings", **body})
-            payload = self.cache.get(key) if self.cache else None
-            if payload is None:
-                payload = _post_with_retries(
-                    f"{self.endpoint}/embeddings",
-                    body,
-                    self._headers(),
-                    self.transport,
-                    retries=self.retries,
-                    backoff=self.backoff,
-                )
-                if self.cache:
-                    self.cache.put(key, payload)
-            vectors.append(payload["data"][0]["embedding"])
+        vectors = [
+            self._cached_post(
+                "embeddings", {"model": self.model_id, "input": [text]}, _embedding_payload
+            )["data"][0]["embedding"]
+            for text in texts
+        ]
         arr = np.asarray(vectors, dtype=float)
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
         if np.any(norms == 0):
@@ -212,66 +239,23 @@ class GenerationRequest:
 class GenerationResult:
     text: str
     created_at: str
-    from_cache: bool = False
 
 
-def _now_iso() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _completion_payload(response: dict) -> dict:
+    """The cached part of a chat response: its text and the time it arrived."""
+    text = response["choices"][0]["message"]["content"]
+    if not text or not text.strip():
+        raise ProviderError("empty completion from generator")
+    created_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return {"text": text, "created_at": created_at}
 
 
-class RemoteGenerator:
-    """OpenAI-compatible chat-completions client with caching and retries."""
-
-    kind = "remote"
-
-    def __init__(
-        self,
-        model_id: str,
-        endpoint: str = "https://api.openai.com/v1",
-        api_key_env: str = "OPENAI_API_KEY",
-        cache: CallCache | None = None,
-        transport: Callable[[str, dict, dict], dict] | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-    ):
-        self.model_id = model_id
-        self.endpoint = endpoint.rstrip("/")
-        self.api_key_env = api_key_env
-        self.cache = cache
-        self.transport = transport
-        self.retries = retries
-        self.backoff = backoff
-
-    def _headers(self) -> dict:
-        key = os.environ.get(self.api_key_env, "")
-        return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+class RemoteGenerator(RemoteProvider):
+    """OpenAI-compatible chat-completions client, cached per request."""
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
-        body = request.payload()
-        key = request_hash({"endpoint": "chat", **body})
-        cached = self.cache.get(key) if self.cache else None
-        if cached is not None:
-            return GenerationResult(
-                text=cached["text"], created_at=cached["created_at"], from_cache=True
-            )
-        response = _post_with_retries(
-            f"{self.endpoint}/chat/completions",
-            body,
-            self._headers(),
-            self.transport,
-            retries=self.retries,
-            backoff=self.backoff,
-        )
-        try:
-            text = response["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed chat response: {exc}", attempts=1)
-        if not text or not text.strip():
-            raise ProviderError("empty completion from generator", attempts=1)
-        payload = {"text": text, "created_at": _now_iso()}
-        if self.cache:
-            self.cache.put(key, payload)
-        return GenerationResult(text=text, created_at=payload["created_at"])
+        payload = self._cached_post("chat/completions", request.payload(), _completion_payload)
+        return GenerationResult(text=payload["text"], created_at=payload["created_at"])
 
 
 _SENTENCE_RE = re.compile(r"[A-Z][^.!?\n]*[.!]")
@@ -361,23 +345,17 @@ class ScriptedGenerator:
 
     Responses come from an explicit request-hash -> text mapping, from a
     named builtin behavior, or from a caller-supplied function of the
-    prompt text, checked in that order.
+    prompt text, checked in that order. Replies are not cached and carry
+    the fixed ``SCRIPTED_CREATED_AT`` stamp.
     """
 
-    kind = "scripted"
     model_id: str = "scripted"
     script: dict[str, str] = field(default_factory=dict)
     behavior: str | None = None
     fn: Callable[[str], str] | None = None
-    cache: CallCache | None = None
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
         key = request_hash({"endpoint": "chat", **request.payload()})
-        cached = self.cache.get(key) if self.cache else None
-        if cached is not None:
-            return GenerationResult(
-                text=cached["text"], created_at=cached["created_at"], from_cache=True
-            )
         if key in self.script:
             text = self.script[key]
         elif self.behavior is not None:
@@ -390,7 +368,4 @@ class ScriptedGenerator:
             raise ProviderError(f"scripted generator has no entry for request {key[:12]}")
         if not text.strip():
             raise ProviderError("scripted generator produced empty text")
-        payload = {"text": text, "created_at": _now_iso()}
-        if self.cache:
-            self.cache.put(key, payload)
-        return GenerationResult(text=text, created_at=payload["created_at"])
+        return GenerationResult(text=text, created_at=SCRIPTED_CREATED_AT)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 from .adherence import Clause, extract_clauses
 from .corpus import Chunk
 from .providers import GenerationRequest
-from .records import QuestionRecord
+from .records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from .templates import QA_EXTRACTION_TEMPLATE, fill
 from .vector_index import VectorIndex, build_index
 
@@ -48,30 +48,12 @@ class QuestionBank:
     def by_id(self, qid: str) -> ImplicitQuestion:
         return self._by_id[qid]
 
-    def save(self, bank_path: str | Path, index_path: str | Path | None = None) -> None:
-        with open(bank_path, "w", encoding="utf-8") as fh:
-            for q in self.questions:
-                rec = {
-                    "id": q.id,
-                    "question": q.question,
-                    "answer": q.answer,
-                    "source_chunk_id": q.source_chunk_id,
-                    "tag": q.tag,
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        if index_path is not None and self.index is not None:
-            self.index.save(index_path)
+    def save(self, bank_path: str | Path) -> None:
+        write_jsonl(bank_path, (asdict(q) for q in self.questions))
 
     @classmethod
     def load(cls, bank_path: str | Path, embedder) -> "QuestionBank":
-        questions = []
-        with open(bank_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                questions.append(ImplicitQuestion(**rec))
-        return cls(questions, embedder)
+        return cls([ImplicitQuestion(**rec) for rec in read_jsonl(bank_path)], embedder)
 
 
 def parse_qa_lines(response: str) -> tuple[list[tuple[str, str]], int]:
@@ -131,16 +113,11 @@ def build_bank(
     """
     done: dict[str, list[dict]] = {}
     if checkpoint_path is not None and Path(checkpoint_path).exists():
-        with open(checkpoint_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                done.setdefault(rec["source_chunk_id"], []).append(rec)
+        for rec in read_jsonl(checkpoint_path):
+            done.setdefault(rec["source_chunk_id"], []).append(rec)
 
     questions: list[ImplicitQuestion] = []
-    ckpt = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
-    try:
+    with open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext() as ckpt:
         for c in chunks:
             if c.id in done:
                 for rec in done[c.id]:
@@ -157,12 +134,9 @@ def build_bank(
                 }
                 questions.append(ImplicitQuestion(**rec))
                 if ckpt:
-                    ckpt.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+                    ckpt.write(json_line(rec))
             if ckpt:
                 ckpt.flush()
-    finally:
-        if ckpt:
-            ckpt.close()
     return QuestionBank(questions, embedder)
 
 

@@ -1,8 +1,27 @@
-"""Question records shared by the planner, prompting, and the bench."""
+"""Question records and the JSON Lines codec shared by every artifact."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable
+
+
+def json_line(row: dict) -> str:
+    """One artifact line: keys sorted, non-ASCII kept, newline-terminated."""
+    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json_line(row) for row in rows)
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """Every record of a JSON Lines file; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @dataclass(frozen=True)

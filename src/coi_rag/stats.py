@@ -93,33 +93,22 @@ def _pick(p_greater: float, p_less: float, alternative: str) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
+def _dz_or_nan(d: np.ndarray) -> float:
+    """Mean of differences over their sample sd; NaN when the sd is 0."""
+    sd = d.std(ddof=1)
+    if sd == 0:
+        return float("nan")
+    return float(d.mean() / sd)
+
+
 def cohens_dz(d) -> float:
     """Paired effect size: mean of differences over their sample sd."""
     d = np.asarray(d, dtype=float)
     if d.size < 2:
         raise ValueError("cohens_dz needs at least 2 differences")
-    sd = d.std(ddof=1)
-    if sd == 0:
+    if d.std(ddof=1) == 0:
         raise ValueError("cohens_dz is undefined for zero-variance differences")
-    return float(d.mean() / sd)
-
-
-def _dz_or_nan(d: np.ndarray) -> float:
-    sd = d.std(ddof=1)
-    if sd == 0:
-        return float("nan")
-    return float(d.mean() / sd)
-
-
-def _cohens_d_independent(x: np.ndarray, y: np.ndarray) -> float:
-    n1, n2 = len(x), len(y)
-    dof = n1 + n2 - 2
-    if dof <= 0:
-        return float("nan")
-    pooled_var = ((n1 - 1) * x.var(ddof=1) + (n2 - 1) * y.var(ddof=1)) / dof if dof else 0.0
-    if pooled_var <= 0:
-        return float("nan")
-    return float((x.mean() - y.mean()) / math.sqrt(pooled_var))
+    return _dz_or_nan(d)
 
 
 def _t_ci_mean(d: np.ndarray) -> tuple[float, float]:
@@ -249,7 +238,7 @@ def paired_t(s: PairedSample, alternative: str = "greater") -> TestResult:
         statistic=t_stat,
         p_one_sided=p_one,
         p_two_sided=p_two,
-        effect_size=float(d.mean() / sd),
+        effect_size=_dz_or_nan(d),
         ci95=_t_ci_mean(d),
         n=int(n),
         exact=False,
@@ -318,24 +307,24 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
         exact = False
 
     p_one, p_two = _pick(p_greater, p_less, alternative)
+    # The CI and Cohen's d share the pooled variance; both need 2+ per group.
+    ci = (float("-inf"), float("inf"))
+    effect = float("nan")
     if n1 >= 2 and n2 >= 2:
         dof = n1 + n2 - 2
         pooled_var = ((n1 - 1) * x.var(ddof=1) + (n2 - 1) * y.var(ddof=1)) / dof
+        md = float(x.mean() - y.mean())
+        ci = (md, md)
         if pooled_var > 0:
             half = sps.t.ppf(0.975, dof) * math.sqrt(pooled_var * (1 / n1 + 1 / n2))
-            md = float(x.mean() - y.mean())
             ci = (md - half, md + half)
-        else:
-            md = float(x.mean() - y.mean())
-            ci = (md, md)
-    else:
-        ci = (float("-inf"), float("inf"))
+            effect = md / math.sqrt(pooled_var)
     return TestResult(
         test_name="mann_whitney_u",
         statistic=u_obs,
         p_one_sided=p_one,
         p_two_sided=p_two,
-        effect_size=_cohens_d_independent(x, y),
+        effect_size=effect,
         ci95=ci,
         n=int(total_n),
         exact=exact,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+
+from .records import read_jsonl, write_jsonl
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,23 +72,19 @@ class VectorIndex:
         return [(self.keys[i], float(scores[i])) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, vec, payload in zip(self.keys, self.vectors, self.payloads):
-                rec = {"key": key, "payload": payload, "vector": [float(x) for x in vec]}
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        write_jsonl(
+            path,
+            (
+                {"key": key, "payload": payload, "vector": vec.tolist()}
+                for key, vec, payload in zip(self.keys, self.vectors, self.payloads)
+            ),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        keys, vectors, payloads = [], [], []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                keys.append(rec["key"])
-                vectors.append(rec["vector"])
-                payloads.append(rec.get("payload"))
-        return cls(keys, np.asarray(vectors, dtype=float), payloads)
+        rows = read_jsonl(path)
+        vectors = np.asarray([r["vector"] for r in rows], dtype=float)
+        return cls([r["key"] for r in rows], vectors, [r.get("payload") for r in rows])
 
 
 def build_index(

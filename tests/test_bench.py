@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -230,6 +231,36 @@ class TestReport:
             w.simplefilter("always")
             run_experiment(golden_cfg)
         assert any("candidate pool" in str(c.message) for c in caught)
+
+
+# sha256 of the golden run's outputs. A digest may change only in a change
+# that says why; scripted replies carry a fixed created_at, so they are
+# stable across runs and caches.
+GOLDEN_DIGESTS = {
+    "items.jsonl": "5ead576fe8b653049565369f7f51c51389c23d31d6d6912a6d65e044cbb35630",
+    "analysis.json": "cdf0f7bcb9044861681f0a8f32609c56080632ba36be5d2ef9e9f52c329408f0",
+    "report.csv": "ee0d5f85ffc9dd72834d9dc0094a5c80a608f7217e596f9bbb5a49085bed634f",
+}
+
+
+class TestGoldenDigest:
+    def test_cold_cache_runs_are_byte_identical_and_pinned(self, golden_dir, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            cfg = load_config(golden_dir / "config.ini")
+            cfg.output_dir = tmp_path / run / "out"
+            cfg.cache_dir = tmp_path / run / "cache"
+            assert run_experiment(cfg).failed == 0
+            assert list(cfg.cache_dir.iterdir()) == []  # hermetic runs cache nothing
+            outputs.append({p.name: p.read_bytes() for p in cfg.output_dir.iterdir()})
+        first, second = outputs
+        assert sorted(first) == sorted(second)
+        for name in first:
+            assert first[name] == second[name], f"{name} differs between cold runs"
+        for name, digest in GOLDEN_DIGESTS.items():
+            assert hashlib.sha256(first[name]).hexdigest() == digest, name
+        rows = [json.loads(line) for line in first["explanations.jsonl"].splitlines()]
+        assert {r["created_at"] for r in rows} == {"1970-01-01T00:00:00Z"}
 
 
 class TestCacheSoundness:

@@ -1,0 +1,161 @@
+from __future__ import annotations
+
+import json
+import sys
+import threading
+
+import numpy as np
+import pytest
+import requests
+
+from coi_rag.providers import (
+    SCRIPTED_CREATED_AT,
+    CallCache,
+    GenerationRequest,
+    ProviderError,
+    RemoteEmbedder,
+    RemoteGenerator,
+    ScriptedGenerator,
+    request_hash,
+)
+
+REQUEST = GenerationRequest("m", "Explain vex lists.", 0.5, 0.0)
+
+
+def chat_reply(text: str) -> dict:
+    return {"choices": [{"message": {"content": text}}]}
+
+
+def http_error(status: int) -> requests.HTTPError:
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status} from server", response=response)
+
+
+def dead_transport(url, body, headers):
+    raise AssertionError("transport called although the cache should answer")
+
+
+class TestCallCache:
+    def test_corrupt_entry_is_a_miss_and_put_overwrites_it(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"any": "payload"})
+        (tmp_path / f"{key}.json").write_text('{"text": "trunc', encoding="utf-8")
+        assert cache.get(key) is None
+        cache.put(key, {"text": "whole"})
+        assert cache.get(key) == {"text": "whole"}
+
+    def test_corrupt_entry_is_refetched_by_a_provider(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"endpoint": "chat", **REQUEST.payload()})
+        (tmp_path / f"{key}.json").write_bytes(b"\xff\xfe not json")
+        calls = []
+
+        def transport(url, body, headers):
+            calls.append(url)
+            return chat_reply("fresh")
+
+        gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
+        assert gen.complete(REQUEST).text == "fresh"
+        assert gen.complete(REQUEST).text == "fresh"
+        assert len(calls) == 1
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"shared": "key"})
+        errors = []
+
+        def writer(i: int) -> None:
+            try:
+                for j in range(50):
+                    cache.put(key, {"writer": i, "round": j, "pad": "x" * 4096})
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        final = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
+        assert final["round"] == 49
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestRetries:
+    def fail_with(self, monkeypatch, status: int, retries: int = 3):
+        sleeps = []
+        monkeypatch.setattr("coi_rag.providers.time.sleep", sleeps.append)
+        calls = []
+
+        def transport(url, body, headers):
+            calls.append(url)
+            raise http_error(status)
+
+        gen = RemoteGenerator("m", transport=transport, retries=retries, backoff=1.0)
+        with pytest.raises(ProviderError) as exc:
+            gen.complete(REQUEST)
+        return exc.value, calls, sleeps
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        err, calls, sleeps = self.fail_with(monkeypatch, 401)
+        assert len(calls) == 1
+        assert err.attempts == 1
+        assert sleeps == []
+
+    def test_server_error_is_retried_with_backoff(self, monkeypatch):
+        err, calls, sleeps = self.fail_with(monkeypatch, 503, retries=3)
+        assert len(calls) == 3
+        assert err.attempts == 3
+        assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("status", [408, 429, 500])
+    def test_transient_statuses_are_retried(self, monkeypatch, status):
+        _, calls, _ = self.fail_with(monkeypatch, status, retries=2)
+        assert len(calls) == 2
+
+    def test_malformed_response_raises_at_once(self, tmp_path):
+        calls = []
+
+        def transport(url, body, headers):
+            calls.append(url)
+            return {"choices": []}
+
+        cache = CallCache(tmp_path)
+        gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
+        with pytest.raises(ProviderError, match="malformed"):
+            gen.complete(REQUEST)
+        assert len(calls) == 1
+        assert list(tmp_path.iterdir()) == []  # nothing cached
+
+
+class TestCacheKeys:
+    """Entries written under the established key formats keep hitting."""
+
+    def test_embedding_entry_served_without_transport(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"endpoint": "embeddings", "model": "emb", "input": ["vex lists"]})
+        cache.put(key, {"object": "list", "data": [{"index": 0, "embedding": [3.0, 4.0]}]})
+        emb = RemoteEmbedder("emb", cache=cache, transport=dead_transport)
+        np.testing.assert_allclose(emb.embed(["vex lists"]), [[0.6, 0.8]])
+
+    def test_chat_entry_served_without_transport(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"endpoint": "chat", **REQUEST.payload()})
+        cache.put(key, {"text": "cached answer", "created_at": "2024-01-01T00:00:00Z"})
+        gen = RemoteGenerator("m", cache=cache, transport=dead_transport)
+        result = gen.complete(REQUEST)
+        assert (result.text, result.created_at) == ("cached answer", "2024-01-01T00:00:00Z")
+
+
+class TestScripted:
+    def test_fixed_created_at(self):
+        gen = ScriptedGenerator(model_id="m", fn=lambda prompt: "A reply.")
+        assert gen.complete(REQUEST).created_at == SCRIPTED_CREATED_AT == "1970-01-01T00:00:00Z"

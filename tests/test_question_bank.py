@@ -133,7 +133,7 @@ class TestBuildBank:
             for i in range(3)
         ]
         bank = QuestionBank(qs, hashed64)
-        bank.save(tmp_path / "bank.jsonl", tmp_path / "bank_index.jsonl")
+        bank.save(tmp_path / "bank.jsonl")
         loaded = QuestionBank.load(tmp_path / "bank.jsonl", hashed64)
         assert loaded.questions == qs
 
