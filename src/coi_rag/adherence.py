@@ -146,7 +146,7 @@ class SourceClauseIndex:
 
     Whole-clause matching needs one vector per source clause; the
     component-weighted mode needs separate subject/predicate/object
-    vectors, where an empty part is the zero vector.
+    vectors, where an empty part is the zero vector and is 1.0 in its mask.
     """
 
     def __init__(self, clauses: list[Clause], embedder):
@@ -164,7 +164,7 @@ class SourceClauseIndex:
             nonempty = [i for i, t in enumerate(texts) if t.strip()]
             if nonempty:
                 mat[nonempty] = embedder.embed([texts[i] for i in nonempty])
-            self._parts[part] = (mat, np.array([not texts[i].strip() for i in range(len(texts))]))
+            self._parts[part] = (mat, np.array([0.0 if t.strip() else 1.0 for t in texts]))
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -200,6 +200,7 @@ def match_clauses(
     renderings. ``component_weighted``: per source clause, the mean of the
     three per-part cosines (an empty part matches an empty part with 1.0
     and anything else with 0.0); the maximum over source clauses wins.
+    ``VectorIndex.rank`` picks it, so a tie goes to the smaller key.
     """
     if len(source) == 0:
         raise ValueError("source clause index is empty")
@@ -208,29 +209,25 @@ def match_clauses(
     if not ai:
         return []
 
-    matches = []
     if mode == "whole_clause":
         vectors = embedder.embed([c.render() for c in ai])
-        for clause, vec in zip(ai, vectors):
-            key, score = source.whole.top_k(vec, 1)[0]
-            matches.append(ClauseMatch(clause, key, clamp01(score)))
-        return matches
-
-    for clause in ai:
-        sims = np.zeros(len(source))
-        for part in ("subject", "predicate", "object"):
-            text = getattr(clause, part)
-            mat, src_empty = source._parts[part]
-            if text.strip():
-                vec = embedder.embed([text])[0]
-                sims += mat @ vec
-            else:
-                sims += src_empty.astype(float)  # empty-vs-empty agrees
-        sims /= 3.0
-        order = sorted(range(len(source)), key=lambda i: (-sims[i], source.keys[i]))
-        best = order[0]
-        matches.append(ClauseMatch(clause, source.keys[best], clamp01(float(sims[best]))))
-    return matches
+        best = [source.whole.top_k(vec, 1)[0] for vec in vectors]
+    else:
+        parts = ("subject", "predicate", "object")
+        texts = [getattr(c, part) for c in ai for part in parts]
+        vectors = iter(embedder.embed([t for t in texts if t.strip()]))
+        best = []
+        for clause in ai:
+            sims = np.zeros(len(source))
+            for part in parts:
+                mat, src_empty = source._parts[part]
+                if getattr(clause, part).strip():
+                    sims += mat @ next(vectors)
+                else:
+                    sims += src_empty  # empty-vs-empty agrees
+            sims /= 3.0
+            best.append(source.whole.rank(sims, 1)[0])
+    return [ClauseMatch(c, key, clamp01(score)) for c, (key, score) in zip(ai, best)]
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,10 @@ def _load_plans(ctx: StageContext) -> dict[str, dict]:
     return {rec["primary_id"]: rec for rec in read_jsonl(path)}
 
 
-def _plan_from_json(rec: dict, q: QuestionRecord, chunks_by_id: dict[str, Chunk]) -> IllocutionPlan:
+def _plan_from_json(rec: dict, q: QuestionRecord, index: VectorIndex) -> IllocutionPlan:
     selected = []
     for sel in rec["selected"]:
-        pairs = tuple((chunks_by_id[c["id"]], c["score"]) for c in sel["chunks"])
+        pairs = tuple((index.payload(c["id"]), c["score"]) for c in sel["chunks"])
         selected.append(
             SelectedQuestion(
                 question=CandidateQuestion(
@@ -227,11 +227,9 @@ def stage_answer(ctx: StageContext) -> None:
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
     plans = _load_plans(ctx)
     indexes = {}
-    chunk_maps = {}
     if ctx.needs_retrieval():
         for tag in sorted(ctx.cfg.tags):
             indexes[tag] = _load_chunk_index(ctx, tag)
-            chunk_maps[tag] = _load_chunks(ctx, tag)
 
     rows = []
     for q in questions:
@@ -258,7 +256,7 @@ def stage_answer(ctx: StageContext) -> None:
                     else:
                         plan_rec = plans.get(q.id)
                         plan_obj = (
-                            _plan_from_json(plan_rec, q, chunk_maps[q.tag])
+                            _plan_from_json(plan_rec, q, indexes[q.tag])
                             if plan_rec
                             else IllocutionPlan(primary=q)
                         )

@@ -82,6 +82,13 @@ def _transient(exc: OSError) -> bool:
     return True
 
 
+def _retry_delay(exc: OSError, backoff: float) -> float:
+    """The response's numeric ``Retry-After`` in seconds, else ``backoff``."""
+    response = getattr(exc, "response", None)
+    retry_after = str(getattr(response, "headers", {}).get("Retry-After", "")).strip()
+    return float(retry_after) if retry_after.isdecimal() else backoff
+
+
 class RemoteProvider:
     """Endpoint, credentials, cache and retry settings of a remote client."""
 
@@ -107,7 +114,8 @@ class RemoteProvider:
         """``parse`` of the response to POSTing ``body`` to ``path``, cached.
 
         The cache key is the body tagged with the first segment of
-        ``path``. Transient failures are retried with exponential backoff;
+        ``path``. Transient failures are retried after the response's
+        numeric ``Retry-After`` or, without one, an exponential backoff;
         any other HTTP error, or a response ``parse`` cannot read, raises
         at once.
         """
@@ -133,7 +141,7 @@ class RemoteProvider:
             except OSError as exc:  # requests' errors are OSErrors too
                 if not _transient(exc) or attempt == attempts:
                     raise ProviderError(f"request to {url} failed: {exc}", attempts=attempt) from exc
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(_retry_delay(exc, self.backoff * (2 ** (attempt - 1))))
         try:
             payload = parse(response)
         except (KeyError, IndexError, TypeError) as exc:

@@ -27,9 +27,9 @@ def clamp01(x: float) -> float:
 class VectorIndex:
     """Immutable list of (key, vector, payload) rows with exact search.
 
-    Corpora here are at most a few hundred thousand rows, so search is a
-    single matrix product followed by a sort; no approximate structures.
-    Ties on score break by ascending key so retrieval is reproducible.
+    Corpora here are at most a few hundred thousand rows, so search is
+    exact; no approximate structures. ``rank`` owns the one ranking rule:
+    score descending, ties by ascending key, so retrieval is reproducible.
     """
 
     def __init__(self, keys: Sequence[str], vectors: np.ndarray, payloads: Sequence[Any] | None = None):
@@ -44,6 +44,7 @@ class VectorIndex:
         if len(self.payloads) != len(self.keys):
             raise ValueError("need one payload per key")
         self._by_key = {k: i for i, k in enumerate(self.keys)}
+        self._key_rank = np.argsort(np.argsort(np.array(self.keys, dtype=object)))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -59,17 +60,20 @@ class VectorIndex:
         return self.vectors[self._by_key[key]]
 
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Exact top-k by cosine, scores non-increasing, ties by key."""
+        """Exact top-k by cosine, ranked by ``rank``."""
+        query = np.asarray(query, dtype=float)
+        if query.shape != (self.dims,):
+            raise ValueError(f"query dims {query.shape} do not match index dims {self.dims}")
+        return self.rank(self.vectors @ query, k)
+
+    def rank(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """The ``k`` best rows by one score per row: descending, ties by ascending key."""
         if len(self) == 0:
             raise ValueError("cannot search an empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
-        query = np.asarray(query, dtype=float)
-        if query.shape != (self.dims,):
-            raise ValueError(f"query dims {query.shape} do not match index dims {self.dims}")
-        scores = self.vectors @ query
-        order = sorted(range(len(self)), key=lambda i: (-scores[i], self.keys[i]))
-        return [(self.keys[i], float(scores[i])) for i in order[:k]]
+        order = np.lexsort((self._key_rank, -scores))[:k]
+        return [(self.keys[i], float(scores[i])) for i in order]
 
     def save(self, path: str | Path) -> None:
         write_jsonl(

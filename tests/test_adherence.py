@@ -85,6 +85,24 @@ class TestMatchClauses:
         with pytest.raises(ValueError):
             match_clauses([Clause("a", "is", "b", 0)], source, hashed256, mode="fuzzy")
 
+    def test_tied_source_clauses_break_by_ascending_key(self, hashed256):
+        # One sentence is both clause 2 and clause 10; "src:10" < "src:2".
+        sentences = SOURCE_TEXT.split(". ") + [
+            "Every loop keeps a counter.",
+            "The linker joins object files.",
+            "A thread owns its stack.",
+            "The cache stores recent lines.",
+        ]
+        sentences.insert(10, sentences[2])
+        source = build_source_index([" ".join(s.rstrip(".") + "." for s in sentences)], hashed256)
+        assert source.keys == [f"src:{i}" for i in range(11)]
+        assert source.clauses[2].render() == source.clauses[10].render()
+        ai = [source.clauses[2]]
+        for mode in ("whole_clause", "component_weighted"):
+            m = match_clauses(ai, source, hashed256, mode=mode)[0]
+            assert m.best_source_clause_id == "src:10"
+            assert m.similarity == pytest.approx(1.0, abs=1e-9)
+
     def test_whole_mode_matches_brute_force(self, source, hashed256):
         rng = np.random.default_rng(5)
         words = SOURCE_TEXT.replace(".", "").split() + ["quark", "zeppelin"]

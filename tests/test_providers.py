@@ -116,6 +116,22 @@ class TestRetries:
         assert err.attempts == 3
         assert sleeps == [1.0, 2.0]
 
+    def test_numeric_retry_after_replaces_backoff(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("coi_rag.providers.time.sleep", sleeps.append)
+        errors = [http_error(429), http_error(503)]
+        errors[0].response.headers["Retry-After"] = "7"
+        errors[1].response.headers["Retry-After"] = "Wed, 21 Oct 2015 07:28:00 GMT"
+
+        def transport(url, body, headers):
+            if errors:
+                raise errors.pop(0)
+            return chat_reply("ok")
+
+        gen = RemoteGenerator("m", transport=transport, retries=3, backoff=1.0)
+        assert gen.complete(REQUEST).text == "ok"
+        assert sleeps == [7.0, 2.0]  # an HTTP-date falls back to the backoff
+
     @pytest.mark.parametrize("status", [408, 429, 500])
     def test_transient_statuses_are_retried(self, monkeypatch, status):
         _, calls, _ = self.fail_with(monkeypatch, status, retries=2)

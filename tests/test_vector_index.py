@@ -132,6 +132,21 @@ class TestTopK:
         index = VectorIndex(["b", "a", "c"], np.array([v, v, v]))
         assert [k for k, _ in index.top_k(v, 3)] == ["a", "b", "c"]
 
+    def test_integer_ties_match_linear_scan(self):
+        # Row order, numeric order and string order of the keys all differ
+        # ("src:10" < "src:2"), and integer-count vectors tie exactly.
+        keys = [f"src:{i}" for i in (3, 2, 11, 0, 10, 1, 5, 4, 9, 7, 6, 8)]
+        rng = np.random.default_rng(7)
+        vecs = rng.integers(0, 3, size=(12, 4)).astype(float)
+        vecs[4] = vecs[1]  # src:10 repeats src:2
+        index = VectorIndex(keys, vecs)
+        queries = np.vstack([vecs[1], rng.integers(0, 3, size=(30, 4))])
+        for q in queries:
+            for k in (1, 3, 12):
+                assert index.top_k(q, k) == brute_force_top_k(index, q, k)
+        scores = np.array([2.0, 1.0, 2.0] + [0.0] * 9)
+        assert index.rank(scores, 2) == [("src:11", 2.0), ("src:3", 2.0)]
+
     def test_empty_index_error(self):
         index = VectorIndex([], np.zeros((0, 4)))
         with pytest.raises(ValueError):
