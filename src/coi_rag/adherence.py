@@ -5,12 +5,17 @@ clause is matched against the clauses of the evidence source by embedding
 similarity, and the scores are summarized as a thresholded adherence ratio
 (the share of clauses whose best match clears ``t``), a mean similarity,
 and an adherent-clause count.
+
+A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
+It is fixed when the source index is built, which embeds only those parts;
+``match_clauses`` scores every mode with one loop.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -141,36 +146,48 @@ def _strip_span(tokens: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SourceClauseIndex:
-    """Clauses of the evidence source with whole and per-part embeddings.
+# The clause parts each matching mode compares. The first part of every
+# mode is never empty, so its matrix doubles as the ranking index.
+MATCHING_PARTS: dict[str, tuple[Callable[[Clause], str], ...]] = {
+    "whole_clause": (Clause.render,),
+    "component_weighted": (attrgetter("subject"), attrgetter("predicate"), attrgetter("object")),
+}
 
-    Whole-clause matching needs one vector per source clause; the
-    component-weighted mode needs separate subject/predicate/object
-    vectors, where an empty part is the zero vector and is 1.0 in its mask.
+
+class SourceClauseIndex:
+    """Clauses of the evidence source, embedded for one matching mode.
+
+    Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: one
+    matrix per part with one row per clause, where an empty part is the
+    zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
+    clauses and shares the first part's matrix.
     """
 
-    def __init__(self, clauses: list[Clause], embedder):
+    def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
+        if mode not in MATCHING_PARTS:
+            raise ValueError(f"unknown matching mode: {mode}")
         if not clauses:
             raise ValueError("source produced no clauses to index")
         self.clauses = clauses
         self.keys = [f"src:{i}" for i in range(len(clauses))]
-        self.whole = VectorIndex(
-            self.keys, embedder.embed([c.render() for c in clauses]), clauses
-        )
-        self._parts = {}
-        for part in ("subject", "predicate", "object"):
-            texts = [getattr(c, part) for c in clauses]
-            mat = np.zeros((len(clauses), self.whole.dims))
+        self.parts = MATCHING_PARTS[mode]
+        first, *rest = self.parts
+        self.index = VectorIndex(self.keys, embedder.embed([first(c) for c in clauses]), clauses)
+        self.matrices = [self.index.vectors]
+        for part in rest:
+            texts = [part(c) for c in clauses]
+            mat = np.zeros((len(clauses), self.index.dims))
             nonempty = [i for i, t in enumerate(texts) if t.strip()]
-            if nonempty:
+            if nonempty:  # an embedder may reject an empty batch
                 mat[nonempty] = embedder.embed([texts[i] for i in nonempty])
-            self._parts[part] = (mat, np.array([0.0 if t.strip() else 1.0 for t in texts]))
+            self.matrices.append(mat)
+        self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
 
     def __len__(self) -> int:
         return len(self.clauses)
 
 
-def build_source_index(texts: Iterable[str], embedder) -> SourceClauseIndex:
+def build_source_index(texts: Iterable[str], embedder, mode: str = "whole_clause") -> SourceClauseIndex:
     """Extract and index clauses from source texts (typically one document)."""
     clauses: list[Clause] = []
     offset = 0
@@ -178,7 +195,7 @@ def build_source_index(texts: Iterable[str], embedder) -> SourceClauseIndex:
         extracted = extract_clauses(text, sentence_offset=offset)
         clauses.extend(extracted)
         offset += len(split_sentences(text))
-    return SourceClauseIndex(clauses, embedder)
+    return SourceClauseIndex(clauses, embedder, mode)
 
 
 @dataclass(frozen=True)
@@ -188,45 +205,27 @@ class ClauseMatch:
     similarity: float  # max over the source index, clamped to [0, 1]
 
 
-def match_clauses(
-    ai: list[Clause],
-    source: SourceClauseIndex,
-    embedder,
-    mode: str = "whole_clause",
-) -> list[ClauseMatch]:
+def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list[ClauseMatch]:
     """Best source-clause similarity for each AI clause.
 
-    ``whole_clause``: cosine between full "{subject} {predicate} {object}"
-    renderings. ``component_weighted``: per source clause, the mean of the
-    three per-part cosines (an empty part matches an empty part with 1.0
-    and anything else with 0.0); the maximum over source clauses wins.
-    ``VectorIndex.rank`` picks it, so a tie goes to the smaller key.
+    A clause's similarity to a source clause is the mean over the parts
+    of ``source``'s matching mode of the per-part cosines, where an empty
+    part matches an empty part with 1.0 and anything else with 0.0. For
+    ``whole_clause`` that is the cosine between full "{subject}
+    {predicate} {object}" renderings. ``VectorIndex.rank`` picks the
+    best source clause, so a tie goes to the smaller key.
     """
-    if len(source) == 0:
-        raise ValueError("source clause index is empty")
-    if mode not in ("whole_clause", "component_weighted"):
-        raise ValueError(f"unknown matching mode: {mode}")
     if not ai:
         return []
-
-    if mode == "whole_clause":
-        vectors = embedder.embed([c.render() for c in ai])
-        best = [source.whole.top_k(vec, 1)[0] for vec in vectors]
-    else:
-        parts = ("subject", "predicate", "object")
-        texts = [getattr(c, part) for c in ai for part in parts]
-        vectors = iter(embedder.embed([t for t in texts if t.strip()]))
-        best = []
-        for clause in ai:
-            sims = np.zeros(len(source))
-            for part in parts:
-                mat, src_empty = source._parts[part]
-                if getattr(clause, part).strip():
-                    sims += mat @ next(vectors)
-                else:
-                    sims += src_empty  # empty-vs-empty agrees
-            sims /= 3.0
-            best.append(source.whole.rank(sims, 1)[0])
+    texts = [part(c) for c in ai for part in source.parts]
+    vectors = iter(embedder.embed([t for t in texts if t.strip()]))
+    best = []
+    for clause in ai:
+        sims = sum(
+            mat @ next(vectors) if part(clause).strip() else empty  # empty-vs-empty agrees
+            for part, mat, empty in zip(source.parts, source.matrices, source.empty)
+        )
+        best.append(source.index.rank(sims / len(source.parts), 1)[0])
     return [ClauseMatch(c, key, clamp01(score)) for c, (key, score) in zip(ai, best)]
 
 
@@ -290,7 +289,6 @@ def evaluate_text(
     question_id: str = "",
     mode_label: str = "",
     t: float = 0.7,
-    matching: str = "whole_clause",
 ) -> AdherenceReport | None:
     """Score one explanation against a source; None when unevaluable.
 
@@ -300,7 +298,7 @@ def evaluate_text(
     clauses = extract_clauses(text)
     if not clauses:
         return None
-    matches = match_clauses(clauses, source, embedder, mode=matching)
+    matches = match_clauses(clauses, source, embedder)
     return AdherenceReport(
         question_id=question_id,
         mode=mode_label,

@@ -14,6 +14,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..adherence import MATCHING_PARTS
 from ..prompting import MODES
 from ..providers import (
     CallCache,
@@ -105,6 +106,10 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode: {mode}")
+        if self.matching not in MATCHING_PARTS:
+            raise ValueError(f"unknown matching mode: {self.matching}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if not self.corpora:
             raise ValueError("at least one corpus is required")
         self._model_by_name = {m.name: m for m in self.models}

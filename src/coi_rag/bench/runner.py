@@ -296,7 +296,7 @@ def stage_evaluate(ctx: StageContext) -> None:
     titles = {}
     for spec in ctx.cfg.corpora:
         doc = read_document(spec.path, doc_id=spec.tag, title=spec.title)
-        sources[spec.tag] = build_source_index([doc.text], ctx.embedder)
+        sources[spec.tag] = build_source_index([doc.text], ctx.embedder, ctx.cfg.matching)
         titles[spec.tag] = spec.title
 
     items: list[dict] = []
@@ -312,7 +312,6 @@ def stage_evaluate(ctx: StageContext) -> None:
             question_id=rec["question_id"],
             mode_label=rec["mode"],
             t=ctx.cfg.threshold,
-            matching=ctx.cfg.matching,
         )
         item = dict(rec)
         if report is None:

@@ -201,8 +201,6 @@ def _embedding_payload(response: dict) -> dict:
 class RemoteEmbedder(RemoteProvider):
     """OpenAI-compatible embeddings client, one cached request per text."""
 
-    dims: int | None = None  # learned from the first response
-
     def embed(self, texts: list[str]) -> np.ndarray:
         for i, t in enumerate(texts):
             if not t.strip():
@@ -217,9 +215,7 @@ class RemoteEmbedder(RemoteProvider):
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise ProviderError("embedding service returned a zero vector")
-        arr = arr / norms
-        self.dims = arr.shape[1]
-        return arr
+        return arr / norms
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from coi_rag.adherence import (
     mean_similarity,
     threshold_sweep,
 )
-from coi_rag.providers import HashedEmbedder
+from coi_rag.providers import HashedEmbedder, RemoteEmbedder
 from coi_rag.vector_index import cosine
 
 SOURCE_TEXT = (
@@ -29,6 +29,8 @@ SOURCE_TEXT = (
     "The allocator returns aligned memory blocks. "
     "Each module exports a single namespace."
 )
+OBJECTLESS_TEXT = "The parser runs. The stack grows."
+MODES = ("whole_clause", "component_weighted")
 
 
 @pytest.fixture
@@ -69,21 +71,60 @@ class TestExtractClauses:
         assert extract_clauses("Runs.") == []
 
 
+class TestSourceClauseIndex:
+    def test_whole_clause_embeds_only_renders(self, spy_embedder):
+        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], spy_embedder)
+        assert sorted(spy_embedder.texts) == sorted(c.render() for c in source.clauses)
+
+    def test_component_weighted_embeds_only_parts(self, spy_embedder):
+        source = build_source_index(
+            [SOURCE_TEXT, OBJECTLESS_TEXT], spy_embedder, "component_weighted"
+        )
+        clauses = source.clauses
+        assert any(not c.object for c in clauses)
+        expected = (
+            [c.subject for c in clauses]
+            + [c.predicate for c in clauses]
+            + [c.object for c in clauses if c.object]
+        )
+        assert sorted(spy_embedder.texts) == sorted(expected)
+        assert not {c.render() for c in clauses} & set(spy_embedder.texts)
+
+    def test_objectless_source_through_remote_embedder(self, monkeypatch):
+        hasher = HashedEmbedder(dims=64)
+
+        def transport(url, body, headers):
+            return {"data": [{"embedding": hasher.embed(body["input"])[0].tolist()}]}
+
+        embedder = RemoteEmbedder("m", transport=transport)
+        batches = []
+        embed = embedder.embed
+        monkeypatch.setattr(embedder, "embed", lambda texts: batches.append(texts) or embed(texts))
+        source = build_source_index([OBJECTLESS_TEXT], embedder, "component_weighted")
+        assert [c.object for c in source.clauses] == ["", ""]
+        m = match_clauses([source.clauses[0]], source, embedder)[0]
+        assert m.best_source_clause_id == "src:0"
+        assert m.similarity == pytest.approx(1.0, abs=1e-9)
+        assert batches and all(len(b) > 0 for b in batches)  # RemoteEmbedder.embed([]) raises
+
+
 class TestMatchClauses:
-    def test_identical_clause_scores_one_both_modes(self, source, hashed256):
+    def test_identical_clause_scores_one_both_modes(self, hashed256):
         ai = [Clause("The parser", "reads", "one token at a time", 0)]
-        for mode in ("whole_clause", "component_weighted"):
-            m = match_clauses(ai, source, hashed256, mode=mode)
+        for mode in MODES:
+            source = build_source_index([SOURCE_TEXT], hashed256, mode)
+            m = match_clauses(ai, source, hashed256)
             assert m[0].similarity == pytest.approx(1.0, abs=1e-9)
 
-    def test_component_two_thirds(self, source, hashed256):
+    def test_component_two_thirds(self, hashed256):
+        source = build_source_index([SOURCE_TEXT], hashed256, "component_weighted")
         ai = [Clause("The parser", "reads", "zebra xylophone", 0)]
-        m = match_clauses(ai, source, hashed256, mode="component_weighted")
+        m = match_clauses(ai, source, hashed256)
         assert m[0].similarity == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_unknown_mode_rejected(self, source, hashed256):
-        with pytest.raises(ValueError):
-            match_clauses([Clause("a", "is", "b", 0)], source, hashed256, mode="fuzzy")
+    def test_unknown_mode_rejected(self, hashed256):
+        with pytest.raises(ValueError, match="fuzzy"):
+            build_source_index([SOURCE_TEXT], hashed256, "fuzzy")
 
     def test_tied_source_clauses_break_by_ascending_key(self, hashed256):
         # One sentence is both clause 2 and clause 10; "src:10" < "src:2".
@@ -94,12 +135,12 @@ class TestMatchClauses:
             "The cache stores recent lines.",
         ]
         sentences.insert(10, sentences[2])
-        source = build_source_index([" ".join(s.rstrip(".") + "." for s in sentences)], hashed256)
-        assert source.keys == [f"src:{i}" for i in range(11)]
-        assert source.clauses[2].render() == source.clauses[10].render()
-        ai = [source.clauses[2]]
-        for mode in ("whole_clause", "component_weighted"):
-            m = match_clauses(ai, source, hashed256, mode=mode)[0]
+        text = " ".join(s.rstrip(".") + "." for s in sentences)
+        for mode in MODES:
+            source = build_source_index([text], hashed256, mode)
+            assert source.keys == [f"src:{i}" for i in range(11)]
+            assert source.clauses[2].render() == source.clauses[10].render()
+            m = match_clauses([source.clauses[2]], source, hashed256)[0]
             assert m.best_source_clause_id == "src:10"
             assert m.similarity == pytest.approx(1.0, abs=1e-9)
 
@@ -113,11 +154,12 @@ class TestMatchClauses:
             got = match_clauses(ai, source, hashed256)[0]
             rendering = hashed256.embed([ai[0].render()])[0]
             best = max(
-                cosine(rendering, source.whole.vector(k)) for k in source.keys
+                cosine(rendering, source.index.vector(k)) for k in source.keys
             )
             assert got.similarity == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
 
-    def test_component_mode_matches_brute_force(self, source, hashed256):
+    def test_component_mode_matches_brute_force(self, hashed256):
+        source = build_source_index([SOURCE_TEXT], hashed256, "component_weighted")
         rng = np.random.default_rng(6)
         words = SOURCE_TEXT.replace(".", "").split()
         for _ in range(15):
@@ -127,7 +169,7 @@ class TestMatchClauses:
                 " ".join(rng.choice(words, 2)),
                 0,
             )
-            got = match_clauses([ai_clause], source, hashed256, mode="component_weighted")[0]
+            got = match_clauses([ai_clause], source, hashed256)[0]
             best = -1.0
             for src_clause in source.clauses:
                 total = 0.0

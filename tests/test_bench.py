@@ -67,6 +67,18 @@ class TestLoadQuestions:
         assert sum(1 for q in got if q.tag == "orm") == 3
 
 
+def edited_golden_config(golden_dir: Path, tmp_path: Path, old: str, new: str) -> Path:
+    """The golden config with one line replaced, its fixtures copied next to it."""
+    text = (golden_dir / "config.ini").read_text()
+    assert old in text
+    p = tmp_path / "bad.ini"
+    p.write_text(text.replace(old, new))
+    # paths are relative to the config file, so copy fixtures next to it
+    for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
+        (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+    return p
+
+
 class TestConfig:
     def test_golden_config_parses(self, golden_dir):
         cfg = load_config(golden_dir / "config.ini")
@@ -82,15 +94,24 @@ class TestConfig:
             load_config(tmp_path / "absent.ini")
 
     def test_unknown_mode_rejected(self, tmp_path, golden_dir):
-        text = (golden_dir / "config.ini").read_text().replace(
-            "modes = genai, rag, rag_coi", "modes = psychic"
+        p = edited_golden_config(
+            golden_dir, tmp_path, "modes = genai, rag, rag_coi", "modes = psychic"
         )
-        p = tmp_path / "bad.ini"
-        p.write_text(text)
-        # paths are relative to the config file, so copy fixtures next to it
-        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
-            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
         with pytest.raises(ValueError, match="psychic"):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "line, bad, error",
+        [
+            ("matching = whole_clause", "matching = fuzzy", "fuzzy"),
+            ("threshold = 0.7", "threshold = 1.5", "threshold"),
+            ("threshold = 0.7", "threshold = -0.1", "threshold"),
+        ],
+    )
+    def test_bad_adherence_section_rejected(self, tmp_path, golden_dir, line, bad, error):
+        # Rejected on load, before any stage runs or any provider is called.
+        p = edited_golden_config(golden_dir, tmp_path, line, bad)
+        with pytest.raises(ValueError, match=error):
             load_config(p)
 
 
