@@ -68,10 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             f"items={report.items} failed={report.failed} "
             f"unevaluable={report.unevaluable} -> {report.output_dir}"
         )
-        allow_partial = cfg.allow_partial or args.allow_partial
-        if report.failed and not allow_partial:
-            return 1
-        return 0
+        return 1 if report.failed and not args.allow_partial else 0
 
     ctx = make_context(cfg)
     STAGES[args.command](ctx)

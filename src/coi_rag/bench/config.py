@@ -1,27 +1,30 @@
 """Experiment configuration, read from an INI file.
 
 Sections: ``[experiment]`` (seed, modes, cache/output dirs), one
-``[corpus.TAG]`` per evidence source, ``[questions]``, ``[embedder]``,
-``[bank]``, ``[planner]``, ``[adherence]``, ``[stats]``, and one
-``[model.NAME]`` per generator. Relative paths resolve against the config
-file's directory. Provider credentials come from environment variables
-named in the config, never from the file itself.
+``[corpus.TAG]`` per evidence source, ``[questions]``, ``[chunking]``,
+``[embedder]``, ``[bank]``, ``[planner]``, ``[adherence]``, ``[stats]``, and
+one ``[model.NAME]`` per generator. ``SECTIONS`` lists every key a section
+accepts; a key left out keeps its dataclass field's default, and an unknown
+section or key, or a ``[DEFAULT]`` section, is an error naming the file, the
+section and the key. Booleans take configparser's spellings (1/yes/true/on,
+0/no/false/off). Values that could only fail once provider calls have been
+paid for are rejected on load. Relative paths, defaults included, resolve
+against the config file's directory. Credentials come from environment
+variables named in the config, never from the file itself.
 """
 
 from __future__ import annotations
 
 import configparser
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..adherence import MATCHING_PARTS
 from ..prompting import MODES
 from ..providers import (
-    CallCache,
-    HashedEmbedder,
-    RemoteEmbedder,
-    RemoteGenerator,
-    ScriptedGenerator,
+    DEFAULT_API_KEY_ENV, DEFAULT_BACKOFF, DEFAULT_ENDPOINT, DEFAULT_RETRIES, SCRIPTED_BEHAVIORS,
+    CallCache, HashedEmbedder, RemoteEmbedder, RemoteGenerator, ScriptedGenerator,
 )
 
 
@@ -35,15 +38,21 @@ class CorpusSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
-    kind: str  # "remote" or "scripted"
-    model_id: str = ""
-    endpoint: str = "https://api.openai.com/v1"
-    api_key_env: str = "OPENAI_API_KEY"
+    kind: str = "remote"  # or "scripted"
+    model_id: str = ""  # empty: the model's name
+    endpoint: str = DEFAULT_ENDPOINT
+    api_key_env: str = DEFAULT_API_KEY_ENV
     behavior: str | None = None
     script_path: Path | None = None
     answer: bool = True  # false for helper models (e.g. the bank generator)
-    retries: int = 3
-    backoff: float = 0.5
+    retries: int = DEFAULT_RETRIES
+    backoff: float = DEFAULT_BACKOFF
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("remote", "scripted"):
+            raise ValueError(f"model {self.name}: unknown kind {self.kind!r}")
+        if self.kind == "scripted" and self.behavior not in (None, *SCRIPTED_BEHAVIORS):
+            raise ValueError(f"model {self.name}: unknown scripted behavior {self.behavior!r}")
 
     def build(self, cache: CallCache | None, transport=None):
         if self.kind == "remote":
@@ -56,31 +65,27 @@ class ModelSpec:
                 retries=self.retries,
                 backoff=self.backoff,
             )
-        if self.kind == "scripted":
-            script = {}
-            if self.script_path is not None:
-                import json
-
-                script = json.loads(Path(self.script_path).read_text(encoding="utf-8"))
-            return ScriptedGenerator(
-                model_id=self.model_id or self.name,
-                script=script,
-                behavior=self.behavior,
-            )
-        raise ValueError(f"unknown model kind: {self.kind}")
+        script = {}
+        if self.script_path is not None:
+            script = json.loads(Path(self.script_path).read_text(encoding="utf-8"))
+        return ScriptedGenerator(
+            model_id=self.model_id or self.name,
+            script=script,
+            behavior=self.behavior,
+        )
 
 
 @dataclass
 class ExperimentConfig:
     corpora: list[CorpusSpec]
     questions_path: Path
-    modes: list[str]
     models: list[ModelSpec]
-    embedder_kind: str = "hashed"
+    modes: list[str] = field(default_factory=lambda: list(MODES))
+    embedder_kind: str = "hashed"  # or "remote"
     embedder_dims: int = 256
     embedder_model_id: str = ""
-    embedder_endpoint: str = "https://api.openai.com/v1"
-    embedder_api_key_env: str = "OPENAI_API_KEY"
+    embedder_endpoint: str = DEFAULT_ENDPOINT
+    embedder_api_key_env: str = DEFAULT_API_KEY_ENV
     bank_model: str = ""
     pool_size: int = 25
     per_question_chunks: int = 10
@@ -96,9 +101,7 @@ class ExperimentConfig:
     seed: int = 0
     cache_dir: Path = Path("cache")
     output_dir: Path = Path("out")
-    allow_partial: bool = False
-    metrics: tuple[str, ...] = ("factscore", "mean_similarity", "adherent_count")
-    _model_by_name: dict = field(default_factory=dict, repr=False)
+    _model_by_name: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.modes:
@@ -110,9 +113,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown matching mode: {self.matching}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
+        if not 1 <= self.keep_questions <= self.pool_size or self.per_question_chunks < 1:
+            raise ValueError("planner needs 1 <= selected <= pool_size, per_question_chunks >= 1")
+        if not 0.0 < self.fdr_q < 1.0:
+            raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
+        if self.bootstrap_samples < 1:
+            raise ValueError(f"bootstrap_samples must be >= 1, got {self.bootstrap_samples}")
+        if self.embedder_kind not in ("hashed", "remote"):
+            raise ValueError(f"unknown embedder kind: {self.embedder_kind}")
         if not self.corpora:
             raise ValueError("at least one corpus is required")
         self._model_by_name = {m.name: m for m in self.models}
+        if self.bank_model and self.bank_model not in self._model_by_name:
+            raise ValueError(f"bank generator {self.bank_model!r} is no configured model")
 
     @property
     def tags(self) -> set[str]:
@@ -134,102 +147,88 @@ class ExperimentConfig:
     def build_embedder(self, cache: CallCache | None = None, transport=None):
         if self.embedder_kind == "hashed":
             return HashedEmbedder(dims=self.embedder_dims)
-        if self.embedder_kind == "remote":
-            return RemoteEmbedder(
-                model_id=self.embedder_model_id,
-                endpoint=self.embedder_endpoint,
-                api_key_env=self.embedder_api_key_env,
-                cache=cache,
-                transport=transport,
-            )
-        raise ValueError(f"unknown embedder kind: {self.embedder_kind}")
+        return RemoteEmbedder(
+            model_id=self.embedder_model_id,
+            endpoint=self.embedder_endpoint,
+            api_key_env=self.embedder_api_key_env,
+            cache=cache,
+            transport=transport,
+        )
 
 
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
+# Every key a section accepts: INI key -> (dataclass field, converter), read
+# with the parser's ``get<converter>``. ``corpus.*`` keys fill a CorpusSpec,
+# ``model.*`` keys a ModelSpec, and every other section the ExperimentConfig.
+SECTIONS: dict[str, dict[str, tuple[str, str]]] = {
+    "experiment": {"seed": ("seed", "int"), "modes": ("modes", "list"),
+                   "cache_dir": ("cache_dir", "path"), "output_dir": ("output_dir", "path")},
+    "questions": {"path": ("questions_path", "path")},
+    "corpus.*": {"path": ("path", "path"), "title": ("title", "str")},
+    "chunking": {"size": ("chunk_size", "int"), "overlap": ("chunk_overlap", "int"),
+                 "min_tokens": ("chunk_min_tokens", "int")},
+    "embedder": {"kind": ("embedder_kind", "str"), "dims": ("embedder_dims", "int"),
+                 "model_id": ("embedder_model_id", "str"),
+                 "endpoint": ("embedder_endpoint", "str"),
+                 "api_key_env": ("embedder_api_key_env", "str")},
+    "bank": {"generator": ("bank_model", "str")},
+    "planner": {"pool_size": ("pool_size", "int"), "selected": ("keep_questions", "int"),
+                "per_question_chunks": ("per_question_chunks", "int")},
+    "adherence": {"threshold": ("threshold", "float"), "matching": ("matching", "str")},
+    "stats": {"alpha": ("alpha", "float"), "fdr_q": ("fdr_q", "float"),
+              "bootstrap_samples": ("bootstrap_samples", "int")},
+    "model.*": {"kind": ("kind", "str"), "model_id": ("model_id", "str"),
+                "endpoint": ("endpoint", "str"), "api_key_env": ("api_key_env", "str"),
+                "behavior": ("behavior", "str"), "script": ("script_path", "path"),
+                "answer": ("answer", "boolean"), "retries": ("retries", "int"),
+                "backoff": ("backoff", "float")},
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
     base = path.parent
+    parser = configparser.ConfigParser(
+        converters={
+            "str": str,
+            "path": lambda value: base / value,
+            "list": lambda value: [v.strip() for v in value.split(",") if v.strip()],
+        }
+    )
+    if not parser.read(path, encoding="utf-8"):
+        raise FileNotFoundError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ValueError(f"{path}: [DEFAULT] {', '.join(parser.defaults())}: section not supported")
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    modes = [m.strip() for m in exp.get("modes", "genai, rag, rag_coi").split(",") if m.strip()]
-
-    corpora = []
+    settings: dict = {}
+    corpora, models = [], []
     for section in parser.sections():
-        if section.startswith("corpus."):
-            tag = section.split(".", 1)[1]
-            corpora.append(
-                CorpusSpec(
-                    tag=tag,
-                    path=_resolve(base, parser[section]["path"]),
-                    title=parser[section].get("title", tag),
-                )
-            )
-    corpora.sort(key=lambda c: c.tag)
-
-    models = []
-    for section in parser.sections():
-        if section.startswith("model."):
-            name = section.split(".", 1)[1]
-            sec = parser[section]
-            script_path = sec.get("script")
-            models.append(
-                ModelSpec(
-                    name=name,
-                    kind=sec.get("kind", "remote"),
-                    model_id=sec.get("model_id", name),
-                    endpoint=sec.get("endpoint", "https://api.openai.com/v1"),
-                    api_key_env=sec.get("api_key_env", "OPENAI_API_KEY"),
-                    behavior=sec.get("behavior"),
-                    script_path=_resolve(base, script_path) if script_path else None,
-                    answer=sec.get("answer", "true").lower() in ("1", "true", "yes"),
-                    retries=int(sec.get("retries", "3")),
-                    backoff=float(sec.get("backoff", "0.5")),
-                )
-            )
-    models.sort(key=lambda m: m.name)
-
-    emb = parser["embedder"] if parser.has_section("embedder") else {}
-    planner_sec = parser["planner"] if parser.has_section("planner") else {}
-    chunking = parser["chunking"] if parser.has_section("chunking") else {}
-    adh = parser["adherence"] if parser.has_section("adherence") else {}
-    st = parser["stats"] if parser.has_section("stats") else {}
-    bank = parser["bank"] if parser.has_section("bank") else {}
-    questions = parser["questions"] if parser.has_section("questions") else {}
-    if "path" not in questions:
-        raise ValueError("config needs a [questions] section with a path")
-
+        kind, dot, name = section.partition(".")
+        table = SECTIONS.get(kind + ".*" if dot else section)
+        if table is None:
+            raise ValueError(f"{path}: [{section}] {', '.join(parser[section])}: unknown section")
+        values = {}
+        for key in parser[section]:
+            if key not in table:
+                raise ValueError(f"{path}: [{section}] {key}: unknown key")
+            field_name, converter = table[key]
+            try:
+                values[field_name] = getattr(parser[section], "get" + converter)(key)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+        if not dot:
+            settings.update(values)
+        elif kind == "model":
+            models.append(ModelSpec(name=name, **values))
+        elif "path" in values:
+            corpora.append(CorpusSpec(tag=name, **{"title": name, **values}))
+        else:
+            raise ValueError(f"{path}: [{section}] path: missing")
+    if "questions_path" not in settings:
+        raise ValueError(f"{path}: [questions] path: missing")
+    for name in ("cache_dir", "output_dir"):
+        settings.setdefault(name, base / getattr(ExperimentConfig, name))
     return ExperimentConfig(
-        corpora=corpora,
-        questions_path=_resolve(base, questions["path"]),
-        modes=modes,
-        models=models,
-        embedder_kind=emb.get("kind", "hashed"),
-        embedder_dims=int(emb.get("dims", "256")),
-        embedder_model_id=emb.get("model_id", ""),
-        embedder_endpoint=emb.get("endpoint", "https://api.openai.com/v1"),
-        embedder_api_key_env=emb.get("api_key_env", "OPENAI_API_KEY"),
-        bank_model=bank.get("generator", ""),
-        pool_size=int(planner_sec.get("pool_size", "25")),
-        per_question_chunks=int(planner_sec.get("per_question_chunks", "10")),
-        keep_questions=int(planner_sec.get("selected", "5")),
-        chunk_size=int(chunking.get("size", "150")),
-        chunk_overlap=int(chunking.get("overlap", "75")),
-        chunk_min_tokens=int(chunking.get("min_tokens", "100")),
-        threshold=float(adh.get("threshold", "0.7")),
-        matching=adh.get("matching", "whole_clause"),
-        alpha=float(st.get("alpha", "0.05")),
-        fdr_q=float(st.get("fdr_q", "0.05")),
-        bootstrap_samples=int(st.get("bootstrap_samples", "10000")),
-        seed=int(exp.get("seed", "0")),
-        cache_dir=_resolve(base, exp.get("cache_dir", "cache")),
-        output_dir=_resolve(base, exp.get("output_dir", "out")),
-        allow_partial=exp.get("allow_partial", "false").lower() in ("1", "true", "yes"),
+        corpora=sorted(corpora, key=lambda c: c.tag),
+        models=sorted(models, key=lambda m: m.name),
+        **settings,
     )

@@ -231,21 +231,18 @@ def stage_answer(ctx: StageContext) -> None:
         for tag in sorted(ctx.cfg.tags):
             indexes[tag] = _load_chunk_index(ctx, tag)
 
+    generators = {m.name: ctx.generator(m.name) for m in ctx.cfg.answer_models}
+
     rows = []
     for q in questions:
         title = ctx.cfg.corpus(q.tag).title
-        primary = (
-            [c for c, _ in _primary_chunks(ctx, indexes[q.tag], q)]
-            if ctx.needs_retrieval()
-            else []
-        )
-        for model_spec in ctx.cfg.answer_models:
-            generator = ctx.generator(model_spec.name)
+        primary = [c for c, _ in _primary_chunks(ctx, indexes[q.tag], q)] if indexes else []
+        for model_name, generator in generators.items():
             for mode in ctx.cfg.modes:
                 rec = {
                     "question_id": q.id,
                     "tag": q.tag,
-                    "model": model_spec.name,
+                    "model": model_name,
                     "mode": mode,
                 }
                 try:
@@ -279,6 +276,9 @@ def stage_answer(ctx: StageContext) -> None:
                 rows.append(rec)
     write_jsonl(ctx.out / "explanations.jsonl", rows)
 
+
+# The item metrics compared between rag_coi and rag.
+METRICS = ("factscore", "mean_similarity", "adherent_count")
 
 ITEM_CSV_FIELDS = (
     "question_id", "tag", "model", "mode", "factscore", "mean_similarity",
@@ -367,7 +367,7 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
     comparisons = []
     if "rag" in cfg.modes and "rag_coi" in cfg.modes:
         for model in models:
-            for metric in cfg.metrics:
+            for metric in METRICS:
                 labels, coi, rag = [], [], []
                 for qid in question_ids:
                     lhs = by_key.get((model, "rag_coi", qid))

@@ -26,6 +26,12 @@ import requests
 # Stamped on every scripted reply so hermetic runs are byte-identical.
 SCRIPTED_CREATED_AT = "1970-01-01T00:00:00Z"
 
+# Remote client defaults, shared with the experiment config.
+DEFAULT_ENDPOINT = "https://api.openai.com/v1"
+DEFAULT_API_KEY_ENV = "OPENAI_API_KEY"
+DEFAULT_RETRIES = 3
+DEFAULT_BACKOFF = 0.5
+
 
 class ProviderError(RuntimeError):
     """A provider call failed after all retry attempts."""
@@ -95,12 +101,12 @@ class RemoteProvider:
     def __init__(
         self,
         model_id: str,
-        endpoint: str = "https://api.openai.com/v1",
-        api_key_env: str = "OPENAI_API_KEY",
+        endpoint: str = DEFAULT_ENDPOINT,
+        api_key_env: str = DEFAULT_API_KEY_ENV,
         cache: CallCache | None = None,
         transport: Callable[[str, dict, dict], dict] | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
+        retries: int = DEFAULT_RETRIES,
+        backoff: float = DEFAULT_BACKOFF,
     ):
         self.model_id = model_id
         self.endpoint = endpoint.rstrip("/")

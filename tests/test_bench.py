@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from coi_rag.bench.cli import main as cli_main
-from coi_rag.bench.config import load_config
+from coi_rag.bench.config import (
+    SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
+)
 from coi_rag.bench.runner import load_questions, run_experiment
 from coi_rag.providers import CallCache, request_hash
 
@@ -114,6 +118,115 @@ class TestConfig:
         with pytest.raises(ValueError, match=error):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "line, bad, error",
+        [
+            ("selected = 5", "selected = 30", "selected <= pool_size"),
+            ("selected = 5", "selected = 0", "1 <= selected"),
+            ("pool_size = 25", "pool_size = 0", "pool_size"),
+            ("per_question_chunks = 10", "per_question_chunks = 0", "per_question_chunks"),
+            ("fdr_q = 0.05", "fdr_q = 1.0", "fdr_q"),
+            ("fdr_q = 0.05", "fdr_q = 0", "fdr_q"),
+            ("bootstrap_samples = 2000", "bootstrap_samples = 0", "bootstrap_samples"),
+            ("generator = bankgen", "generator = bankgne", "bankgne"),
+            ("behavior = context_echo_short", "behavior = context_echo_shrot", "context_echo_shrot"),
+            ("kind = scripted\nbehavior = qa_stub", "kind = scriptd\nbehavior = qa_stub", "scriptd"),
+            ("kind = hashed", "kind = hashd", "hashd"),
+        ],
+    )
+    def test_value_failing_after_provider_calls_rejected_on_load(
+        self, tmp_path, golden_dir, line, bad, error
+    ):
+        p = edited_golden_config(golden_dir, tmp_path, line, bad)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "line, bad, section, key",
+        [
+            ("[stats]", "[statz]", "[statz]", "bootstrap_samples"),
+            ("pool_size = 25", "pool_sise = 50", "[planner]", "pool_sise"),
+            ("answer = false", "answer = maybe", "[model.bankgen]", "answer"),
+            ("output_dir = out", "output_dir = out\nallow_partial = true", "[experiment]",
+             "allow_partial"),
+            ("[experiment]", "[DEFAULT]\nseed = 3\n\n[experiment]", "[DEFAULT]", "seed"),
+        ],
+    )
+    def test_unknown_or_unreadable_key_rejected(
+        self, tmp_path, golden_dir, line, bad, section, key
+    ):
+        p = edited_golden_config(golden_dir, tmp_path, line, bad)
+        with pytest.raises(ValueError) as exc:
+            load_config(p)
+        message = str(exc.value)
+        assert str(p) in message and section in message and key in message
+
+    def test_booleans_take_configparser_spellings(self, tmp_path, golden_dir):
+        p = edited_golden_config(golden_dir, tmp_path, "answer = false", "answer = on")
+        assert load_config(p).model("bankgen").answer is True
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        p = tmp_path / "all.ini"
+        p.write_text(
+            "[experiment]\nseed = 11\nmodes = rag, genai\ncache_dir = c\noutput_dir = o\n"
+            "[questions]\npath = q.jsonl\n"
+            "[corpus.vex]\npath = v.txt\ntitle = Vex\n"
+            "[chunking]\nsize = 120\noverlap = 60\nmin_tokens = 80\n"
+            "[embedder]\nkind = remote\ndims = 128\nmodel_id = emb\n"
+            "endpoint = http://localhost:1/v1\napi_key_env = EMB_KEY\n"
+            "[bank]\ngenerator = helper\n"
+            "[planner]\npool_size = 30\nper_question_chunks = 7\nselected = 4\n"
+            "[adherence]\nthreshold = 0.6\nmatching = component_weighted\n"
+            "[stats]\nalpha = 0.01\nfdr_q = 0.1\nbootstrap_samples = 500\n"
+            "[model.helper]\nkind = scripted\nmodel_id = helper-id\n"
+            "endpoint = http://localhost:2/v1\napi_key_env = GEN_KEY\nbehavior = qa_stub\n"
+            "script = s.json\nanswer = off\nretries = 5\nbackoff = 2.0\n"
+        )
+        model = ModelSpec(
+            name="helper", kind="scripted", model_id="helper-id",
+            endpoint="http://localhost:2/v1", api_key_env="GEN_KEY", behavior="qa_stub",
+            script_path=tmp_path / "s.json", answer=False, retries=5, backoff=2.0,
+        )
+        expected = ExperimentConfig(
+            corpora=[CorpusSpec(tag="vex", path=tmp_path / "v.txt", title="Vex")],
+            questions_path=tmp_path / "q.jsonl",
+            models=[model],
+            modes=["rag", "genai"],
+            embedder_kind="remote", embedder_dims=128, embedder_model_id="emb",
+            embedder_endpoint="http://localhost:1/v1", embedder_api_key_env="EMB_KEY",
+            bank_model="helper",
+            pool_size=30, per_question_chunks=7, keep_questions=4,
+            chunk_size=120, chunk_overlap=60, chunk_min_tokens=80,
+            threshold=0.6, matching="component_weighted",
+            alpha=0.01, fdr_q=0.1, bootstrap_samples=500,
+            seed=11, cache_dir=tmp_path / "c", output_dir=tmp_path / "o",
+        )
+        assert load_config(p) == expected
+        # Every field is set away from its default, so no table row goes untested.
+        for spec in (expected, model):
+            for f in dataclasses.fields(spec):
+                default = f.default_factory() if callable(f.default_factory) else f.default
+                if f.init and default is not dataclasses.MISSING:
+                    assert getattr(spec, f.name) != default, f.name
+
+    def test_readme_example_loads_and_names_every_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "readme.ini"
+        p.write_text(block)
+        cfg = load_config(p)
+        assert [m.name for m in cfg.models] == ["bankgen", "gpt-4o"]
+        # Each accepted key is set, or shown as a commented-out example, in its section.
+        documented: dict[str, set[str]] = {}
+        for line in block.splitlines():
+            header = re.match(r"\[([^.\]]+)(\.?)", line)
+            if header:
+                keys = documented.setdefault(header[1] + (".*" if header[2] else ""), set())
+            elif key := re.match(r"[;#]?\s*(\w+)\s*=", line):
+                keys.add(key[1])
+        for section, table in SECTIONS.items():
+            assert set(table) <= documented.get(section, set()), section
+
 
 @pytest.fixture
 def golden_cfg(golden_dir, tmp_path):
@@ -197,14 +310,24 @@ class TestRunner:
             compared += 1
         assert compared == 4  # 2 questions x 2 models
 
+    def test_each_generator_built_once(self, golden_cfg, monkeypatch):
+        built = []
+        build = ModelSpec.build
+
+        def counting_build(spec, *args, **kwargs):
+            built.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "build", counting_build)
+        run_experiment(golden_cfg)
+        assert sorted(built) == ["bankgen", "mock-a", "mock-b"]
+
     def test_failed_items_recorded_and_run_continues(self, golden_cfg):
         calls = {"n": 0}
 
         def flaky(url, body, headers):
             calls["n"] += 1
             raise ConnectionError("nope")
-
-        from coi_rag.bench.config import ModelSpec
 
         golden_cfg.models = list(golden_cfg.models) + [
             ModelSpec(name="dead-remote", kind="remote", model_id="x", backoff=0.0)
@@ -323,7 +446,6 @@ class TestCacheSoundness:
         assert a == b
 
     def test_script_file_backed_model(self, tmp_path):
-        from coi_rag.bench.config import ModelSpec
         from coi_rag.providers import GenerationRequest, request_hash
 
         req = GenerationRequest("m", "What is up?", 0.5, 0.0)
@@ -336,7 +458,6 @@ class TestCacheSoundness:
         assert generator.complete(req).text == "canned reply"
 
     def test_remote_credentials_come_from_named_env_var(self, tmp_path, monkeypatch):
-        from coi_rag.bench.config import ModelSpec
         from coi_rag.providers import GenerationRequest
 
         monkeypatch.setenv("MY_PROVIDER_KEY", "sk-test-123")
