@@ -7,10 +7,12 @@ one ``[model.NAME]`` per generator. ``SECTIONS`` lists every key a section
 accepts; a key left out keeps its dataclass field's default, and an unknown
 section or key, or a ``[DEFAULT]`` section, is an error naming the file, the
 section and the key. Booleans take configparser's spellings (1/yes/true/on,
-0/no/false/off). Values that could only fail once provider calls have been
-paid for are rejected on load. Relative paths, defaults included, resolve
-against the config file's directory. Credentials come from environment
-variables named in the config, never from the file itself.
+0/no/false/off). Values keep configparser's interpolation, so a literal
+``%`` is written ``%%``; a lone ``%`` is an error naming the key. Values
+that could only fail once provider calls have been paid for are rejected
+on load. Relative paths, defaults included, resolve against the config
+file's directory. Credentials come from environment variables named in
+the config, never from the file itself.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             field_name, converter = table[key]
             try:
                 values[field_name] = getattr(parser[section], "get" + converter)(key)
-            except ValueError as exc:
+            except (ValueError, configparser.InterpolationError) as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
         if not dot:
             settings.update(values)

@@ -3,8 +3,10 @@
 Two provider families exist for each role: a remote one speaking an
 OpenAI-compatible HTTP API, and a hermetic one (hashed embeddings,
 scripted generators) that keeps tests and demos fully offline. Remote
-calls are cached per request; hermetic ones are cheap and deterministic,
-so they are not.
+chat calls are cached per request and remote embeddings per text, with
+each ``embed`` call's uncached texts sent in as few requests as the
+batch cap allows; hermetic calls are cheap and deterministic, so they
+are not cached.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1"
 DEFAULT_API_KEY_ENV = "OPENAI_API_KEY"
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
+
+# Inputs per embeddings request: the OpenAI API's per-request limit.
+EMBED_BATCH = 2048
 
 
 class ProviderError(RuntimeError):
@@ -116,19 +121,13 @@ class RemoteProvider:
         self.retries = retries
         self.backoff = backoff
 
-    def _cached_post(self, path: str, body: dict, parse: Callable[[dict], dict]) -> dict:
-        """``parse`` of the response to POSTing ``body`` to ``path``, cached.
+    def _post(self, path: str, body: dict, parse: Callable[[dict], object]):
+        """``parse`` of the response to POSTing ``body`` to ``path``.
 
-        The cache key is the body tagged with the first segment of
-        ``path``. Transient failures are retried after the response's
-        numeric ``Retry-After`` or, without one, an exponential backoff;
-        any other HTTP error, or a response ``parse`` cannot read, raises
-        at once.
+        Transient failures are retried after the response's numeric
+        ``Retry-After`` or, without one, an exponential backoff; any other
+        HTTP error, or a response ``parse`` cannot read, raises at once.
         """
-        key = request_hash({"endpoint": path.partition("/")[0], **body})
-        payload = self.cache.get(key) if self.cache else None
-        if payload is not None:
-            return payload
         url = f"{self.endpoint}/{path}"
         headers = {
             "Authorization": f"Bearer {os.environ.get(self.api_key_env, '')}",
@@ -149,12 +148,9 @@ class RemoteProvider:
                     raise ProviderError(f"request to {url} failed: {exc}", attempts=attempt) from exc
                 time.sleep(_retry_delay(exc, self.backoff * (2 ** (attempt - 1))))
         try:
-            payload = parse(response)
+            return parse(response)
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed response from {url}: {exc!r}") from exc
-        if self.cache:
-            self.cache.put(key, payload)
-        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +195,65 @@ class HashedEmbedder:
         return v
 
 
-def _embedding_payload(response: dict) -> dict:
-    """The cached part of a one-input embeddings response: its vector."""
-    return {"data": [{"embedding": response["data"][0]["embedding"]}]}
+def _embedding_rows(response: dict, count: int) -> list[list[float]]:
+    """The ``count`` embeddings of a reply, in the order of their ``index``.
+
+    A reply with another number of rows, a missing or repeated index, or
+    an all-zero row is an error, so nothing from it reaches the cache.
+    """
+    data = response["data"]
+    rows = {item["index"]: item["embedding"] for item in data}
+    if len(data) != count or sorted(rows) != list(range(count)):
+        raise ProviderError(f"embedding reply does not index its {count} inputs once each")
+    ordered = [rows[i] for i in range(count)]
+    if not all(any(row) for row in ordered):
+        raise ProviderError("embedding service returned a zero vector")
+    return ordered
 
 
 class RemoteEmbedder(RemoteProvider):
-    """OpenAI-compatible embeddings client, one cached request per text."""
+    """OpenAI-compatible embeddings client, cached per text.
+
+    Each ``embed`` call sends its distinct uncached texts in one request
+    per ``EMBED_BATCH`` of them. Every text keeps its own cache entry,
+    keyed as a one-input request, and its vector is remembered by the
+    instance, so a text is read from the cache or the network at most
+    once per embedder.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def _key(self, text: str) -> str:
+        return request_hash({"endpoint": "embeddings", "model": self.model_id, "input": [text]})
 
     def embed(self, texts: list[str]) -> np.ndarray:
         for i, t in enumerate(texts):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")
-        vectors = [
-            self._cached_post(
-                "embeddings", {"model": self.model_id, "input": [text]}, _embedding_payload
-            )["data"][0]["embedding"]
-            for text in texts
-        ]
-        arr = np.asarray(vectors, dtype=float)
+        missing = []
+        for text in dict.fromkeys(texts):
+            if text in self._vectors:
+                continue
+            payload = self.cache.get(self._key(text)) if self.cache else None
+            if payload is None:
+                missing.append(text)
+            else:
+                self._vectors[text] = np.asarray(payload["data"][0]["embedding"], dtype=float)
+        for start in range(0, len(missing), EMBED_BATCH):
+            batch = missing[start:start + EMBED_BATCH]
+            rows = self._post(
+                "embeddings", {"model": self.model_id, "input": batch},
+                lambda response: _embedding_rows(response, len(batch)),
+            )
+            for text, row in zip(batch, rows):
+                if self.cache:
+                    self.cache.put(self._key(text), {"data": [{"embedding": row}]})
+                self._vectors[text] = np.asarray(row, dtype=float)
+        arr = np.stack([self._vectors[t] for t in texts])
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
-        if np.any(norms == 0):
+        if np.any(norms == 0):  # a cache entry is outside input too
             raise ProviderError("embedding service returned a zero vector")
         return arr / norms
 
@@ -264,7 +298,13 @@ class RemoteGenerator(RemoteProvider):
     """OpenAI-compatible chat-completions client, cached per request."""
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
-        payload = self._cached_post("chat/completions", request.payload(), _completion_payload)
+        body = request.payload()
+        key = request_hash({"endpoint": "chat", **body})
+        payload = self.cache.get(key) if self.cache else None
+        if payload is None:
+            payload = self._post("chat/completions", body, _completion_payload)
+            if self.cache:
+                self.cache.put(key, payload)
         return GenerationResult(text=payload["text"], created_at=payload["created_at"])
 
 

@@ -94,7 +94,8 @@ class TestSourceClauseIndex:
         hasher = HashedEmbedder(dims=64)
 
         def transport(url, body, headers):
-            return {"data": [{"embedding": hasher.embed(body["input"])[0].tolist()}]}
+            rows = hasher.embed(body["input"]).tolist()
+            return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
 
         embedder = RemoteEmbedder("m", transport=transport)
         batches = []

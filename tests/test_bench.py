@@ -150,6 +150,7 @@ class TestConfig:
             ("output_dir = out", "output_dir = out\nallow_partial = true", "[experiment]",
              "allow_partial"),
             ("[experiment]", "[DEFAULT]\nseed = 3\n\n[experiment]", "[DEFAULT]", "seed"),
+            ("dims = 256", "dims = 256\nmodel_id = bench%2Fembed", "[embedder]", "model_id"),
         ],
     )
     def test_unknown_or_unreadable_key_rejected(
@@ -160,6 +161,10 @@ class TestConfig:
             load_config(p)
         message = str(exc.value)
         assert str(p) in message and section in message and key in message
+
+    def test_doubled_percent_is_a_literal_percent(self, tmp_path, golden_dir):
+        p = edited_golden_config(golden_dir, tmp_path, "dims = 256", "model_id = bench%%2Fembed")
+        assert load_config(p).embedder_model_id == "bench%2Fembed"
 
     def test_booleans_take_configparser_spellings(self, tmp_path, golden_dir):
         p = edited_golden_config(golden_dir, tmp_path, "answer = false", "answer = on")

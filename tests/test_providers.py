@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import requests
 
+from coi_rag import providers
 from coi_rag.providers import (
     SCRIPTED_CREATED_AT,
     CallCache,
     GenerationRequest,
+    HashedEmbedder,
     ProviderError,
     RemoteEmbedder,
     RemoteGenerator,
@@ -169,6 +171,111 @@ class TestCacheKeys:
         gen = RemoteGenerator("m", cache=cache, transport=dead_transport)
         result = gen.complete(REQUEST)
         assert (result.text, result.created_at) == ("cached answer", "2024-01-01T00:00:00Z")
+
+
+class EmbeddingServer:
+    """Transport answering every input with its hashed count vector and index.
+
+    ``edits`` rewrite the reply rows of successive requests, one each; an
+    edit may raise instead.
+    """
+
+    def __init__(self, *edits):
+        self.hasher = HashedEmbedder(dims=8)
+        self.inputs: list[list[str]] = []
+        self.edits = list(edits)
+
+    def __call__(self, url, body, headers):
+        self.inputs.append(list(body["input"]))
+        data = [
+            {"index": i, "embedding": self.hasher.embed_raw(t).tolist()}
+            for i, t in enumerate(body["input"])
+        ]
+        if self.edits:
+            data = self.edits.pop(0)(data)
+        return {"object": "list", "data": data}
+
+
+TEXTS = ["vex lists grow", "a parser reads tokens", "the linker joins objects",
+         "every loop keeps a counter", "queries hit the index"]
+
+
+class TestEmbeddingBatches:
+    def test_one_request_for_all_misses(self):
+        server = EmbeddingServer()
+        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        assert server.inputs == [TEXTS]
+        np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
+
+    def test_duplicates_sent_once(self):
+        server = EmbeddingServer()
+        out = RemoteEmbedder("emb", transport=server).embed(TEXTS[:2] + TEXTS[:1])
+        assert server.inputs == [TEXTS[:2]]
+        np.testing.assert_array_equal(out[2], out[0])
+
+    def test_rows_ordered_by_index(self):
+        shuffled = EmbeddingServer(lambda data: [data[i] for i in (3, 0, 4, 2, 1)])
+        out = RemoteEmbedder("emb", transport=shuffled).embed(TEXTS)
+        np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data[:-1],  # a row short
+            lambda data: data + data[:1],  # a row too many
+            lambda data: [dict(r, index=r["index"] + 1) for r in data],  # index 0 missing
+            lambda data: data[:-1] + [dict(data[-1], index=0)],  # index 0 twice
+            lambda data: [dict(r, embedding=[0.0] * 8) if r["index"] == 2 else r for r in data],
+        ],
+        ids=["short", "long", "missing-index", "duplicate-index", "zero-row"],
+    )
+    def test_bad_reply_raises_and_caches_nothing(self, tmp_path, edit):
+        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer(edit))
+        with pytest.raises(ProviderError):
+            emb.embed(TEXTS)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_split_at_batch_cap(self, monkeypatch):
+        monkeypatch.setattr(providers, "EMBED_BATCH", 2)
+        server = EmbeddingServer()
+        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        assert server.inputs == [TEXTS[0:2], TEXTS[2:4], TEXTS[4:5]]
+        np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
+
+    def test_transient_failure_retries_whole_batch(self, monkeypatch):
+        monkeypatch.setattr("coi_rag.providers.time.sleep", lambda s: None)
+
+        def unavailable(data):
+            raise http_error(503)
+
+        server = EmbeddingServer(unavailable)
+        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        assert server.inputs == [TEXTS, TEXTS]
+        np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
+
+    def test_each_text_read_from_cache_once(self, tmp_path, monkeypatch):
+        reads = []
+        get = CallCache.get
+        monkeypatch.setattr(CallCache, "get", lambda self, key: reads.append(key) or get(self, key))
+        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer())
+        emb.embed(TEXTS[:3])
+        emb.embed(TEXTS[1:] + TEXTS[1:])
+        emb.embed(TEXTS)
+        assert sorted(reads) == sorted(emb._key(t) for t in TEXTS)
+
+    def test_fresh_embedder_on_warm_cache_sends_nothing(self, tmp_path):
+        cold = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer())
+        first = cold.embed(TEXTS)
+        warm = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=dead_transport)
+        np.testing.assert_array_equal(warm.embed(TEXTS[::-1]), first[::-1])
+
+    def test_zero_reply_does_not_poison_the_cache(self, tmp_path):
+        server = EmbeddingServer(lambda data: [dict(r, embedding=[0.0] * 8) for r in data])
+        with pytest.raises(ProviderError, match="zero vector"):
+            RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=server).embed(TEXTS[:1])
+        fresh = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=server)
+        np.testing.assert_array_equal(fresh.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
+        assert len(server.inputs) == 2
 
 
 class TestScripted:

@@ -178,9 +178,11 @@ class TestRemoteEmbedder:
             if calls["failures_left"] > 0:
                 calls["failures_left"] -= 1
                 raise ConnectionError("boom")
-            text = body["input"][0]
-            vec = [float(len(text)), 1.0, 0.0, 0.0][:dims]
-            return {"data": [{"embedding": vec, "index": 0}]}
+            data = [
+                {"embedding": [float(len(text)), 1.0, 0.0, 0.0][:dims], "index": i}
+                for i, text in enumerate(body["input"])
+            ]
+            return {"data": data}
 
         return transport, calls
 
@@ -191,7 +193,7 @@ class TestRemoteEmbedder:
         assert out.shape == (2, 4)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0, 1.0])
         assert out[1][0] > out[0][0] * 0.9  # order preserved
-        assert calls["n"] == 2
+        assert calls["n"] == 1
 
     def test_retries_then_succeeds(self):
         transport, calls = self.make_transport(fail_times=2)
