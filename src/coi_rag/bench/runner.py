@@ -48,26 +48,24 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
             for fld in required:
                 if fld not in rec:
                     raise ValueError(f"{path}:{lineno}: missing field {fld!r}")
-            if rec["id"] in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate question id {rec['id']!r}")
-            seen.add(rec["id"])
-            if allowed_tags is not None and rec["tag"] not in allowed_tags:
-                raise ValueError(
-                    f"{path}:{lineno}: tag {rec['tag']!r} has no configured corpus"
+            try:
+                record = QuestionRecord(
+                    id=str(rec["id"]), tag=rec["tag"], title=rec["title"], body=rec["body"],
+                    accepted_answer=rec["accepted_answer"], views=int(rec["views"]),
                 )
-            records.append(
-                QuestionRecord(
-                    id=str(rec["id"]),
-                    tag=rec["tag"],
-                    title=rec["title"],
-                    body=rec["body"],
-                    accepted_answer=rec["accepted_answer"],
-                    views=int(rec["views"]),
-                )
-            )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: invalid question record ({exc})") from exc
+            if record.id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate question id {record.id!r}")
+            seen.add(record.id)
+            if allowed_tags is not None and record.tag not in allowed_tags:
+                raise ValueError(f"{path}:{lineno}: tag {record.tag!r} has no configured corpus")
+            records.append(record)
     records.sort(key=lambda q: (q.tag, -q.views, q.id))
     return records
 
@@ -388,21 +386,6 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
                     comparisons.append(entry)
                     continue
                 sample = PairedSample.from_lists(labels, coi, rag)
-                diffs = sample.differences()
-                if not diffs.any():
-                    entry.update(
-                        {
-                            "test": "degenerate",
-                            "statistic": 0.0,
-                            "p_one_sided": 1.0,
-                            "p_two_sided": 1.0,
-                            "dz": 0.0,
-                            "ci95": [0.0, 0.0],
-                            "exact": True,
-                        }
-                    )
-                    comparisons.append(entry)
-                    continue
                 result = select_paired_test(sample, alternative="greater")
                 entry.update(
                     {

@@ -229,6 +229,13 @@ class RemoteEmbedder(RemoteProvider):
         return request_hash({"endpoint": "embeddings", "model": self.model_id, "input": [text]})
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        """One unit-length row per text, in order.
+
+        An empty batch raises ``ValueError`` before any cache or network
+        work; ``HashedEmbedder`` returns a ``(0, dims)`` array instead.
+        """
+        if not texts:
+            raise ValueError("cannot embed an empty batch")
         for i, t in enumerate(texts):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")

@@ -5,14 +5,13 @@ normality check of the differences: non-normal differences go to the
 Wilcoxon signed-rank test, normal ones to the paired t-test. Independent
 group comparisons use the Mann-Whitney U test. One-sided p-values are the
 primary output; two-sided values are reported alongside. Small samples use
-exact null distributions (subset-sum enumeration for Wilcoxon, label
-enumeration for Mann-Whitney), larger ones a normal approximation with
+exact null distributions (one subset-sum table over the doubled ranks
+serves both rank tests), larger ones a normal approximation with
 continuity and tie corrections.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +21,7 @@ from scipy import stats as sps
 
 WILCOXON_EXACT_MAX_N = 25
 MWU_EXACT_MAX_TOTAL = 12
+EXACT_MAX_N = 52  # 2**n and every C(n, k) stay below 2**53: float64 counts are exact
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 
@@ -73,9 +73,13 @@ def _check_alternative(alternative: str) -> None:
         raise ValueError(f"alternative must be one of {ALTERNATIVES}")
 
 
-def _check_method(method: str) -> None:
+def _use_exact(method: str, n: int, auto_max_n: int) -> bool:
+    """Whether n observations get the exact null under ``method``."""
     if method not in ("auto", "exact", "approx"):
         raise ValueError("method must be 'auto', 'exact', or 'approx'")
+    if method == "exact" and n > EXACT_MAX_N:
+        raise ValueError(f"the exact null is limited to {EXACT_MAX_N} observations")
+    return method == "exact" or (method == "auto" and n <= auto_max_n)
 
 
 def _pick(p_greater: float, p_less: float, alternative: str) -> tuple[float, float]:
@@ -111,6 +115,12 @@ def cohens_dz(d) -> float:
     return _dz_or_nan(d)
 
 
+@lru_cache(maxsize=256)
+def _t975(dof: int) -> float:
+    """Upper 97.5% quantile of Student's t, the half-width factor of a 95% CI."""
+    return float(sps.t.ppf(0.975, dof))
+
+
 def _t_ci_mean(d: np.ndarray) -> tuple[float, float]:
     """Two-sided 95% t-interval on the mean of d."""
     n = len(d)
@@ -118,7 +128,7 @@ def _t_ci_mean(d: np.ndarray) -> tuple[float, float]:
     if n < 2 or sd == 0:
         m = float(d.mean())
         return (m, m)
-    half = sps.t.ppf(0.975, n - 1) * sd / math.sqrt(n)
+    half = _t975(n - 1) * sd / math.sqrt(n)
     m = float(d.mean())
     return (m - half, m + half)
 
@@ -140,25 +150,50 @@ def shapiro_wilk(x) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Wilcoxon signed-rank
+# Rank-test nulls
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _signed_rank_tail(scaled_ranks: tuple[int, ...]) -> np.ndarray:
-    """Null tail counts of the doubled positive-rank sum.
+@lru_cache(maxsize=16)
+def _rank_sum_null(scaled_ranks: tuple[int, ...]) -> np.ndarray:
+    """Subset counts of a rank multiset by subset size and sum.
 
-    Entry w holds the number of sign assignments whose scaled rank sum is
-    >= w. Built by the classic subset-sum recurrence over the rank
-    multiset; midranks are doubled beforehand so sums stay integral.
+    Entry [k, s] is the number of k-element subsets of ``scaled_ranks``
+    whose sum is s. Built by the subset-sum recurrence, one rank at a
+    time; midranks are doubled beforehand so sums stay integral. The
+    memo holds 16 tables, about 2.2 MB at Wilcoxon's largest auto size.
     """
-    counts = np.zeros(sum(scaled_ranks) + 1)
-    counts[0] = 1.0
+    counts = np.zeros((len(scaled_ranks) + 1, sum(scaled_ranks) + 1))
+    counts[0, 0] = 1.0
     for r in scaled_ranks:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: len(counts) - r]
-        counts = counts + shifted
-    return np.cumsum(counts[::-1])[::-1]
+        # numpy buffers the overlapping operand: rows k-1 are read before any row k is written
+        counts[1:, r:] += counts[:-1, : counts.shape[1] - r]
+    counts.setflags(write=False)  # shared by every caller of the memo
+    return counts
+
+
+def _doubled(ranks: np.ndarray) -> tuple[int, ...]:
+    """Midranks times two, sorted: the memo key of their null table."""
+    return tuple(sorted(int(round(2 * r)) for r in ranks))
+
+
+def _exact_tails(null: np.ndarray, observed: int) -> tuple[float, float]:
+    """P(S >= observed) and P(S <= observed) from null counts indexed by sum."""
+    total = null.sum()
+    return float(null[observed:].sum() / total), float(null[: observed + 1].sum() / total)
+
+
+def _normal_tails(stat: float, mu: float, var: float) -> tuple[float, float]:
+    """Continuity-corrected normal (P >= stat, P <= stat); both 1 when var is 0."""
+    if var <= 0:  # every observation tied: the statistic is degenerate
+        return 1.0, 1.0
+    sigma = math.sqrt(var)
+    return float(sps.norm.sf((stat - mu - 0.5) / sigma)), float(sps.norm.cdf((stat - mu + 0.5) / sigma))
+
+
+# ---------------------------------------------------------------------------
+# Wilcoxon signed-rank
+# ---------------------------------------------------------------------------
 
 
 def wilcoxon_signed_rank(
@@ -167,40 +202,30 @@ def wilcoxon_signed_rank(
     """Signed-rank test on paired differences.
 
     Zero differences are dropped (Wilcoxon's procedure); ties in |d| get
-    midranks. The null is enumerated exactly up to n=25 nonzero
-    differences, beyond that a normal approximation with continuity and
-    tie corrections is used; ``method`` ("auto", "exact", "approx")
-    overrides the size rule. The effect size is Cohen's dz of the raw
-    differences (NaN when they have zero spread).
+    midranks. The null is exact up to n=25 nonzero differences, beyond
+    that a normal approximation with continuity and tie corrections is
+    used; ``method`` ("auto", "exact", "approx") overrides the size rule,
+    and "exact" refuses more than 52. The effect size is Cohen's dz of the
+    raw differences (NaN when they have zero spread).
     """
     _check_alternative(alternative)
-    _check_method(method)
     d_all = s.differences()
     d = d_all[d_all != 0]
     n = d.size
+    exact = _use_exact(method, n, WILCOXON_EXACT_MAX_N)
     if n == 0:
         raise ValueError("wilcoxon requires at least one nonzero difference")
 
     ranks = sps.rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if method == "exact" or (method == "auto" and n <= WILCOXON_EXACT_MAX_N):
-        scaled = tuple(sorted(int(round(2 * r)) for r in ranks))
-        tail = _signed_rank_tail(scaled)
-        total = 2.0 ** n
-        w_scaled = int(round(2 * w_plus))
-        p_greater = float(tail[w_scaled] / total)
-        below = total - (tail[w_scaled + 1] if w_scaled + 1 < len(tail) else 0.0)
-        p_less = float(below / total)
-        exact = True
+    if exact:
+        null = _rank_sum_null(_doubled(ranks)).sum(axis=0)
+        p_greater, p_less = _exact_tails(null, int(round(2 * w_plus)))
     else:
-        mu = n * (n + 1) / 4.0
         tie_sizes = np.unique(ranks, return_counts=True)[1]
         var = n * (n + 1) * (2 * n + 1) / 24.0 - float(((tie_sizes**3 - tie_sizes).sum()) / 48.0)
-        sigma = math.sqrt(var)
-        p_greater = float(sps.norm.sf((w_plus - mu - 0.5) / sigma))
-        p_less = float(sps.norm.cdf((w_plus - mu + 0.5) / sigma))
-        exact = False
+        p_greater, p_less = _normal_tails(w_plus, n * (n + 1) / 4.0, var)
 
     p_one, p_two = _pick(p_greater, p_less, alternative)
     return TestResult(
@@ -255,17 +280,19 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
     """Rank-sum test for two independent samples.
 
     U counts how often x-values beat y-values (ties at half weight). The
-    null is enumerated over all label assignments when the combined size
-    is at most 12, otherwise approximated normally with tie correction;
-    ``method`` ("auto", "exact", "approx") overrides the size rule.
+    null is exact over all label assignments when the combined size is at
+    most 12, otherwise approximated normally with tie correction;
+    ``method`` ("auto", "exact", "approx") overrides the size rule, and
+    "exact" refuses more than 52 combined observations.
     ``greater`` asks whether x tends to exceed y. The effect size is the
     independent-samples Cohen's d (NaN when it is undefined).
     """
     _check_alternative(alternative)
-    _check_method(method)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n1, n2 = x.size, y.size
+    total_n = n1 + n2
+    exact = _use_exact(method, total_n, MWU_EXACT_MAX_TOTAL)
     if n1 < 1 or n2 < 1:
         raise ValueError("both samples must be non-empty")
 
@@ -273,38 +300,15 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
     ranks = sps.rankdata(combined)
     u_obs = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
 
-    total_n = n1 + n2
-    if method == "exact" and total_n > 20:
-        raise ValueError("exact enumeration is limited to 20 combined observations")
-    if method == "exact" or (method == "auto" and total_n <= MWU_EXACT_MAX_TOTAL):
-        # Permutation null over the observed values; doubled ranks keep
-        # the comparisons integral despite midranks.
-        scaled = [int(round(2 * r)) for r in ranks]
-        offset = n1 * (n1 + 1)
-        u2_obs = int(round(2 * u_obs))
-        ge = le = count = 0
-        for positions in itertools.combinations(range(total_n), n1):
-            u2 = sum(scaled[i] for i in positions) - offset
-            count += 1
-            if u2 >= u2_obs:
-                ge += 1
-            if u2 <= u2_obs:
-                le += 1
-        p_greater = ge / count
-        p_less = le / count
-        exact = True
+    if exact:
+        # U is x's rank sum less a constant: its null is the n1-subset row.
+        null = _rank_sum_null(_doubled(ranks))[n1]
+        p_greater, p_less = _exact_tails(null, int(round(2 * ranks[:n1].sum())))
     else:
-        mu = n1 * n2 / 2.0
         tie_sizes = np.unique(combined, return_counts=True)[1]
         tie_term = float((tie_sizes**3 - tie_sizes).sum()) / (total_n * (total_n - 1))
         var = n1 * n2 / 12.0 * ((total_n + 1) - tie_term)
-        if var <= 0:  # every observation tied: U is degenerate
-            p_greater = p_less = 1.0
-        else:
-            sigma = math.sqrt(var)
-            p_greater = float(sps.norm.sf((u_obs - mu - 0.5) / sigma))
-            p_less = float(sps.norm.cdf((u_obs - mu + 0.5) / sigma))
-        exact = False
+        p_greater, p_less = _normal_tails(u_obs, n1 * n2 / 2.0, var)
 
     p_one, p_two = _pick(p_greater, p_less, alternative)
     # The CI and Cohen's d share the pooled variance; both need 2+ per group.
@@ -316,7 +320,7 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
         md = float(x.mean() - y.mean())
         ci = (md, md)
         if pooled_var > 0:
-            half = sps.t.ppf(0.975, dof) * math.sqrt(pooled_var * (1 / n1 + 1 / n2))
+            half = _t975(dof) * math.sqrt(pooled_var * (1 / n1 + 1 / n2))
             ci = (md - half, md + half)
             effect = md / math.sqrt(pooled_var)
     return TestResult(
@@ -451,9 +455,13 @@ def select_paired_test(s: PairedSample, alternative: str = "greater") -> TestRes
 
     Shapiro-Wilk on the differences decides the test: p < 0.05 (or an
     undecidable gate: fewer than 3 pairs, zero-variance differences) means
-    Wilcoxon signed-rank, anything else the paired t-test.
+    Wilcoxon signed-rank, anything else the paired t-test. All-zero
+    differences fit neither: that is the exact ``degenerate`` test, p = 1.
     """
+    _check_alternative(alternative)
     d = s.differences()
+    if not d.any():
+        return TestResult("degenerate", 0.0, 1.0, 1.0, 0.0, (0.0, 0.0), int(d.size), True, alternative)
     try:
         _, p_normal = shapiro_wilk(d)
     except ValueError:

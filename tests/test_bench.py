@@ -12,7 +12,7 @@ from coi_rag.bench.cli import main as cli_main
 from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
 )
-from coi_rag.bench.runner import load_questions, run_experiment
+from coi_rag.bench.runner import analyze_items, load_questions, run_experiment
 from coi_rag.providers import CallCache, request_hash
 
 
@@ -50,14 +50,27 @@ class TestLoadQuestions:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "q.jsonl"
-        path.write_text(json.dumps(GOOD_ROW) + "\n{nope\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=":2"):
-            load_questions(path)
+        bad_lines = [
+            "{nope",
+            "3",
+            "null",
+            '["a1"]',
+            json.dumps(dict(GOOD_ROW, id="a2", views="many")),
+            json.dumps(dict(GOOD_ROW, id="a2", title="  ")),
+            json.dumps(dict(GOOD_ROW, id="a2", title=7)),
+            json.dumps(dict(GOOD_ROW, id="a2", views=None)),
+        ]
+        for line in bad_lines:
+            path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+                load_questions(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
-        path = write_questions(tmp_path / "q.jsonl", [GOOD_ROW, GOOD_ROW])
-        with pytest.raises(ValueError, match="duplicate"):
-            load_questions(path)
+        # 1 and "1" are one id: records keep ids as strings.
+        for rows in ([GOOD_ROW, GOOD_ROW], [dict(GOOD_ROW, id=1), dict(GOOD_ROW, id="1")]):
+            path = write_questions(tmp_path / "q.jsonl", rows)
+            with pytest.raises(ValueError, match="duplicate"):
+                load_questions(path)
 
     def test_unknown_tag_rejected_when_tags_given(self, tmp_path):
         path = write_questions(tmp_path / "q.jsonl", [GOOD_ROW])
@@ -344,6 +357,38 @@ class TestRunner:
         assert report.failed == 6 * 3  # every item of the dead model
         assert report.items == 6 * 3 * 3
         assert not report.ok
+
+
+def scored_item(model, mode, qid, factscore):
+    return {"model": model, "mode": mode, "question_id": qid, "factscore": factscore,
+            "mean_similarity": factscore / 2, "adherent_count": round(10 * factscore)}
+
+
+class TestAnalyze:
+    def test_all_zero_differences_reported_degenerate(self, golden_cfg):
+        scores = [0.2, 0.5, 0.4, 0.9]
+        items = []
+        for q, f in enumerate(scores):
+            items += [scored_item("same", "rag", f"q{q}", f), scored_item("same", "rag_coi", f"q{q}", f),
+                      scored_item("up", "rag", f"q{q}", f), scored_item("up", "rag_coi", f"q{q}", f + 0.1 * q)]
+        comparisons = analyze_items(items, golden_cfg)["comparisons"]
+        assert [(c["model"], c["test"]) for c in comparisons][:3] == [("same", "degenerate")] * 3
+        assert all(c["test"] != "degenerate" for c in comparisons if c["model"] == "up")
+        for entry, metric in zip(comparisons, ("factscore", "mean_similarity", "adherent_count")):
+            assert list(entry) == [
+                "model", "metric", "n", "comparison", "test", "statistic", "p_one_sided",
+                "p_two_sided", "dz", "ci95", "exact", "bh_rejected", "p_bh_adjusted",
+            ]
+            assert entry["metric"] == metric
+            assert entry["n"] == 4
+            assert entry["comparison"] == "rag_coi_minus_rag"
+            assert entry["statistic"] == 0.0
+            assert entry["p_one_sided"] == entry["p_two_sided"] == 1.0
+            assert entry["dz"] == 0.0
+            assert entry["ci95"] == [0.0, 0.0]
+            assert entry["exact"] is True
+            assert entry["bh_rejected"] is False
+            assert entry["p_bh_adjusted"] == 1.0
 
 
 class TestReport:

@@ -278,6 +278,14 @@ class TestEmbeddingBatches:
         assert len(server.inputs) == 2
 
 
+    def test_empty_batch_raises_before_cache_or_network(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(CallCache, "get", lambda self, key: pytest.fail("cache read"))
+        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=dead_transport)
+        with pytest.raises(ValueError, match="empty batch"):
+            emb.embed([])
+        assert HashedEmbedder(dims=8).embed([]).shape == (0, 8)
+
+
 class TestScripted:
     def test_fixed_created_at(self):
         gen = ScriptedGenerator(model_id="m", fn=lambda prompt: "A reply.")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from coi_rag import stats
 from coi_rag.stats import (
+    EXACT_MAX_N,
     PairedSample,
     TestResult as StatsTestResult,
     benjamini_hochberg,
@@ -216,13 +218,17 @@ class TestMannWhitney:
 
     def test_matches_enumeration_oracle_random(self):
         rng = np.random.default_rng(43)
-        for _ in range(20):
-            n1 = int(rng.integers(2, 6))
-            n2 = int(rng.integers(2, 6))
+        sizes = [(int(rng.integers(2, 6)), int(rng.integers(2, 6)), "auto") for _ in range(20)]
+        # One-element samples, and forced-exact sizes past the auto rule up
+        # to 20 combined; few of them, as the oracle grows as C(n, n1).
+        sizes += [(1, 1, "auto"), (1, 6, "auto"), (8, 1, "exact"), (1, 19, "exact"),
+                  (5, 9, "exact"), (6, 14, "exact"), (16, 4, "exact")]
+        for n1, n2, method in sizes:
             x = rng.integers(0, 6, size=n1).astype(float)  # ties likely
             y = rng.integers(0, 6, size=n2).astype(float)
             for alt in ("greater", "less", "two_sided"):
-                got = mann_whitney_u(x, y, alt)
+                got = mann_whitney_u(x, y, alt, method)
+                assert got.exact
                 want = mwu_enumeration_oracle(x, y, alt)
                 field = got.p_two_sided if alt == "two_sided" else got.p_one_sided
                 assert field == pytest.approx(want, abs=1e-12)
@@ -237,13 +243,15 @@ class TestMannWhitney:
 
     def test_exact_and_approx_agree_at_boundary(self):
         rng = np.random.default_rng(53)
-        for _ in range(30):
-            x = rng.normal(size=6)
-            y = rng.normal(size=6)
+        for size in [6] * 30 + [15] * 10:  # 15+15 is past enumeration's old limit of 20
+            x = rng.normal(size=size)
+            y = rng.normal(size=size)
             exact = mann_whitney_u(x, y, "greater", method="exact")
             approx = mann_whitney_u(x, y, "greater", method="approx")
             assert exact.exact and not approx.exact
             assert abs(exact.p_one_sided - approx.p_one_sided) <= 0.01
+            want = sps.mannwhitneyu(x, y, alternative="greater", method="exact").pvalue
+            assert exact.p_one_sided == pytest.approx(want, abs=1e-12)
 
     def test_effect_size_independent_d(self):
         x = np.array([4.0, 5.0, 6.0])
@@ -251,6 +259,29 @@ class TestMannWhitney:
         result = mann_whitney_u(x, y, "greater")
         pooled = math.sqrt((x.var(ddof=1) + y.var(ddof=1)) / 2)
         assert result.effect_size == pytest.approx((x.mean() - y.mean()) / pooled)
+
+
+class TestExactNull:
+    def test_counts_are_binomial_by_size(self):
+        for ranks in ((2, 4, 6, 8, 10), (3, 3, 6, 9, 9, 12), (2,) * 7):
+            null = stats._rank_sum_null(ranks)
+            n = len(ranks)
+            assert null.shape == (n + 1, sum(ranks) + 1)
+            assert [row.sum() for row in null] == [math.comb(n, k) for k in range(n + 1)]
+            assert null.sum() == 2**n
+
+    def test_forced_exact_limit_is_52(self):
+        assert EXACT_MAX_N == 52
+        top = wilcoxon_signed_rank(paired(np.arange(1.0, 53.0), np.zeros(52)), "greater", "exact")
+        assert top.exact and top.p_one_sided == 2.0**-52  # the counts are still exact
+        d = np.arange(1.0, 54.0)
+        with pytest.raises(ValueError, match="52"):
+            wilcoxon_signed_rank(paired(d, np.zeros(53)), "greater", "exact")
+        with pytest.raises(ValueError, match="52"):
+            mann_whitney_u(d[:26], d[26:], "greater", "exact")
+        assert not mann_whitney_u(d[:26], d[26:], "greater").exact
+        split = mann_whitney_u(d[:26], d[26:52], "greater", "exact")
+        assert split.exact and split.p_two_sided == 2 / math.comb(52, 26)
 
 
 class TestBenjaminiHochberg:
@@ -391,6 +422,14 @@ class TestSelectPairedTest:
     def test_tiny_sample_falls_back_to_wilcoxon(self):
         result = select_paired_test(paired([2, 1], [1, 2]), "two_sided")
         assert result.test_name == "wilcoxon_signed_rank"
+
+    def test_all_zero_differences_degenerate(self):
+        for n in (2, 3, 40):
+            a = np.linspace(0.0, 1.0, n)
+            result = select_paired_test(paired(a, a), "greater")
+            assert result == StatsTestResult(
+                "degenerate", 0.0, 1.0, 1.0, 0.0, (0.0, 0.0), n, True, "greater"
+            )
 
 
 class TestPermutationInvariance:
