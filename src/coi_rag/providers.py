@@ -78,7 +78,8 @@ class CallCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
+                # json.dumps runs the C encoder; json.dump writes piece by piece from Python
+                fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False))
             os.replace(tmp, self._path(key))
         except BaseException:
             os.unlink(tmp)

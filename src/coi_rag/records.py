@@ -36,6 +36,10 @@ class QuestionRecord:
     views: int
 
     def __post_init__(self) -> None:
+        for name in ("tag", "title", "body", "accepted_answer"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"question {self.id!r}: {name} must be a string, not {type(value).__name__}")
         if not self.title.strip():
             raise ValueError(f"question {self.id!r} has an empty title")
 

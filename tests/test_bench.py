@@ -3,11 +3,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coi_rag
 from coi_rag.bench.cli import main as cli_main
 from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
@@ -64,6 +68,18 @@ class TestLoadQuestions:
             path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
                 load_questions(path)
+
+    @pytest.mark.parametrize("field", ["tag", "title", "body", "accepted_answer"])
+    def test_non_string_text_field_reports_line_number(self, tmp_path, field):
+        path = write_questions(tmp_path / "q.jsonl", [GOOD_ROW, dict(GOOD_ROW, id="a2", **{field: ["vex"]})])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + f".*{field} must be a string"):
+            load_questions(path, allowed_tags={"vex"})
+
+    def test_mixed_int_and_string_tags_report_line_number(self, tmp_path):
+        # Used to pass every line and then fail the final sort with a bare TypeError.
+        path = write_questions(tmp_path / "q.jsonl", [GOOD_ROW, dict(GOOD_ROW, id="a2", tag=3)])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            load_questions(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         # 1 and "1" are one id: records keep ids as strings.
@@ -455,6 +471,32 @@ class TestGoldenDigest:
             assert hashlib.sha256(first[name]).hexdigest() == digest, name
         rows = [json.loads(line) for line in first["explanations.jsonl"].splitlines()]
         assert {r["created_at"] for r in rows} == {"1970-01-01T00:00:00Z"}
+
+
+RUN_AND_LIST_SCIPY_STATS = """
+import sys
+from coi_rag.bench.cli import main
+code = main(["run", "-c", sys.argv[1], "-o", sys.argv[2] + "/out", "--cache-dir", sys.argv[2] + "/cache"])
+print(code, sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+
+
+class TestRunPathImports:
+    def test_hermetic_run_never_imports_scipy_stats(self, golden_dir, tmp_path):
+        """A golden ``coi-bench run`` in a fresh interpreter leaves scipy.stats unloaded.
+
+        Importing it costs about a second and 40 MB a process, so a deferred
+        import on the run path fails this test as well; only required_pairs
+        may load it.
+        """
+        src = str(Path(coi_rag.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_AND_LIST_SCIPY_STATS, str(golden_dir / "config.ini"), str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCacheSoundness:

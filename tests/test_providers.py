@@ -47,6 +47,14 @@ class TestCallCache:
         cache.put(key, {"text": "whole"})
         assert cache.get(key) == {"text": "whole"}
 
+    def test_entry_bytes_are_the_sorted_json_dumps_string(self, tmp_path):
+        cache = CallCache(tmp_path)
+        payload = {"text": "na\u00efve \u2014 caf\u00e9", "data": [1.5, 2e-300, -0.0, None], "a": {"z": 1, "y": True}}
+        key = request_hash(payload)
+        cache.put(key, payload)
+        want = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        assert (tmp_path / f"{key}.json").read_bytes() == want
+
     def test_corrupt_entry_is_refetched_by_a_provider(self, tmp_path):
         cache = CallCache(tmp_path)
         key = request_hash({"endpoint": "chat", **REQUEST.payload()})

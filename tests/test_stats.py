@@ -99,6 +99,90 @@ class TestShapiroWilk:
         with pytest.raises(ValueError):
             shapiro_wilk([2.0] * 10)
 
+    def test_range_below_r94_floor_rejected(self):
+        with pytest.raises(ValueError):
+            shapiro_wilk([0.0, 1e-20, 2e-20, 5e-20])
+
+    def test_sample_shaped_like_its_weights_fits_perfectly(self):
+        # W rounds to 1 or just above it, where R94's log(1 - W) is undefined
+        assert shapiro_wilk([1.0, 2.0, 3.0]) == (1.0, 1.0)
+        for n in range(4, 30):
+            w, p = shapiro_wilk(stats._sw_weights(n))
+            assert w == pytest.approx(1.0, abs=1e-12) and p == 1.0
+
+    def test_ignores_input_order(self):
+        rng = np.random.default_rng(47)
+        x = rng.exponential(size=24)
+        assert shapiro_wilk(x) == shapiro_wilk(rng.permutation(x))
+
+    def test_matches_scipy(self):
+        """The AS R94 port against scipy.stats.shapiro, which runs the same algorithm."""
+        rng = np.random.default_rng(53)
+        draws = (
+            lambda n: rng.normal(size=n),
+            lambda n: rng.exponential(size=n),
+            lambda n: np.round(rng.normal(size=n), 1),  # some ties
+            lambda n: rng.integers(0, 3, size=n).astype(float),  # mostly ties
+            lambda n: 1e6 + rng.normal(size=n),  # a large offset, which the middle-value shift removes
+        )
+        sizes = [n for n in range(3, 40) for _ in range(5)] + [50, 64, 100, 257, 1000, 2500, 5000]
+        checked = 0
+        for n in sizes:
+            for draw in draws:
+                x = draw(n)
+                if np.ptp(x) == 0:
+                    continue
+                w, p = shapiro_wilk(x)
+                want_w, want_p = sps.shapiro(x)
+                assert abs(w - want_w) <= 1e-12, (n, x)
+                # 2e-15 absorbs last-bit W differences at n = 3, where p = 1 - 6/pi*acos(sqrt(W)) nears 0
+                assert abs(p - want_p) <= 1e-8 * want_p + 2e-15, (n, x)
+                assert (p < 0.05) == (want_p < 0.05), (n, x)
+                checked += 1
+        assert checked > 900
+
+
+class TestScipyEquivalence:
+    """The scipy.special and numpy paths equal the scipy.stats calls they replace, bit for bit."""
+
+    def test_average_ranks_equal_rankdata(self):
+        rng = np.random.default_rng(59)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            tied = rng.integers(0, int(rng.integers(1, 8)), size=n).astype(float)
+            np.testing.assert_array_equal(stats._average_ranks(tied), sps.rankdata(tied))
+            untied = rng.normal(size=n)
+            np.testing.assert_array_equal(stats._average_ranks(untied), sps.rankdata(untied))
+
+    def test_paired_t_tails_and_interval_equal_scipy_t(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            s = paired(rng.normal(loc=rng.uniform(-1, 1), size=n), rng.normal(size=n))
+            greater = paired_t(s, "greater")
+            t_stat, df = greater.statistic, n - 1
+            assert greater.p_one_sided == float(sps.t.sf(t_stat, df))
+            assert paired_t(s, "less").p_one_sided == float(sps.t.cdf(t_stat, df))
+            d = s.differences()
+            half = float(sps.t.ppf(0.975, df)) * d.std(ddof=1) / math.sqrt(n)
+            assert greater.ci95 == (float(d.mean()) - half, float(d.mean()) + half)
+
+    def test_t975_equals_scipy_ppf(self):
+        for dof in range(1, 400):
+            assert stats._t975(dof) == float(sps.t.ppf(0.975, dof))
+
+    def test_normal_tails_equal_scipy_norm(self):
+        rng = np.random.default_rng(67)
+        for _ in range(2000):
+            stat, mu = rng.uniform(0, 400, size=2)
+            var = float(rng.uniform(0.5, 3000))
+            sigma = math.sqrt(var)
+            want = (
+                float(sps.norm.sf((stat - mu - 0.5) / sigma)),
+                float(sps.norm.cdf((stat - mu + 0.5) / sigma)),
+            )
+            assert stats._normal_tails(float(stat), float(mu), var) == want
+
 
 class TestWilcoxon:
     def test_six_positive_differences_exact(self):
