@@ -266,8 +266,6 @@ def threshold_sweep(
 
 @dataclass(frozen=True)
 class AdherenceReport:
-    question_id: str
-    mode: str
     threshold: float
     factscore: float
     mean_similarity: float
@@ -286,8 +284,6 @@ def evaluate_text(
     text: str,
     source: SourceClauseIndex,
     embedder,
-    question_id: str = "",
-    mode_label: str = "",
     t: float = 0.7,
 ) -> AdherenceReport | None:
     """Score one explanation against a source; None when unevaluable.
@@ -300,8 +296,6 @@ def evaluate_text(
         return None
     matches = match_clauses(clauses, source, embedder)
     return AdherenceReport(
-        question_id=question_id,
-        mode=mode_label,
         threshold=t,
         factscore=factscore(matches, t),
         mean_similarity=mean_similarity(matches),

@@ -7,10 +7,17 @@ output directory: ``ingest`` writes chunks and the chunk indexes,
 records, ``analyze`` the statistical comparisons, and ``report`` the
 aggregate CSV and plots. ``run`` chains all of them and writes a manifest
 of content hashes.
+
+Each stage decides from the configured modes whether it has work to do:
+``build-bank`` does nothing unless ``rag_coi`` runs, and ``plan`` then
+writes an empty ``plans.jsonl``. A stage reads the files its modes need
+strictly: ``answer`` with ``rag_coi`` fails before any generator call when
+``plans.jsonl``, or the plan of any question, is missing.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import warnings
@@ -19,9 +26,9 @@ from pathlib import Path
 
 from .. import planner as planner_mod
 from ..adherence import build_source_index, evaluate_text
-from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
-from ..planner import CandidateQuestion, IllocutionPlan, SelectedQuestion
-from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate
+from ..corpus import chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..planner import IllocutionPlan
+from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import CallCache, ProviderError
 from ..question_bank import QuestionBank, build_bank
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
@@ -134,34 +141,26 @@ def stage_ingest(ctx: StageContext) -> None:
             index.save(ctx.out / f"chunk_index.{spec.tag}.jsonl")
 
 
-def _load_chunks(ctx: StageContext, tag: str) -> dict[str, Chunk]:
-    chunks = chunks_from_jsonl(ctx.out / f"chunks.{tag}.jsonl")
-    return {c.id: c for c in chunks}
-
-
 def _load_chunk_index(ctx: StageContext, tag: str) -> VectorIndex:
     index = VectorIndex.load(ctx.out / f"chunk_index.{tag}.jsonl")
-    chunks = _load_chunks(ctx, tag)
+    chunks = {c.id: c for c in chunks_from_jsonl(ctx.out / f"chunks.{tag}.jsonl")}
     index.payloads = [chunks[k] for k in index.keys]
     return index
 
 
 def stage_build_bank(ctx: StageContext) -> None:
-    """Extract implicit questions from every chunk of every corpus."""
+    """Extract implicit questions from every chunk of every corpus (rag_coi runs only)."""
+    if "rag_coi" not in ctx.cfg.modes:
+        return
     if not ctx.cfg.bank_model:
         for spec in ctx.cfg.corpora:
             write_jsonl(ctx.out / f"bank.{spec.tag}.jsonl", [])
         return
     generator = ctx.generator(ctx.cfg.bank_model)
     for spec in ctx.cfg.corpora:
-        chunks = list(_load_chunks(ctx, spec.tag).values())
-        chunks.sort(key=lambda c: c.token_start)
+        chunks = chunks_from_jsonl(ctx.out / f"chunks.{spec.tag}.jsonl")
         bank = build_bank(chunks, generator, ctx.embedder, tag=spec.tag)
         bank.save(ctx.out / f"bank.{spec.tag}.jsonl")
-
-
-def _load_bank(ctx: StageContext, tag: str) -> QuestionBank:
-    return QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
 
 
 def stage_plan(ctx: StageContext) -> None:
@@ -170,7 +169,10 @@ def stage_plan(ctx: StageContext) -> None:
         write_jsonl(ctx.out / "plans.jsonl", [])
         return
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
-    banks = {tag: _load_bank(ctx, tag) for tag in sorted(ctx.cfg.tags)}
+    banks = {
+        tag: QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
+        for tag in sorted(ctx.cfg.tags)
+    }
     indexes = {tag: _load_chunk_index(ctx, tag) for tag in sorted(ctx.cfg.tags)}
     plans = []
     for q in questions:
@@ -194,36 +196,26 @@ def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord):
     return [(index.payload(key), score) for key, score in hits]
 
 
-def _load_plans(ctx: StageContext) -> dict[str, dict]:
+def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
+    """The plan record of every question, by question id."""
     path = ctx.out / "plans.jsonl"
     if not path.exists():
-        return {}
-    return {rec["primary_id"]: rec for rec in read_jsonl(path)}
-
-
-def _plan_from_json(rec: dict, q: QuestionRecord, index: VectorIndex) -> IllocutionPlan:
-    selected = []
-    for sel in rec["selected"]:
-        pairs = tuple((index.payload(c["id"]), c["score"]) for c in sel["chunks"])
-        selected.append(
-            SelectedQuestion(
-                question=CandidateQuestion(
-                    text=sel["question"], origin=sel["origin"], question_vector=None
-                ),
-                chunks=pairs,
-                best_score=sel["best_score"],
-            )
+        raise FileNotFoundError(
+            f"{path} not found: rag_coi answers need the plan stage's output"
         )
-    return IllocutionPlan(
-        primary=q, selected=selected,
-        primary_overlap_ids=list(rec.get("primary_overlap_ids", [])),
-    )
+    plans = {rec["primary_id"]: rec for rec in read_jsonl(path)}
+    missing = [q.id for q in questions if q.id not in plans]
+    if missing:
+        raise ValueError(
+            f"{path} has no plan for question(s) {', '.join(missing)}; rerun the plan stage"
+        )
+    return plans
 
 
 def stage_answer(ctx: StageContext) -> None:
     """Generate one explanation per (question, model, mode)."""
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
-    plans = _load_plans(ctx)
+    plans = _load_plans(ctx, questions) if "rag_coi" in ctx.cfg.modes else {}
     indexes = {}
     if ctx.needs_retrieval():
         for tag in sorted(ctx.cfg.tags):
@@ -249,13 +241,8 @@ def stage_answer(ctx: StageContext) -> None:
                     elif mode == "rag":
                         bundle = assemble_rag(q, title, primary)
                     else:
-                        plan_rec = plans.get(q.id)
-                        plan_obj = (
-                            _plan_from_json(plan_rec, q, indexes[q.tag])
-                            if plan_rec
-                            else IllocutionPlan(primary=q)
-                        )
-                        bundle = assemble_rag_coi(q, title, primary, plan_obj)
+                        plan = IllocutionPlan.from_json(plans[q.id], q, indexes[q.tag].payload)
+                        bundle = assemble_rag_coi(q, title, primary, plan)
                     explanation = generate(bundle, generator, question_id=q.id)
                 except (ProviderError, ValueError) as exc:
                     rec["error"] = str(exc)
@@ -286,10 +273,6 @@ ITEM_CSV_FIELDS = (
 
 def stage_evaluate(ctx: StageContext) -> None:
     """Score every explanation against its corpus; one item row each."""
-    import csv
-
-    from ..prompting import strip_citations
-
     sources = {}
     titles = {}
     for spec in ctx.cfg.corpora:
@@ -303,14 +286,7 @@ def stage_evaluate(ctx: StageContext) -> None:
             items.append(rec)
             continue
         stripped = strip_citations(rec["text"], titles[rec["tag"]])
-        report = evaluate_text(
-            stripped,
-            sources[rec["tag"]],
-            ctx.embedder,
-            question_id=rec["question_id"],
-            mode_label=rec["mode"],
-            t=ctx.cfg.threshold,
-        )
+        report = evaluate_text(stripped, sources[rec["tag"]], ctx.embedder, t=ctx.cfg.threshold)
         item = dict(rec)
         if report is None:
             item["unevaluable"] = True
@@ -337,12 +313,8 @@ def stage_evaluate(ctx: StageContext) -> None:
         writer.writerows(i for i in items if "factscore" in i)
 
 
-def load_items(ctx: StageContext) -> list[dict]:
-    return read_jsonl(ctx.out / "items.jsonl")
-
-
 def stage_analyze(ctx: StageContext) -> dict:
-    analysis = analyze_items(load_items(ctx), ctx.cfg)
+    analysis = analyze_items(read_jsonl(ctx.out / "items.jsonl"), ctx.cfg)
     write_analysis(analysis, ctx.out / "analysis.json")
     return analysis
 
@@ -429,7 +401,7 @@ def _json_float(x: float) -> float | None:
 
 
 def stage_report(ctx: StageContext) -> None:
-    items = load_items(ctx)
+    items = read_jsonl(ctx.out / "items.jsonl")
     analysis = json.loads((ctx.out / "analysis.json").read_text(encoding="utf-8"))
     write_csv_and_plots(items, analysis, ctx.cfg, ctx.out)
 
@@ -465,8 +437,7 @@ def run_experiment(
     """
     ctx = make_context(cfg, embedder=embedder, transports=transports)
     stage_ingest(ctx)
-    if "rag_coi" in cfg.modes:
-        stage_build_bank(ctx)
+    stage_build_bank(ctx)
     stage_plan(ctx)
     stage_answer(ctx)
     stage_evaluate(ctx)

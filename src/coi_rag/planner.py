@@ -4,12 +4,14 @@ Given a primary question, the planner over-generates a candidate pool of
 implicit questions (bank retrieval plus "What is {X}?" templates), fetches
 supporting chunks for each, deduplicates chunks so each belongs to exactly
 one candidate, and keeps the best few candidates as the explanatory
-scaffold for prompt assembly.
+scaffold for prompt assembly. ``IllocutionPlan.to_json``/``from_json`` own
+the plan format that ``plans.jsonl`` stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +69,31 @@ class IllocutionPlan:
             ],
             "primary_overlap_ids": self.primary_overlap_ids,
         }
+
+    @classmethod
+    def from_json(
+        cls, rec: dict, primary: QuestionRecord, chunk_by_id: Callable[[str], Chunk]
+    ) -> "IllocutionPlan":
+        """Rebuild a plan written by :meth:`to_json` for ``primary``.
+
+        ``chunk_by_id`` looks a chunk up by id (``VectorIndex.payload`` of
+        the chunk index). Candidate vectors are not serialized, so the
+        rebuilt candidates carry none.
+        """
+        selected = [
+            SelectedQuestion(
+                question=CandidateQuestion(
+                    text=sel["question"], origin=sel["origin"], question_vector=None
+                ),
+                chunks=tuple((chunk_by_id(c["id"]), c["score"]) for c in sel["chunks"]),
+                best_score=sel["best_score"],
+            )
+            for sel in rec["selected"]
+        ]
+        return cls(
+            primary=primary, selected=selected,
+            primary_overlap_ids=list(rec["primary_overlap_ids"]),
+        )
 
 
 def pool_ratio_check(pool_size: int, keep: int) -> bool:

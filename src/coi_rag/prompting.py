@@ -27,15 +27,12 @@ class PromptBundle:
     text: str
     decoding: tuple[float, float] = DECODING
     retrieved_chunk_ids: tuple[str, ...] = ()
-    plan: IllocutionPlan | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode}")
         if self.mode == "genai" and self.retrieved_chunk_ids:
             raise ValueError("genai bundles carry no retrieved chunks")
-        if self.mode == "rag_coi" and self.plan is None:
-            raise ValueError("rag_coi bundles require a plan")
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,7 @@ def assemble_rag_coi(
         contents="\n\n".join(sections),
     )
     chunk_ids = [c.id for c in primary_chunks] + plan.chunk_ids()
-    return PromptBundle(
-        mode="rag_coi", text=text, retrieved_chunk_ids=tuple(chunk_ids), plan=plan
-    )
+    return PromptBundle(mode="rag_coi", text=text, retrieved_chunk_ids=tuple(chunk_ids))
 
 
 def generate(bundle: PromptBundle, provider, question_id: str = "") -> Explanation:

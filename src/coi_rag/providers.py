@@ -286,6 +286,10 @@ class GenerationRequest:
             "top_p": self.top_p,
         }
 
+    def cache_key(self) -> str:
+        """The request's key in the call cache and in scripted ``script`` maps."""
+        return request_hash({"endpoint": "chat", **self.payload()})
+
 
 @dataclass
 class GenerationResult:
@@ -306,11 +310,10 @@ class RemoteGenerator(RemoteProvider):
     """OpenAI-compatible chat-completions client, cached per request."""
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
-        body = request.payload()
-        key = request_hash({"endpoint": "chat", **body})
+        key = request.cache_key()
         payload = self.cache.get(key) if self.cache else None
         if payload is None:
-            payload = self._post("chat/completions", body, _completion_payload)
+            payload = self._post("chat/completions", request.payload(), _completion_payload)
             if self.cache:
                 self.cache.put(key, payload)
         return GenerationResult(text=payload["text"], created_at=payload["created_at"])
@@ -413,7 +416,7 @@ class ScriptedGenerator:
     fn: Callable[[str], str] | None = None
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
-        key = request_hash({"endpoint": "chat", **request.payload()})
+        key = request.cache_key()
         if key in self.script:
             text = self.script[key]
         elif self.behavior is not None:

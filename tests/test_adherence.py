@@ -270,4 +270,4 @@ class TestOracles:
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):
-            AdherenceReport("q", "rag", 0.7, 0.5, 0.5, 3, 2, 10)
+            AdherenceReport(0.7, 0.5, 0.5, 3, 2, 10)

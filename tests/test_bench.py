@@ -17,7 +17,7 @@ from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
 )
 from coi_rag.bench.runner import analyze_items, load_questions, run_experiment
-from coi_rag.providers import CallCache, request_hash
+from coi_rag.providers import CallCache, ScriptedGenerator, request_hash
 
 
 def write_questions(path: Path, rows) -> Path:
@@ -597,6 +597,52 @@ class TestCli:
         assert (tmp_path / "out" / "report.csv").exists()
         analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert analysis["counts"]["failed"] == 0
+
+    def count_completions(self, monkeypatch) -> list[str]:
+        calls = []
+        complete = ScriptedGenerator.complete
+
+        def counting(gen, request):
+            calls.append(gen.model_id)
+            return complete(gen, request)
+
+        monkeypatch.setattr(ScriptedGenerator, "complete", counting)
+        return calls
+
+    def test_build_bank_without_rag_coi_does_nothing(self, golden_dir, tmp_path, monkeypatch):
+        cfg_path = edited_golden_config(
+            golden_dir, tmp_path, "modes = genai, rag, rag_coi", "modes = genai, rag"
+        )
+        args = ["-c", str(cfg_path), "-o", str(tmp_path / "out"),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(["ingest", *args]) == 0
+        calls = self.count_completions(monkeypatch)
+        assert cli_main(["build-bank", *args]) == 0
+        assert calls == []
+        assert not list((tmp_path / "out").glob("bank.*.jsonl"))
+
+    @pytest.mark.parametrize(
+        "run_plan, error, message",
+        [(False, FileNotFoundError, "plans.jsonl not found"),
+         (True, ValueError, "no plan for question")],
+        ids=["plan-stage-skipped", "one-plan-dropped"],
+    )
+    def test_rag_coi_answer_needs_every_plan(
+        self, golden_dir, tmp_path, monkeypatch, run_plan, error, message
+    ):
+        out = tmp_path / "out"
+        args = ["-c", str(golden_dir / "config.ini"), "-o", str(out),
+                "--cache-dir", str(tmp_path / "cache")]
+        for stage in ("ingest", "build-bank", "plan")[: 3 if run_plan else 2]:
+            assert cli_main([stage, *args]) == 0
+        if run_plan:
+            plans = (out / "plans.jsonl").read_text().splitlines(keepends=True)
+            (out / "plans.jsonl").write_text("".join(plans[1:]))
+        calls = self.count_completions(monkeypatch)
+        with pytest.raises(error, match=message):
+            cli_main(["answer", *args])
+        assert calls == []
+        assert not (out / "explanations.jsonl").exists()
 
     def failing_config(self, golden_dir, tmp_path) -> Path:
         # A remote model pointed at a dead local port: every call fails fast.

@@ -127,10 +127,16 @@ class TestPlanCases:
 
     def test_plan_json_round_trippable(self, hashed64):
         chunks, cindex, bank = make_setup(["alpha beta"], ["alpha?"], hashed64)
-        p = plan(record("alpha"), bank, cindex, hashed64, clause_extractor=lambda text: [])
+        primary = record("alpha")
+        p = plan(primary, bank, cindex, hashed64, clause_extractor=lambda text: [])
+        flag_primary_overlap(p, [chunks[0]])
         blob = p.to_json()
         assert blob["primary_id"] == "p"
         assert blob["selected"][0]["chunks"][0]["id"] == "c0"
+        assert blob["primary_overlap_ids"] == ["c0"]
+        rebuilt = IllocutionPlan.from_json(blob, primary, cindex.payload)
+        assert rebuilt.to_json() == blob
+        assert rebuilt.selected[0].chunks[0][0] is chunks[0]
 
 
 class TestPlanRandomizedAgainstReference:

@@ -133,9 +133,6 @@ class TestRagCoi:
             assemble_rag_coi(q, "T", [], IllocutionPlan(primary=q))
 
     def test_mode_plan_coupling(self):
-        q = make_q()
-        with pytest.raises(ValueError):
-            PromptBundle(mode="rag_coi", text="x", plan=None)
         with pytest.raises(ValueError):
             PromptBundle(mode="genai", text="x", retrieved_chunk_ids=("c1",))
 
