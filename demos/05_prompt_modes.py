@@ -1,14 +1,15 @@
 """Assemble the three prompt modes: genai, rag, and rag_coi.
 
-All three decode at temperature 0.5 and top-p 0.0 and are sent as a user
-message. The rag_coi prompt is the rag prompt with the planner's
-question-context pairs appended after the primary text chunks, so an
-empty plan degrades byte-for-byte to plain rag.
+All three decode with ``DECODING`` and are sent as a user message. The
+rag_coi prompt is the rag prompt with the planner's question-context pairs
+appended after the primary text chunks, so an empty plan degrades
+byte-for-byte to plain rag.
 """
 
 from pathlib import Path
 
 from coi_rag import (
+    DECODING,
     HashedEmbedder,
     IllocutionPlan,
     QuestionRecord,
@@ -43,7 +44,7 @@ q = QuestionRecord(
 genai = assemble_genai(q)
 print("=== genai ===")
 print(genai.text)
-print(f"[decoding temperature={genai.decoding[0]}, top_p={genai.decoding[1]}]")
+print(f"[decoding temperature={DECODING[0]}, top_p={DECODING[1]}]")
 
 primary = [index.payload(k) for k, _ in index.top_k(embedder.embed([q.query_text()])[0], 3)]
 rag = assemble_rag(q, TITLE, primary)

@@ -33,8 +33,6 @@ from .planner import (
     pool_ratio_check,
 )
 from .prompting import (
-    DECODING,
-    Explanation,
     PromptBundle,
     assemble_genai,
     assemble_rag,
@@ -43,6 +41,7 @@ from .prompting import (
     strip_citations,
 )
 from .providers import (
+    DECODING,
     CallCache,
     HashedEmbedder,
     ProviderError,
@@ -71,7 +70,6 @@ __all__ = [
     "ClauseMatch",
     "DECODING",
     "Document",
-    "Explanation",
     "HashedEmbedder",
     "IllocutionPlan",
     "ImplicitQuestion",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def box_plot_svg(title: str, groups: list[tuple[str, list[float]]]) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="11">',
-        f'<text x="{left}" y="16" font-size="14">{title}</text>',
+        f'<text x="{left}" y="16" font-size="14">{escape(title)}</text>',
         f'<line x1="{left - 10}" y1="{top}" x2="{left - 10}" y2="{top + plot_h}" stroke="black"/>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -154,7 +155,7 @@ def box_plot_svg(title: str, groups: list[tuple[str, list[float]]]) -> str:
             f'<line x1="{x0:.2f}" y1="{y(med):.2f}" x2="{x0 + box_w:.2f}" y2="{y(med):.2f}" '
             'stroke="black" stroke-width="2"/>',
             f'<text x="{cx:.2f}" y="{top + plot_h + 14}" text-anchor="middle" '
-            f'transform="rotate(40 {cx:.2f} {top + plot_h + 14})">{label}</text>',
+            f'transform="rotate(40 {cx:.2f} {top + plot_h + 14})">{escape(label)}</text>',
         ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

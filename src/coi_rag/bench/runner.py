@@ -26,10 +26,10 @@ from pathlib import Path
 
 from .. import planner as planner_mod
 from ..adherence import build_source_index, evaluate_text
-from ..corpus import chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
-from ..providers import CallCache, ProviderError
+from ..providers import DECODING, CallCache, ProviderError
 from ..question_bank import QuestionBank, build_bank
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from ..vector_index import VectorIndex, build_index
@@ -135,6 +135,8 @@ def stage_ingest(ctx: StageContext) -> None:
             overlap=ctx.cfg.chunk_overlap,
             min_tokens=ctx.cfg.chunk_min_tokens,
         )
+        if not chunks:
+            raise ValueError(f"corpus {spec.tag!r} ({spec.path}) yields no chunks")
         chunks_to_jsonl(chunks, ctx.out / f"chunks.{spec.tag}.jsonl")
         if ctx.needs_retrieval():
             index = build_index([(c.id, c.text, None) for c in chunks], ctx.embedder)
@@ -186,14 +188,13 @@ def stage_plan(ctx: StageContext) -> None:
             keep=ctx.cfg.keep_questions,
         )
         primary = _primary_chunks(ctx, indexes[q.tag], q)
-        plans.append(planner_mod.flag_primary_overlap(p, [c for c, _ in primary]).to_json())
+        plans.append(planner_mod.flag_primary_overlap(p, primary).to_json())
     write_jsonl(ctx.out / "plans.jsonl", plans)
 
 
-def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord):
+def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord) -> list[Chunk]:
     vec = ctx.embedder.embed([q.query_text()])[0]
-    hits = index.top_k(vec, ctx.cfg.per_question_chunks)
-    return [(index.payload(key), score) for key, score in hits]
+    return [index.payload(key) for key, _ in index.top_k(vec, ctx.cfg.per_question_chunks)]
 
 
 def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
@@ -226,7 +227,7 @@ def stage_answer(ctx: StageContext) -> None:
     rows = []
     for q in questions:
         title = ctx.cfg.corpus(q.tag).title
-        primary = [c for c, _ in _primary_chunks(ctx, indexes[q.tag], q)] if indexes else []
+        primary = _primary_chunks(ctx, indexes[q.tag], q) if indexes else []
         for model_name, generator in generators.items():
             for mode in ctx.cfg.modes:
                 rec = {
@@ -243,15 +244,15 @@ def stage_answer(ctx: StageContext) -> None:
                     else:
                         plan = IllocutionPlan.from_json(plans[q.id], q, indexes[q.tag].payload)
                         bundle = assemble_rag_coi(q, title, primary, plan)
-                    explanation = generate(bundle, generator, question_id=q.id)
+                    result = generate(bundle, generator)
                 except (ProviderError, ValueError) as exc:
                     rec["error"] = str(exc)
                 else:
                     rec.update(
                         {
-                            "text": explanation.text,
-                            "created_at": explanation.created_at,
-                            "decoding": list(explanation.decoding),
+                            "text": result.text,
+                            "created_at": result.created_at,
+                            "decoding": list(DECODING),
                             "retrieved_chunk_ids": list(bundle.retrieved_chunk_ids),
                             "prompt_sha256": hashlib.sha256(
                                 bundle.text.encode("utf-8")

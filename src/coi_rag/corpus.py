@@ -75,8 +75,11 @@ def read_document(path: str | Path, doc_id: str | None = None, title: str | None
     """Load a UTF-8 text file, honoring ``@@PAGE n@@`` sentinel lines.
 
     Sentinel lines are stripped before tokenization; each marks the token
-    index at which that page starts. Files without sentinels get a single
-    page 1 spanning the whole document.
+    index at which that page starts. A sentinel at the same token index as
+    the one before it (a blank page) replaces it. Text before the first
+    sentinel belongs to the page preceding it, or to page 1 when the first
+    sentinel is page 1. Files without sentinels get a single page 1
+    spanning the whole document.
     """
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
@@ -86,6 +89,8 @@ def read_document(path: str | Path, doc_id: str | None = None, title: str | None
     for line in raw.splitlines():
         m = PAGE_SENTINEL.match(line)
         if m:
+            if offsets and offsets[-1][1] == token_count:
+                offsets.pop()
             offsets.append((int(m.group(1)), token_count))
             continue
         kept_lines.append(line)
@@ -94,9 +99,11 @@ def read_document(path: str | Path, doc_id: str | None = None, title: str | None
     if not offsets:
         offsets = [(1, 0)]
     elif offsets[0][1] > 0:
-        # Text before the first sentinel belongs to the page preceding it.
-        first_page = max(1, offsets[0][0] - 1)
-        offsets.insert(0, (first_page, 0))
+        first_page = offsets[0][0]
+        if first_page > 1:
+            offsets.insert(0, (first_page - 1, 0))
+        else:
+            offsets[0] = (first_page, 0)
     return Document(
         id=doc_id or path.stem,
         title=title or path.stem,

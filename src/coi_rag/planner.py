@@ -25,7 +25,6 @@ from .vector_index import VectorIndex
 class CandidateQuestion:
     text: str
     origin: str  # "bank" or "template"
-    question_vector: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -36,7 +35,10 @@ class CandidateQuestion:
 class SelectedQuestion:
     question: CandidateQuestion
     chunks: tuple[tuple[Chunk, float], ...]  # non-empty, scores descending
-    best_score: float
+
+    @property
+    def best_score(self) -> float:
+        return self.chunks[0][1]
 
 
 @dataclass
@@ -77,16 +79,12 @@ class IllocutionPlan:
         """Rebuild a plan written by :meth:`to_json` for ``primary``.
 
         ``chunk_by_id`` looks a chunk up by id (``VectorIndex.payload`` of
-        the chunk index). Candidate vectors are not serialized, so the
-        rebuilt candidates carry none.
+        the chunk index).
         """
         selected = [
             SelectedQuestion(
-                question=CandidateQuestion(
-                    text=sel["question"], origin=sel["origin"], question_vector=None
-                ),
+                question=CandidateQuestion(text=sel["question"], origin=sel["origin"]),
                 chunks=tuple((chunk_by_id(c["id"]), c["score"]) for c in sel["chunks"]),
-                best_score=sel["best_score"],
             )
             for sel in rec["selected"]
         ]
@@ -132,36 +130,26 @@ def plan(
     if len(chunk_index) == 0:
         raise ValueError("chunk index is empty")
 
-    # Step 1: candidate pool from the bank.
+    # Step 1: candidate pool from the bank; vectors[i] embeds candidates[i].
     candidates: list[CandidateQuestion] = []
+    vectors: list[np.ndarray] = []
     if len(bank) > 0:
         query_vec = embedder.embed([primary.query_text()])[0]
         for qid, _score in bank.index.top_k(query_vec, pool_size):
-            candidates.append(
-                CandidateQuestion(
-                    text=bank.by_id(qid).question,
-                    origin="bank",
-                    question_vector=bank.index.vector(qid),
-                )
-            )
+            candidates.append(CandidateQuestion(text=bank.by_id(qid).question, origin="bank"))
+            vectors.append(bank.index.vector(qid))
 
     # Step 2: template questions augment the pool.
     template_texts = template_questions(primary, clause_extractor)
     if template_texts:
-        template_vecs = embedder.embed(template_texts)
-        for text, vec in zip(template_texts, template_vecs):
-            candidates.append(
-                CandidateQuestion(text=text, origin="template", question_vector=vec)
-            )
+        candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
+        vectors.extend(embedder.embed(template_texts))
 
     if not candidates:
         return IllocutionPlan(primary=primary)
 
     # Step 3: per-candidate chunk retrieval.
-    retrieved: list[list[tuple[str, float]]] = []
-    for cand in candidates:
-        hits = chunk_index.top_k(cand.question_vector, per_question_chunks)
-        retrieved.append(hits)
+    retrieved = [chunk_index.top_k(vec, per_question_chunks) for vec in vectors]
 
     # Step 4: every chunk goes to the candidate that scores it highest;
     # ties break toward earlier pool order.
@@ -188,7 +176,6 @@ def plan(
             SelectedQuestion(
                 question=candidates[ci],
                 chunks=tuple((chunk_index.payload(cid), s) for cid, s in hits),
-                best_score=hits[0][1],
             )
         )
     return IllocutionPlan(primary=primary, selected=selected)

@@ -2,51 +2,27 @@
 
 Modes: ``genai`` (no retrieval), ``rag`` (primary-question retrieval), and
 ``rag_coi`` (primary retrieval plus implicit question-context pairs from an
-illocution plan). All modes decode at temperature 0.5 and top-p 0.0.
+illocution plan). Every mode decodes with ``providers.DECODING``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Chunk
 from .planner import IllocutionPlan
-from .providers import GenerationRequest, GenerationResult
+from .providers import GenerationResult
 from .records import QuestionRecord
 from .templates import GENAI_TEMPLATE, RAG_TEMPLATE, fill
-
-DECODING = (0.5, 0.0)  # (temperature, top_p) for every generated bundle
 
 MODES = ("genai", "rag", "rag_coi")
 
 
 @dataclass(frozen=True)
 class PromptBundle:
-    mode: str
     text: str
-    decoding: tuple[float, float] = DECODING
     retrieved_chunk_ids: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode}")
-        if self.mode == "genai" and self.retrieved_chunk_ids:
-            raise ValueError("genai bundles carry no retrieved chunks")
-
-
-@dataclass(frozen=True)
-class Explanation:
-    question_id: str
-    mode: str
-    model_id: str
-    text: str
-    decoding: tuple[float, float]
-    created_at: str
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("explanation text must be non-empty")
 
 
 def _chunk_block(c: Chunk) -> str:
@@ -61,7 +37,7 @@ def render_contents(chunks: list[Chunk]) -> str:
 def assemble_genai(q: QuestionRecord) -> PromptBundle:
     """Direct-questioning prompt; no retrieved material is referenced."""
     text = fill(GENAI_TEMPLATE, topic=q.title, body=q.body)
-    return PromptBundle(mode="genai", text=text)
+    return PromptBundle(text=text)
 
 
 def assemble_rag(q: QuestionRecord, textbook_title: str, chunks: list[Chunk]) -> PromptBundle:
@@ -75,9 +51,7 @@ def assemble_rag(q: QuestionRecord, textbook_title: str, chunks: list[Chunk]) ->
         body=q.body,
         contents=render_contents(chunks),
     )
-    return PromptBundle(
-        mode="rag", text=text, retrieved_chunk_ids=tuple(c.id for c in chunks)
-    )
+    return PromptBundle(text=text, retrieved_chunk_ids=tuple(c.id for c in chunks))
 
 
 def assemble_rag_coi(
@@ -110,28 +84,12 @@ def assemble_rag_coi(
         contents="\n\n".join(sections),
     )
     chunk_ids = [c.id for c in primary_chunks] + plan.chunk_ids()
-    return PromptBundle(mode="rag_coi", text=text, retrieved_chunk_ids=tuple(chunk_ids))
+    return PromptBundle(text=text, retrieved_chunk_ids=tuple(chunk_ids))
 
 
-def generate(bundle: PromptBundle, provider, question_id: str = "") -> Explanation:
+def generate(bundle: PromptBundle, provider) -> GenerationResult:
     """Run one chat completion for a bundle; responses are cached upstream."""
-    if not bundle.text.strip():
-        raise ValueError("bundle text is empty")
-    request = GenerationRequest(
-        model_id=getattr(provider, "model_id", "unknown"),
-        prompt=bundle.text,
-        temperature=bundle.decoding[0],
-        top_p=bundle.decoding[1],
-    )
-    result: GenerationResult = provider.complete(request)
-    return Explanation(
-        question_id=question_id,
-        mode=bundle.mode,
-        model_id=request.model_id,
-        text=result.text,
-        decoding=bundle.decoding,
-        created_at=result.created_at,
-    )
+    return provider.complete(bundle.text)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ DEFAULT_BACKOFF = 0.5
 # Inputs per embeddings request: the OpenAI API's per-request limit.
 EMBED_BATCH = 2048
 
+# (temperature, top_p) of every chat request: explanations and bank extraction.
+DECODING = (0.5, 0.0)
+
 
 class ProviderError(RuntimeError):
     """A provider call failed after all retry attempts."""
@@ -275,15 +278,14 @@ class RemoteEmbedder(RemoteProvider):
 class GenerationRequest:
     model_id: str
     prompt: str
-    temperature: float
-    top_p: float
 
     def payload(self) -> dict:
+        temperature, top_p = DECODING
         return {
             "model": self.model_id,
             "messages": [{"role": "user", "content": self.prompt}],
-            "temperature": self.temperature,
-            "top_p": self.top_p,
+            "temperature": temperature,
+            "top_p": top_p,
         }
 
     def cache_key(self) -> str:
@@ -295,6 +297,11 @@ class GenerationRequest:
 class GenerationResult:
     text: str
     created_at: str
+
+    def __post_init__(self) -> None:
+        # Replies, scripts and cache entries are all outside input.
+        if not self.text.strip():
+            raise ProviderError("empty completion from generator")
 
 
 def _completion_payload(response: dict) -> dict:
@@ -309,7 +316,8 @@ def _completion_payload(response: dict) -> dict:
 class RemoteGenerator(RemoteProvider):
     """OpenAI-compatible chat-completions client, cached per request."""
 
-    def complete(self, request: GenerationRequest) -> GenerationResult:
+    def complete(self, prompt: str) -> GenerationResult:
+        request = GenerationRequest(self.model_id, prompt)
         key = request.cache_key()
         payload = self.cache.get(key) if self.cache else None
         if payload is None:
@@ -415,18 +423,16 @@ class ScriptedGenerator:
     behavior: str | None = None
     fn: Callable[[str], str] | None = None
 
-    def complete(self, request: GenerationRequest) -> GenerationResult:
-        key = request.cache_key()
+    def complete(self, prompt: str) -> GenerationResult:
+        key = GenerationRequest(self.model_id, prompt).cache_key()
         if key in self.script:
             text = self.script[key]
         elif self.behavior is not None:
             if self.behavior not in SCRIPTED_BEHAVIORS:
                 raise ProviderError(f"unknown scripted behavior: {self.behavior}")
-            text = SCRIPTED_BEHAVIORS[self.behavior](request.prompt)
+            text = SCRIPTED_BEHAVIORS[self.behavior](prompt)
         elif self.fn is not None:
-            text = self.fn(request.prompt)
+            text = self.fn(prompt)
         else:
             raise ProviderError(f"scripted generator has no entry for request {key[:12]}")
-        if not text.strip():
-            raise ProviderError("scripted generator produced empty text")
         return GenerationResult(text=text, created_at=SCRIPTED_CREATED_AT)

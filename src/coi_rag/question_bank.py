@@ -9,7 +9,6 @@ from typing import Callable
 
 from .adherence import Clause, extract_clauses
 from .corpus import Chunk
-from .providers import GenerationRequest
 from .records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from .templates import QA_EXTRACTION_TEMPLATE, fill
 from .vector_index import VectorIndex, build_index
@@ -84,15 +83,7 @@ def extract_qas(paragraph: str, generator) -> list[tuple[str, str]]:
     """Ask the generator for Q&As over one paragraph and parse its reply."""
     if not paragraph.strip():
         raise ValueError("paragraph must be non-empty")
-    prompt = fill(QA_EXTRACTION_TEMPLATE, sentence=paragraph)
-    result = generator.complete(
-        GenerationRequest(
-            model_id=getattr(generator, "model_id", "unknown"),
-            prompt=prompt,
-            temperature=0.5,
-            top_p=0.0,
-        )
-    )
+    result = generator.complete(fill(QA_EXTRACTION_TEMPLATE, sentence=paragraph))
     pairs, _skipped = parse_qa_lines(result.text)
     return pairs
 

@@ -33,9 +33,10 @@ from coi_rag.prompting import (
     assemble_genai,
     assemble_rag,
     assemble_rag_coi,
+    generate,
 )
 from coi_rag.planner import IllocutionPlan
-from coi_rag.providers import HashedEmbedder
+from coi_rag.providers import HashedEmbedder, RemoteGenerator
 from coi_rag.question_bank import ImplicitQuestion, QuestionBank, template_questions
 from coi_rag.records import QuestionRecord
 from coi_rag.stats import (
@@ -338,9 +339,17 @@ def test_criterion_8_prompt_fidelity():
     coi_empty = assemble_rag_coi(q, "Intro to Java", chunks, IllocutionPlan(primary=q))
     assert coi_empty.text == rag.text
 
+    bodies = []
+
+    def transport(url, body, headers):
+        bodies.append(body)
+        return {"choices": [{"message": {"content": "A reply."}}]}
+
+    generator = RemoteGenerator("m", transport=transport)
     for bundle in (genai, rag, coi_empty):
-        assert bundle.decoding == (0.5, 0.0)
-    ok("8 prompt templates verbatim, empty-plan equivalence, decoding (0.5, 0.0)")
+        generate(bundle, generator)
+    assert [(b["temperature"], b["top_p"]) for b in bodies] == [(0.5, 0.0)] * 3
+    ok("8 prompt templates verbatim, empty-plan equivalence, decoding (0.5, 0.0) on the wire")
 
 
 def test_criterion_9_directional_sanity(golden_dir, tmp_path):

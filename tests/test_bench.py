@@ -344,6 +344,22 @@ class TestRunner:
             compared += 1
         assert compared == 4  # 2 questions x 2 models
 
+    def test_empty_corpus_named_before_any_generator_call(self, golden_dir, tmp_path, monkeypatch):
+        for name in ("config.ini", "questions.jsonl", "vex_book.txt"):
+            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+        (tmp_path / "orm_book.txt").write_text("", encoding="utf-8")
+        prompts = []
+        complete = ScriptedGenerator.complete
+        monkeypatch.setattr(
+            ScriptedGenerator, "complete",
+            lambda self, prompt: prompts.append(prompt) or complete(self, prompt),
+        )
+        cfg = load_config(tmp_path / "config.ini")
+        cfg.modes = ["genai"]
+        with pytest.raises(ValueError, match=re.escape(f"'orm' ({tmp_path / 'orm_book.txt'})")):
+            run_experiment(cfg)
+        assert prompts == []
+
     def test_each_generator_built_once(self, golden_cfg, monkeypatch):
         built = []
         build = ModelSpec.build
@@ -432,6 +448,21 @@ class TestReport:
         for row in data:
             assert row[5] == "" and row[6] == ""  # ci_lo, ci_hi unavailable
 
+    def test_box_plots_parse_with_markup_in_model_names(self, golden_dir, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        text = (golden_dir / "config.ini").read_text()
+        text += "\n[model.a&b]\nkind = scripted\nbehavior = context_echo\n"
+        (tmp_path / "config.ini").write_text(text)
+        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
+            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+        run_experiment(load_config(tmp_path / "config.ini"))
+        plots = sorted((tmp_path / "out").glob("boxplot_*.svg"))
+        assert len(plots) == 4
+        for svg in plots:
+            labels = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+            assert "a&b/genai" in labels
+
     def test_thin_pool_warns(self, golden_cfg):
         import warnings as w
 
@@ -499,6 +530,11 @@ class TestRunPathImports:
         assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in coi_rag.__all__ if not hasattr(coi_rag, name)] == []
+
+
 class TestCacheSoundness:
     def test_warm_cache_completes_without_transport(self, golden_dir, tmp_path):
         """A remote generator run, once warmed, replays with no network."""
@@ -540,18 +576,15 @@ class TestCacheSoundness:
     def test_script_file_backed_model(self, tmp_path):
         from coi_rag.providers import GenerationRequest, request_hash
 
-        req = GenerationRequest("m", "What is up?", 0.5, 0.0)
-        key = request_hash({"endpoint": "chat", **req.payload()})
+        key = request_hash({"endpoint": "chat", **GenerationRequest("m", "What is up?").payload()})
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps({key: "canned reply"}))
         spec = ModelSpec(name="m", kind="scripted", model_id="m",
                          script_path=script_path)
         generator = spec.build(cache=None)
-        assert generator.complete(req).text == "canned reply"
+        assert generator.complete("What is up?").text == "canned reply"
 
     def test_remote_credentials_come_from_named_env_var(self, tmp_path, monkeypatch):
-        from coi_rag.providers import GenerationRequest
-
         monkeypatch.setenv("MY_PROVIDER_KEY", "sk-test-123")
         seen = {}
 
@@ -562,7 +595,7 @@ class TestCacheSoundness:
         spec = ModelSpec(name="m", kind="remote", model_id="m",
                          api_key_env="MY_PROVIDER_KEY")
         generator = spec.build(cache=None, transport=transport)
-        generator.complete(GenerationRequest("m", "hi", 0.5, 0.0))
+        generator.complete("hi")
         assert seen["auth"] == "Bearer sk-test-123"
 
     def test_cache_hits_are_byte_identical(self, tmp_path):

@@ -121,6 +121,20 @@ class TestPages:
         doc = read_document(p)
         assert (5, 2) in doc.page_offsets
 
+    def test_blank_page_is_replaced_by_the_next_sentinel(self, tmp_path):
+        p = tmp_path / "blank.txt"
+        p.write_text("@@PAGE 1@@\none two\n@@PAGE 2@@\n@@PAGE 3@@\nthree four", encoding="utf-8")
+        doc = read_document(p)
+        assert doc.page_offsets == ((1, 0), (3, 2))
+        assert doc.page_at(2) == 3
+
+    def test_front_matter_belongs_to_page_1(self, tmp_path):
+        p = tmp_path / "front.txt"
+        p.write_text("Title Page\n@@PAGE 1@@\none two\n@@PAGE 2@@\nthree", encoding="utf-8")
+        doc = read_document(p)
+        assert doc.page_offsets == ((1, 0), (2, 4))
+        assert [doc.page_at(i) for i in range(5)] == [1, 1, 1, 1, 2]
+
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
             Document(id="x", title="t", text="a b", page_offsets=((2, 0), (1, 1)))

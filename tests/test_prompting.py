@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from coi_rag.corpus import Chunk
 from coi_rag.planner import CandidateQuestion, IllocutionPlan, SelectedQuestion
 from coi_rag.prompting import (
-    DECODING,
-    PromptBundle,
     assemble_genai,
     assemble_rag,
     assemble_rag_coi,
@@ -16,6 +14,7 @@ from coi_rag.prompting import (
     strip_citations,
 )
 from coi_rag.providers import (
+    SCRIPTED_CREATED_AT,
     CallCache,
     GenerationRequest,
     ProviderError,
@@ -51,14 +50,11 @@ def make_chunk(i, text, pages=(12, 12)) -> Chunk:
 def make_plan(q, n_selected) -> IllocutionPlan:
     selected = []
     for i in range(n_selected):
-        cand = CandidateQuestion(
-            text=f"What is topic {i}?", origin="bank", question_vector=None
-        )
+        cand = CandidateQuestion(text=f"What is topic {i}?", origin="bank")
         selected.append(
             SelectedQuestion(
                 question=cand,
                 chunks=((make_chunk(100 + i, f"context text {i}"), 0.9 - i * 0.1),),
-                best_score=0.9 - i * 0.1,
             )
         )
     return IllocutionPlan(primary=q, selected=selected)
@@ -75,8 +71,15 @@ class TestGenai:
         assert bundle.text.endswith("#What is dependency injection?\n")
 
     def test_decoding_and_no_chunks(self):
+        bodies = []
+
+        def transport(url, body, headers):
+            bodies.append(body)
+            return {"choices": [{"message": {"content": "A reply."}}]}
+
         bundle = assemble_genai(make_q())
-        assert bundle.decoding == (0.5, 0.0)
+        generate(bundle, RemoteGenerator("m", transport=transport))
+        assert (bodies[0]["temperature"], bodies[0]["top_p"]) == (0.5, 0.0)
         assert bundle.retrieved_chunk_ids == ()
 
     def test_braces_in_body_survive(self):
@@ -132,10 +135,6 @@ class TestRagCoi:
         with pytest.raises(ValueError):
             assemble_rag_coi(q, "T", [], IllocutionPlan(primary=q))
 
-    def test_mode_plan_coupling(self):
-        with pytest.raises(ValueError):
-            PromptBundle(mode="genai", text="x", retrieved_chunk_ids=("c1",))
-
 
 class TestExtractionTemplate:
     def test_head_verbatim(self):
@@ -150,12 +149,10 @@ class TestExtractionTemplate:
 class TestGenerate:
     def test_scripted_mapping_by_request_hash(self):
         bundle = assemble_genai(make_q())
-        req = GenerationRequest("m", bundle.text, *DECODING)
-        key = request_hash({"endpoint": "chat", **req.payload()})
+        key = request_hash({"endpoint": "chat", **GenerationRequest("m", bundle.text).payload()})
         gen = ScriptedGenerator(model_id="m", script={key: "X"})
-        explanation = generate(bundle, gen, question_id="q1")
-        assert explanation.text == "X"
-        assert explanation.decoding == (0.5, 0.0)
+        result = generate(bundle, gen)
+        assert (result.text, result.created_at) == ("X", SCRIPTED_CREATED_AT)
 
     def make_remote(self, tmp_path, responses):
         calls = {"n": 0}

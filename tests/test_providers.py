@@ -12,7 +12,6 @@ from coi_rag import providers
 from coi_rag.providers import (
     SCRIPTED_CREATED_AT,
     CallCache,
-    GenerationRequest,
     HashedEmbedder,
     ProviderError,
     RemoteEmbedder,
@@ -21,7 +20,15 @@ from coi_rag.providers import (
     request_hash,
 )
 
-REQUEST = GenerationRequest("m", "Explain vex lists.", 0.5, 0.0)
+PROMPT = "Explain vex lists."
+# Hashed by hand: the established chat key format, decoding included.
+CHAT_KEY = request_hash({
+    "endpoint": "chat",
+    "model": "m",
+    "messages": [{"role": "user", "content": PROMPT}],
+    "temperature": 0.5,
+    "top_p": 0.0,
+})
 
 
 def chat_reply(text: str) -> dict:
@@ -57,8 +64,7 @@ class TestCallCache:
 
     def test_corrupt_entry_is_refetched_by_a_provider(self, tmp_path):
         cache = CallCache(tmp_path)
-        key = request_hash({"endpoint": "chat", **REQUEST.payload()})
-        (tmp_path / f"{key}.json").write_bytes(b"\xff\xfe not json")
+        (tmp_path / f"{CHAT_KEY}.json").write_bytes(b"\xff\xfe not json")
         calls = []
 
         def transport(url, body, headers):
@@ -66,8 +72,8 @@ class TestCallCache:
             return chat_reply("fresh")
 
         gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
-        assert gen.complete(REQUEST).text == "fresh"
-        assert gen.complete(REQUEST).text == "fresh"
+        assert gen.complete(PROMPT).text == "fresh"
+        assert gen.complete(PROMPT).text == "fresh"
         assert len(calls) == 1
 
     def test_concurrent_puts_of_one_key(self, tmp_path):
@@ -111,7 +117,7 @@ class TestRetries:
 
         gen = RemoteGenerator("m", transport=transport, retries=retries, backoff=1.0)
         with pytest.raises(ProviderError) as exc:
-            gen.complete(REQUEST)
+            gen.complete(PROMPT)
         return exc.value, calls, sleeps
 
     def test_client_error_is_not_retried(self, monkeypatch):
@@ -139,7 +145,7 @@ class TestRetries:
             return chat_reply("ok")
 
         gen = RemoteGenerator("m", transport=transport, retries=3, backoff=1.0)
-        assert gen.complete(REQUEST).text == "ok"
+        assert gen.complete(PROMPT).text == "ok"
         assert sleeps == [7.0, 2.0]  # an HTTP-date falls back to the backoff
 
     @pytest.mark.parametrize("status", [408, 429, 500])
@@ -157,7 +163,7 @@ class TestRetries:
         cache = CallCache(tmp_path)
         gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
         with pytest.raises(ProviderError, match="malformed"):
-            gen.complete(REQUEST)
+            gen.complete(PROMPT)
         assert len(calls) == 1
         assert list(tmp_path.iterdir()) == []  # nothing cached
 
@@ -174,11 +180,17 @@ class TestCacheKeys:
 
     def test_chat_entry_served_without_transport(self, tmp_path):
         cache = CallCache(tmp_path)
-        key = request_hash({"endpoint": "chat", **REQUEST.payload()})
-        cache.put(key, {"text": "cached answer", "created_at": "2024-01-01T00:00:00Z"})
+        cache.put(CHAT_KEY, {"text": "cached answer", "created_at": "2024-01-01T00:00:00Z"})
         gen = RemoteGenerator("m", cache=cache, transport=dead_transport)
-        result = gen.complete(REQUEST)
+        result = gen.complete(PROMPT)
         assert (result.text, result.created_at) == ("cached answer", "2024-01-01T00:00:00Z")
+
+    def test_blank_cached_chat_entry_raises_without_transport(self, tmp_path):
+        cache = CallCache(tmp_path)
+        cache.put(CHAT_KEY, {"text": " ", "created_at": "2024-01-01T00:00:00Z"})
+        gen = RemoteGenerator("m", cache=cache, transport=dead_transport)
+        with pytest.raises(ProviderError, match="empty completion"):
+            gen.complete(PROMPT)
 
 
 class EmbeddingServer:
@@ -297,4 +309,4 @@ class TestEmbeddingBatches:
 class TestScripted:
     def test_fixed_created_at(self):
         gen = ScriptedGenerator(model_id="m", fn=lambda prompt: "A reply.")
-        assert gen.complete(REQUEST).created_at == SCRIPTED_CREATED_AT == "1970-01-01T00:00:00Z"
+        assert gen.complete(PROMPT).created_at == SCRIPTED_CREATED_AT == "1970-01-01T00:00:00Z"
