@@ -8,7 +8,8 @@ and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
-``match_clauses`` scores every mode with one loop.
+``match_clauses`` scores every mode with one loop, and each distinct tuple
+of part texts once per source index.
 """
 
 from __future__ import annotations
@@ -160,7 +161,10 @@ class SourceClauseIndex:
     Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: one
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
-    clauses and shares the first part's matrix.
+    clauses and shares the first part's matrix. ``best`` memoises
+    ``match_clauses``: it maps each distinct tuple of an AI clause's part
+    texts to its best (key, raw score), so each tuple is embedded and
+    ranked once per index however many explanations repeat it.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -182,6 +186,7 @@ class SourceClauseIndex:
                 mat[nonempty] = embedder.embed([texts[i] for i in nonempty])
             self.matrices.append(mat)
         self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
+        self.best: dict[tuple[str, ...], tuple[str, float]] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -213,20 +218,23 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     part matches an empty part with 1.0 and anything else with 0.0. For
     ``whole_clause`` that is the cosine between full "{subject}
     {predicate} {object}" renderings. ``VectorIndex.rank`` picks the
-    best source clause, so a tie goes to the smaller key.
+    best source clause, so a tie goes to the smaller key. Each distinct
+    tuple of part texts is scored once per ``source``: only tuples that
+    ``source.best`` has not seen are embedded and ranked.
     """
     if not ai:
         return []
-    texts = [part(c) for c in ai for part in source.parts]
-    vectors = iter(embedder.embed([t for t in texts if t.strip()]))
-    best = []
-    for clause in ai:
-        sims = sum(
-            mat @ next(vectors) if part(clause).strip() else empty  # empty-vs-empty agrees
-            for part, mat, empty in zip(source.parts, source.matrices, source.empty)
-        )
-        best.append(source.index.rank(sims / len(source.parts), 1)[0])
-    return [ClauseMatch(c, key, clamp01(score)) for c, (key, score) in zip(ai, best)]
+    keys = [tuple(part(c) for part in source.parts) for c in ai]
+    unseen = [k for k in dict.fromkeys(keys) if k not in source.best]
+    if unseen:  # an embedder may reject an empty batch
+        vectors = iter(embedder.embed([t for k in unseen for t in k if t.strip()]))
+        for texts in unseen:
+            sims = sum(
+                mat @ next(vectors) if text.strip() else empty  # empty-vs-empty agrees
+                for text, mat, empty in zip(texts, source.matrices, source.empty)
+            )
+            source.best[texts] = source.index.rank(sims / len(texts), 1)[0]
+    return [ClauseMatch(c, source.best[k][0], clamp01(source.best[k][1])) for c, k in zip(ai, keys)]
 
 
 # ---------------------------------------------------------------------------

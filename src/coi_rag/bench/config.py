@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if not 1 <= self.keep_questions <= self.pool_size or self.per_question_chunks < 1:
             raise ValueError("planner needs 1 <= selected <= pool_size, per_question_chunks >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.fdr_q < 1.0:
             raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
         if self.bootstrap_samples < 1:

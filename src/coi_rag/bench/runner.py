@@ -325,8 +325,8 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
 
     A question enters a comparison only when both modes produced an
     evaluable explanation for that model. Each comparison runs the
-    normality-gated paired test one-sided in the improvement direction;
-    the BH family is every comparison in the run.
+    normality-gated paired test (gate at ``cfg.alpha``) one-sided in the
+    improvement direction; the BH family is every comparison in the run.
     """
     from ..stats import PairedSample, benjamini_hochberg, bh_adjusted_pvalues, select_paired_test
 
@@ -359,7 +359,7 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
                     comparisons.append(entry)
                     continue
                 sample = PairedSample.from_lists(labels, coi, rag)
-                result = select_paired_test(sample, alternative="greater")
+                result = select_paired_test(sample, alternative="greater", alpha=cfg.alpha)
                 entry.update(
                     {
                         "test": result.test_name,

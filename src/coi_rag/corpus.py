@@ -67,9 +67,6 @@ class Chunk:
     text: str
     page_span: tuple[int, int]
 
-    def n_tokens(self) -> int:
-        return self.token_end - self.token_start
-
 
 def read_document(path: str | Path, doc_id: str | None = None, title: str | None = None) -> Document:
     """Load a UTF-8 text file, honoring ``@@PAGE n@@`` sentinel lines.

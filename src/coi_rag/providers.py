@@ -215,6 +215,22 @@ def _embedding_rows(response: dict, count: int) -> list[list[float]]:
     return ordered
 
 
+def _cached_vector(payload) -> np.ndarray | None:
+    """The vector of an embedding cache entry; None for a missing or malformed one.
+
+    Well formed is ``{"data": [{"embedding": [number, ...]}]}`` with at
+    least one number. Anything else counts as a miss, so the text is
+    fetched again and its entry overwritten.
+    """
+    try:
+        vector = np.array(payload["data"][0]["embedding"])
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None
+    if vector.ndim != 1 or vector.size == 0 or vector.dtype.kind not in "iuf":
+        return None
+    return vector.astype(float)
+
+
 class RemoteEmbedder(RemoteProvider):
     """OpenAI-compatible embeddings client, cached per text.
 
@@ -247,11 +263,11 @@ class RemoteEmbedder(RemoteProvider):
         for text in dict.fromkeys(texts):
             if text in self._vectors:
                 continue
-            payload = self.cache.get(self._key(text)) if self.cache else None
-            if payload is None:
+            vector = _cached_vector(self.cache.get(self._key(text))) if self.cache else None
+            if vector is None:
                 missing.append(text)
             else:
-                self._vectors[text] = np.asarray(payload["data"][0]["embedding"], dtype=float)
+                self._vectors[text] = vector
         for start in range(0, len(missing), EMBED_BATCH):
             batch = missing[start:start + EMBED_BATCH]
             rows = self._post(
@@ -313,14 +329,30 @@ def _completion_payload(response: dict) -> dict:
     return {"text": text, "created_at": created_at}
 
 
+def _well_formed_completion(payload) -> bool:
+    """Whether a chat cache entry has a string ``text`` and ``created_at``.
+
+    A blank ``text`` is well formed here and fails as an empty completion.
+    """
+    return (
+        isinstance(payload, dict)
+        and isinstance(payload.get("text"), str)
+        and isinstance(payload.get("created_at"), str)
+    )
+
+
 class RemoteGenerator(RemoteProvider):
-    """OpenAI-compatible chat-completions client, cached per request."""
+    """OpenAI-compatible chat-completions client, cached per request.
+
+    A missing or malformed cache entry is a miss: the request is sent and
+    its entry overwritten.
+    """
 
     def complete(self, prompt: str) -> GenerationResult:
         request = GenerationRequest(self.model_id, prompt)
         key = request.cache_key()
         payload = self.cache.get(key) if self.cache else None
-        if payload is None:
+        if not _well_formed_completion(payload):
             payload = self._post("chat/completions", request.payload(), _completion_payload)
             if self.cache:
                 self.cache.put(key, payload)

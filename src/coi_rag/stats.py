@@ -9,12 +9,16 @@ exact null distributions (one subset-sum table over the doubled ranks
 serves both rank tests), larger ones a normal approximation with
 continuity and tie corrections.
 
-Everything an experiment run calls needs only ``scipy.special``: t and
-normal tails come from ``stdtr``/``stdtrit``/``ndtr``, ranks from a numpy
-midrank helper, and Shapiro-Wilk is a port of Royston's AS R94, the
-algorithm ``scipy.stats.shapiro`` runs. Importing ``scipy.stats`` costs
-about a second and 40 MB per process, so only ``required_pairs`` (power
-analysis, never on the run path) imports it, inside the function.
+Everything an experiment run calls needs only ``math`` and numpy. The
+normal tail comes from ``math.erf``/``erfc``; the Student t tail at
+integer df from the continued fraction of the incomplete beta, taken
+directly in the far tails; the 97.5% t quantile by Newton's method on
+that tail; ranks from a numpy midrank helper; and Shapiro-Wilk
+from a port of Royston's AS R94, the algorithm ``scipy.stats.shapiro``
+runs. Importing ``scipy.special`` costs about 0.2 s and 13 MB per
+process, and ``scipy.stats`` a second and 40 MB, so only
+``required_pairs`` (power analysis, never on the run path) imports scipy,
+inside the function.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 WILCOXON_EXACT_MAX_N = 25
 MWU_EXACT_MAX_TOTAL = 12
@@ -122,10 +125,121 @@ def cohens_dz(d) -> float:
     return _dz_or_nan(d)
 
 
+# ---------------------------------------------------------------------------
+# Normal and Student t distributions
+# ---------------------------------------------------------------------------
+
+
+_SQRT1_2 = math.sqrt(0.5)
+_Z975 = 1.959963984540054  # upper 2.5% point of the standard normal
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, as Cephes ``ndtr``: erf near 0, erfc in the tails."""
+    z = x * _SQRT1_2
+    if abs(z) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
+@lru_cache(maxsize=256)
+def _inv_beta_half(df: int) -> float:
+    """1 / B(df/2, 1/2), the Student t density at 0 times sqrt(df).
+
+    Up to df = 200 it is a ratio of integer products rounded once (times
+    1/pi at odd df). Above, Gamma(a + 1/2) / Gamma(a) at a = df/2 comes
+    from its asymptotic series, which is within 1e-17 there; ``lgamma``
+    differences would lose about 1e-13 to the size of the two terms.
+    """
+    if df > 200:
+        a = 0.5 * df
+        u = 1.0 / a
+        series = 1.0 + u * (-1 / 8 + u * (1 / 128 + u * (5 / 1024 + u * (
+            -21 / 32768 + u * (-399 / 262144 + u * 869 / 4194304)))))
+        return math.sqrt(a / math.pi) * series
+    m = df // 2
+    if df % 2 == 0:  # a = m: (1/2) * prod over j < m of (j + 1/2) / j
+        return math.prod(range(3, 2 * m, 2)) / (2 * math.prod(range(2, 2 * m, 2)))
+    # a = m + 1/2: (1/pi) * prod over j < m of (j + 1) / (j + 1/2)
+    return math.prod(range(2, 2 * m + 1, 2)) / math.prod(range(1, 2 * m, 2)) / math.pi
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """I_x(a, b) * a * B(a, b) / (x^a (1 - x)^b), by its continued fraction.
+
+    Evaluated by the modified Lentz method; it converges fast for
+    x < (a + 1) / (a + b + 2).
+    """
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_upper_tail(df: int, t: float) -> float:
+    """P(T > |t|) for Student's t with integer df.
+
+    That is I_x(df/2, 1/2) / 2 at x = df / (df + t^2), taken from the
+    continued fraction directly, so a far tail keeps its relative
+    accuracy; it is never formed as 1/2 minus something. Only for
+    t^2 < 3 df / (df + 2), where the tail is above 0.04, the symmetric
+    form 1/2 - I_{1-x}(1/2, df/2) / 2 converges faster and is used. x and
+    1 - x are ratios of integers rounded once, and x^a is corrected to
+    first order for x's rounding, which the power multiplies by a.
+    """
+    num, den = abs(t).as_integer_ratio()
+    x_num, y_num = df * den * den, num * num
+    total = x_num + y_num
+    x, y = x_num / total, y_num / total
+    xn, xd = x.as_integer_ratio()
+    a = 0.5 * df
+    x_rel_error = (x_num * xd - xn * total) / (xn * total)
+    front = x**a * (1.0 + a * x_rel_error) * math.sqrt(y) * _inv_beta_half(df)
+    if x * (a + 2.5) < a + 1.0:
+        return 0.5 * front / a * _beta_cf(a, 0.5, x)
+    return 0.5 - front * _beta_cf(0.5, a, y)
+
+
+def _stdtr(df: int, t: float) -> float:
+    """P(T <= t) for Student's t with integer df."""
+    if t == 0:
+        return 0.5
+    tail = _t_upper_tail(df, t)
+    return tail if t < 0 else 1.0 - tail
+
+
 @lru_cache(maxsize=256)
 def _t975(dof: int) -> float:
-    """Upper 97.5% quantile of Student's t, the half-width factor of a 95% CI."""
-    return float(special.stdtrit(dof, 0.975))
+    """Upper 97.5% quantile of Student's t, the half-width factor of a 95% CI.
+
+    Newton's method on the upper tail, from the normal quantile's first
+    Cornish-Fisher correction, which lies below the root. The tail is
+    convex for t > 0, so the iterates rise to the root. Once the steps are
+    below 1e-6 relative they shrink quadratically until they reach the
+    tail's rounding noise; the first step that does not shrink is not taken.
+    """
+    t = _Z975 + (_Z975**3 + _Z975) / (4 * dof)
+    density_at_0 = _inv_beta_half(dof) / math.sqrt(dof)
+    step = math.inf
+    for _ in range(100):
+        density = density_at_0 * (1.0 + t * t / dof) ** (-0.5 * (dof + 1))
+        new_step = (_t_upper_tail(dof, t) - 0.025) / density
+        if abs(new_step) < 1e-6 * t and abs(new_step) >= abs(step):
+            return t
+        step = new_step
+        t += step
+    raise ArithmeticError(f"t quantile did not converge at df={dof}")
 
 
 def _t_ci_mean(d: np.ndarray) -> tuple[float, float]:
@@ -337,7 +451,7 @@ def _normal_tails(stat: float, mu: float, var: float) -> tuple[float, float]:
     if var <= 0:  # every observation tied: the statistic is degenerate
         return 1.0, 1.0
     sigma = math.sqrt(var)
-    return float(special.ndtr(-(stat - mu - 0.5) / sigma)), float(special.ndtr((stat - mu + 0.5) / sigma))
+    return _ndtr(-(stat - mu - 0.5) / sigma), _ndtr((stat - mu + 0.5) / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +518,8 @@ def paired_t(s: PairedSample, alternative: str = "greater") -> TestResult:
         raise ValueError("paired t-test is undefined for zero-variance differences")
     t_stat = float(d.mean() / (sd / math.sqrt(n)))
     df = n - 1
-    p_greater = float(special.stdtr(df, -t_stat))
-    p_less = float(special.stdtr(df, t_stat))
+    p_greater = _stdtr(df, -t_stat)
+    p_less = _stdtr(df, t_stat)
     p_one, p_two = _pick(p_greater, p_less, alternative)
     return TestResult(
         test_name="paired_t",
@@ -543,10 +657,13 @@ def required_pairs(
     function with noncentrality dz*sqrt(n). ``normal`` is the closed-form
     ceil((z_alpha + z_power)^2 / dz^2) approximation, documented as a
     fallback; it runs a little low for small n. Not on the run path, so
-    ``scipy.stats`` (whose ``nct`` has no bit-identical ``scipy.special``
-    equivalent) is imported here rather than at module level.
+    ``scipy.stats`` (for the noncentral t) is imported here rather than at
+    module level; it comes with the ``power`` extra.
     """
-    from scipy import stats as sps
+    try:
+        from scipy import stats as sps
+    except ImportError as exc:
+        raise ImportError("required_pairs needs scipy: pip install 'coi-rag[power]'") from exc
 
     if dz <= 0:
         raise ValueError("dz must be positive")
@@ -603,12 +720,12 @@ def bootstrap_ci(
 # ---------------------------------------------------------------------------
 
 
-def select_paired_test(s: PairedSample, alternative: str = "greater") -> TestResult:
+def select_paired_test(s: PairedSample, alternative: str = "greater", alpha: float = 0.05) -> TestResult:
     """Normality-gated paired comparison.
 
-    Shapiro-Wilk on the differences decides the test: p < 0.05 (or an
-    undecidable gate: fewer than 3 pairs, zero-variance differences) means
-    Wilcoxon signed-rank, anything else the paired t-test. All-zero
+    Shapiro-Wilk on the differences decides the test: p < ``alpha`` (or
+    an undecidable gate: fewer than 3 pairs, zero-variance differences)
+    means Wilcoxon signed-rank, anything else the paired t-test. All-zero
     differences fit neither: that is the exact ``degenerate`` test, p = 1.
     """
     _check_alternative(alternative)
@@ -619,6 +736,6 @@ def select_paired_test(s: PairedSample, alternative: str = "greater") -> TestRes
         _, p_normal = shapiro_wilk(d)
     except ValueError:
         return wilcoxon_signed_rank(s, alternative)
-    if p_normal < 0.05:
+    if p_normal < alpha:
         return wilcoxon_signed_rank(s, alternative)
     return paired_t(s, alternative)

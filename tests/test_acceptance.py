@@ -65,8 +65,8 @@ def test_criterion_1_chunker_properties():
         prev = None
         for c in chunks:
             covered.update(range(c.token_start, c.token_end))
-            assert c.n_tokens() >= min(100, n)
-            if prev is not None and c.n_tokens() == 150:
+            assert c.token_end - c.token_start >= min(100, n)
+            if prev is not None and c.token_end - c.token_start == 150:
                 overlap = min(prev.token_end, c.token_end) - max(
                     prev.token_start, c.token_start
                 )

@@ -187,6 +187,47 @@ class TestMatchClauses:
             assert got.similarity == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
 
 
+SUBJECTS = ("The parser", "A stack frame", "Each module", "The stack", "Purple quasars")
+VERBS = ("reads", "holds", "runs", "grows", "exports", "is")
+OBJECTS = ("", "", "one token at a time", "the local bindings", "a single namespace", "vivid xylophones")
+sentences = st.builds(
+    lambda s, v, o: f"{s} {v} {o}".rstrip() + ".",
+    st.sampled_from(SUBJECTS), st.sampled_from(VERBS), st.sampled_from(OBJECTS),
+)
+explanations = st.lists(sentences, max_size=8).map(" ".join)
+
+
+class TestClauseScoreMemo:
+    @given(st.sampled_from(MODES), st.lists(explanations, min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_index_equals_fresh_index_per_explanation(self, mode, texts):
+        """One source index scoring many explanations equals a fresh index for each."""
+        embedder = HashedEmbedder(dims=32)
+        source_texts = [SOURCE_TEXT, OBJECTLESS_TEXT]
+        shared = build_source_index(source_texts, embedder, mode)
+        for text in texts:
+            fresh = build_source_index(source_texts, embedder, mode)
+            clauses = extract_clauses(text)
+            got, want = match_clauses(clauses, shared, embedder), match_clauses(clauses, fresh, embedder)
+            assert [(m.best_source_clause_id, m.similarity) for m in got] == [
+                (m.best_source_clause_id, m.similarity) for m in want
+            ]
+            assert evaluate_text(text, shared, embedder) == evaluate_text(text, fresh, embedder)
+        assert len(shared.best) == len(
+            {tuple(p(c) for p in shared.parts) for t in texts for c in extract_clauses(t)}
+        )
+
+    def test_each_distinct_clause_embedded_once(self, spy_embedder):
+        clauses = extract_clauses("The parser runs. The parser runs. The stack grows.")
+        for mode in MODES:
+            source = build_source_index([SOURCE_TEXT], spy_embedder, mode)
+            spy_embedder.texts.clear()
+            for _ in range(3):
+                match_clauses(clauses, source, spy_embedder)
+            distinct = {p(c) for c in clauses for p in source.parts} - {""}
+            assert sorted(spy_embedder.texts) == sorted(distinct)
+
+
 class TestScores:
     def test_factscore_all_ones(self):
         assert factscore(fake_matches([1.0, 1.0, 1.0]), 1.0) == 1.0

@@ -154,6 +154,7 @@ class TestConfig:
             ("selected = 5", "selected = 0", "1 <= selected"),
             ("pool_size = 25", "pool_size = 0", "pool_size"),
             ("per_question_chunks = 10", "per_question_chunks = 0", "per_question_chunks"),
+            ("alpha = 0.05", "alpha = 1.0", "alpha"),
             ("fdr_q = 0.05", "fdr_q = 1.0", "fdr_q"),
             ("fdr_q = 0.05", "fdr_q = 0", "fdr_q"),
             ("bootstrap_samples = 2000", "bootstrap_samples = 0", "bootstrap_samples"),
@@ -479,7 +480,7 @@ class TestReport:
 # stable across runs and caches.
 GOLDEN_DIGESTS = {
     "items.jsonl": "5ead576fe8b653049565369f7f51c51389c23d31d6d6912a6d65e044cbb35630",
-    "analysis.json": "cdf0f7bcb9044861681f0a8f32609c56080632ba36be5d2ef9e9f52c329408f0",
+    "analysis.json": "57df536f45d6364cc2abd29e95e834dd6449ffc4ca9681ca4c2ba5e1ec5cd12b",
     "report.csv": "ee0d5f85ffc9dd72834d9dc0094a5c80a608f7217e596f9bbb5a49085bed634f",
 }
 
@@ -504,25 +505,25 @@ class TestGoldenDigest:
         assert {r["created_at"] for r in rows} == {"1970-01-01T00:00:00Z"}
 
 
-RUN_AND_LIST_SCIPY_STATS = """
+RUN_AND_LIST_SCIPY = """
 import sys
 from coi_rag.bench.cli import main
 code = main(["run", "-c", sys.argv[1], "-o", sys.argv[2] + "/out", "--cache-dir", sys.argv[2] + "/cache"])
-print(code, sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 class TestRunPathImports:
     def test_hermetic_run_never_imports_scipy_stats(self, golden_dir, tmp_path):
-        """A golden ``coi-bench run`` in a fresh interpreter leaves scipy.stats unloaded.
+        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy module.
 
-        Importing it costs about a second and 40 MB a process, so a deferred
-        import on the run path fails this test as well; only required_pairs
-        may load it.
+        ``scipy.special`` alone costs about 0.2 s and 13 MB a process and
+        ``scipy.stats`` a second and 40 MB, so a deferred import on the run
+        path fails this test as well; only required_pairs may load scipy.
         """
         src = str(Path(coi_rag.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", RUN_AND_LIST_SCIPY_STATS, str(golden_dir / "config.ini"), str(tmp_path)],
+            [sys.executable, "-c", RUN_AND_LIST_SCIPY, str(golden_dir / "config.ini"), str(tmp_path)],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": src},
         )

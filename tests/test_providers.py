@@ -193,6 +193,52 @@ class TestCacheKeys:
             gen.complete(PROMPT)
 
 
+class TestMalformedCacheEntries:
+    """A cache entry of the wrong shape is a miss: fetched once more, then overwritten."""
+
+    @pytest.mark.parametrize(
+        "entry", [{"text": None}, {"text": None, "created_at": "2024-01-01T00:00:00Z"}, {"text": "x"}, {}, []]
+    )
+    def test_chat_entry_refetched_and_overwritten(self, tmp_path, entry):
+        cache = CallCache(tmp_path)
+        cache.put(CHAT_KEY, entry)
+        calls = []
+
+        def transport(url, body, headers):
+            calls.append(url)
+            return chat_reply("fresh")
+
+        gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
+        assert gen.complete(PROMPT).text == "fresh"
+        assert cache.get(CHAT_KEY)["text"] == "fresh"
+        assert RemoteGenerator("m", cache=cache, transport=dead_transport).complete(PROMPT).text == "fresh"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"data": [{"embedding": "x"}]},
+            {},
+            {"data": []},
+            {"data": [{"embedding": []}]},
+            {"data": [{"embedding": [1.0, None]}]},
+            {"data": [{"embedding": [[1.0], [2.0, 3.0]]}]},
+            {"data": [{"embedding": [True, False]}]},
+        ],
+    )
+    def test_embedding_entry_refetched_and_overwritten(self, tmp_path, entry):
+        cache = CallCache(tmp_path)
+        key = request_hash({"endpoint": "embeddings", "model": "emb", "input": [TEXTS[0]]})
+        cache.put(key, entry)
+        server = EmbeddingServer()
+        want = HashedEmbedder(dims=8).embed(TEXTS[:1])
+        np.testing.assert_array_equal(RemoteEmbedder("emb", cache=cache, transport=server).embed(TEXTS[:1]), want)
+        assert server.inputs == [TEXTS[:1]]
+        assert cache.get(key) == {"data": [{"embedding": server.hasher.embed_raw(TEXTS[0]).tolist()}]}
+        warm = RemoteEmbedder("emb", cache=cache, transport=dead_transport)
+        np.testing.assert_array_equal(warm.embed(TEXTS[:1]), want)
+
+
 class EmbeddingServer:
     """Transport answering every input with its hashed count vector and index.
 

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from coi_rag import stats
@@ -143,7 +146,14 @@ class TestShapiroWilk:
 
 
 class TestScipyEquivalence:
-    """The scipy.special and numpy paths equal the scipy.stats calls they replace, bit for bit."""
+    """The numpy and math paths against the scipy calls they replace.
+
+    Ranks equal ``scipy.stats.rankdata`` bit for bit. The t and normal
+    tails and the t quantile are held within 1e-13 relative: scipy itself
+    is about 3e-14 off the exact t tail at df near 200, so no
+    implementation equals it bit for bit, and at that tolerance no p-value
+    crosses 0.05 and no BH decision flips.
+    """
 
     def test_average_ranks_equal_rankdata(self):
         rng = np.random.default_rng(59)
@@ -161,15 +171,17 @@ class TestScipyEquivalence:
             s = paired(rng.normal(loc=rng.uniform(-1, 1), size=n), rng.normal(size=n))
             greater = paired_t(s, "greater")
             t_stat, df = greater.statistic, n - 1
-            assert greater.p_one_sided == float(sps.t.sf(t_stat, df))
-            assert paired_t(s, "less").p_one_sided == float(sps.t.cdf(t_stat, df))
+            want_greater, want_less = float(sps.t.sf(t_stat, df)), float(sps.t.cdf(t_stat, df))
+            assert greater.p_one_sided == pytest.approx(want_greater, rel=1e-13, abs=0)
+            assert paired_t(s, "less").p_one_sided == pytest.approx(want_less, rel=1e-13, abs=0)
             d = s.differences()
             half = float(sps.t.ppf(0.975, df)) * d.std(ddof=1) / math.sqrt(n)
-            assert greater.ci95 == (float(d.mean()) - half, float(d.mean()) + half)
+            want_ci = (float(d.mean()) - half, float(d.mean()) + half)
+            assert greater.ci95 == pytest.approx(want_ci, rel=1e-13, abs=1e-13 * half)
 
     def test_t975_equals_scipy_ppf(self):
-        for dof in range(1, 400):
-            assert stats._t975(dof) == float(sps.t.ppf(0.975, dof))
+        for dof in range(1, 401):
+            assert stats._t975(dof) == pytest.approx(float(sps.t.ppf(0.975, dof)), rel=1e-13, abs=0)
 
     def test_normal_tails_equal_scipy_norm(self):
         rng = np.random.default_rng(67)
@@ -181,7 +193,36 @@ class TestScipyEquivalence:
                 float(sps.norm.sf((stat - mu - 0.5) / sigma)),
                 float(sps.norm.cdf((stat - mu + 0.5) / sigma)),
             )
-            assert stats._normal_tails(float(stat), float(mu), var) == want
+            # erfc keeps subnormal tails that scipy flushes to 0; neither has relative accuracy there
+            assert stats._normal_tails(float(stat), float(mu), var) == pytest.approx(
+                want, rel=1e-13, abs=np.finfo(float).tiny
+            )
+
+    def test_stdtr_within_1e13_of_scipy_special(self):
+        """Integer df 1-200 and |t| <= 40, far tails included."""
+        ts = np.concatenate([np.linspace(-40, 40, 161), np.linspace(-2.5, 2.5, 51), [-math.sqrt(3), math.sqrt(3)]])
+        for df in range(1, 201):
+            got = np.array([stats._stdtr(df, float(t)) for t in ts])
+            np.testing.assert_allclose(got, special.stdtr(df, ts), rtol=1e-13, atol=0, err_msg=f"df={df}")
+
+    def test_ndtr_within_1e13_of_scipy_special(self):
+        xs = np.linspace(-20, 20, 4001)
+        got = np.array([stats._ndtr(float(x)) for x in xs])
+        np.testing.assert_allclose(got, special.ndtr(xs), rtol=1e-13, atol=0)
+
+    def test_no_flipped_decision_at_005_or_in_bh(self):
+        """Families of paired-t p-values decide as scipy's do, at 0.05 and under BH."""
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            ours, theirs = [], []
+            for _ in range(int(rng.integers(2, 12))):
+                n = int(rng.integers(3, 60))
+                s = paired(rng.normal(loc=0.3, size=n), rng.normal(size=n))
+                result = paired_t(s, "greater")
+                ours.append(result.p_one_sided)
+                theirs.append(float(sps.t.sf(result.statistic, n - 1)))
+            assert [p < 0.05 for p in ours] == [p < 0.05 for p in theirs]
+            assert benjamini_hochberg(ours, q=0.05) == benjamini_hochberg(theirs, q=0.05)
 
 
 class TestWilcoxon:
@@ -468,6 +509,11 @@ class TestRequiredPairs:
         with pytest.raises(ValueError):
             required_pairs(0.3, 0.05, 0.8, "three")
 
+    def test_missing_scipy_names_the_power_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ImportError, match=re.escape("coi-rag[power]")):
+            required_pairs(0.5)
+
 
 class TestBootstrap:
     def test_constant_sample_degenerate_interval(self):
@@ -502,6 +548,15 @@ class TestSelectPairedTest:
         b = rng.normal(size=60)
         result = select_paired_test(paired(b + rng.normal(0.3, 1.0, size=60), b))
         assert result.test_name == "paired_t"
+
+    def test_alpha_sets_the_normality_gate(self):
+        d = [0.87, 0.65, 1.14, 1.98, 0.35, 1.13, 1.12, 0.53, 0.07, 0.13,
+             0.06, 0.68, 0.25, 1.07, 0.2, 1.28, 0.01, 0.04, 1.24, 0.09]
+        assert 0.01 < shapiro_wilk(d)[1] < 0.05
+        s = paired(d, [0.0] * len(d))
+        assert select_paired_test(s).test_name == "wilcoxon_signed_rank"
+        assert select_paired_test(s, alpha=0.05).test_name == "wilcoxon_signed_rank"
+        assert select_paired_test(s, alpha=0.01).test_name == "paired_t"
 
     def test_tiny_sample_falls_back_to_wilcoxon(self):
         result = select_paired_test(paired([2, 1], [1, 2]), "two_sided")
