@@ -247,7 +247,6 @@ threshold = 0.7
 matching = whole_clause
 
 [stats]
-alpha = 0.05
 fdr_q = 0.05
 bootstrap_samples = 2000
 

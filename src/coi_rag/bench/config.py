@@ -97,7 +97,6 @@ class ExperimentConfig:
     chunk_min_tokens: int = 100
     threshold: float = 0.7
     matching: str = "whole_clause"
-    alpha: float = 0.05
     fdr_q: float = 0.05
     bootstrap_samples: int = 10000
     seed: int = 0
@@ -117,8 +116,6 @@ class ExperimentConfig:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if not 1 <= self.keep_questions <= self.pool_size or self.per_question_chunks < 1:
             raise ValueError("planner needs 1 <= selected <= pool_size, per_question_chunks >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.fdr_q < 1.0:
             raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
         if self.bootstrap_samples < 1:
@@ -178,8 +175,7 @@ SECTIONS: dict[str, dict[str, tuple[str, str]]] = {
     "planner": {"pool_size": ("pool_size", "int"), "selected": ("keep_questions", "int"),
                 "per_question_chunks": ("per_question_chunks", "int")},
     "adherence": {"threshold": ("threshold", "float"), "matching": ("matching", "str")},
-    "stats": {"alpha": ("alpha", "float"), "fdr_q": ("fdr_q", "float"),
-              "bootstrap_samples": ("bootstrap_samples", "int")},
+    "stats": {"fdr_q": ("fdr_q", "float"), "bootstrap_samples": ("bootstrap_samples", "int")},
     "model.*": {"kind": ("kind", "str"), "model_id": ("model_id", "str"),
                 "endpoint": ("endpoint", "str"), "api_key_env": ("api_key_env", "str"),
                 "behavior": ("behavior", "str"), "script": ("script_path", "path"),

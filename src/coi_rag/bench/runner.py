@@ -325,10 +325,12 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
 
     A question enters a comparison only when both modes produced an
     evaluable explanation for that model. Each comparison runs the
-    normality-gated paired test (gate at ``cfg.alpha``) one-sided in the
-    improvement direction; the BH family is every comparison in the run.
+    normality-gated paired test one-sided in the improvement direction;
+    the BH family is every comparison in the run.
     """
-    from ..stats import PairedSample, benjamini_hochberg, bh_adjusted_pvalues, select_paired_test
+    from ..stats import (
+        NORMALITY_ALPHA, PairedSample, benjamini_hochberg, bh_adjusted_pvalues, select_paired_test,
+    )
 
     scored = [i for i in items if "factscore" in i]
     by_key = {(i["model"], i["mode"], i["question_id"]): i for i in scored}
@@ -359,7 +361,7 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
                     comparisons.append(entry)
                     continue
                 sample = PairedSample.from_lists(labels, coi, rag)
-                result = select_paired_test(sample, alternative="greater", alpha=cfg.alpha)
+                result = select_paired_test(sample, alternative="greater")
                 entry.update(
                     {
                         "test": result.test_name,
@@ -386,7 +388,7 @@ def analyze_items(items: list[dict], cfg: ExperimentConfig) -> dict:
     return {
         "comparisons": comparisons,
         "fdr_q": cfg.fdr_q,
-        "alpha": cfg.alpha,
+        "alpha": NORMALITY_ALPHA,
         "seed": cfg.seed,
         "counts": {
             "items": len(items),

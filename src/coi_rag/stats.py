@@ -658,12 +658,9 @@ def required_pairs(
     ceil((z_alpha + z_power)^2 / dz^2) approximation, documented as a
     fallback; it runs a little low for small n. Not on the run path, so
     ``scipy.stats`` (for the noncentral t) is imported here rather than at
-    module level; it comes with the ``power`` extra.
+    module level.
     """
-    try:
-        from scipy import stats as sps
-    except ImportError as exc:
-        raise ImportError("required_pairs needs scipy: pip install 'coi-rag[power]'") from exc
+    from scipy import stats as sps
 
     if dz <= 0:
         raise ValueError("dz must be positive")
@@ -720,11 +717,15 @@ def bootstrap_ci(
 # ---------------------------------------------------------------------------
 
 
-def select_paired_test(s: PairedSample, alternative: str = "greater", alpha: float = 0.05) -> TestResult:
+# Level of the Shapiro-Wilk gate in select_paired_test; analysis.json records it.
+NORMALITY_ALPHA = 0.05
+
+
+def select_paired_test(s: PairedSample, alternative: str = "greater") -> TestResult:
     """Normality-gated paired comparison.
 
-    Shapiro-Wilk on the differences decides the test: p < ``alpha`` (or
-    an undecidable gate: fewer than 3 pairs, zero-variance differences)
+    Shapiro-Wilk on the differences decides the test: p < ``NORMALITY_ALPHA``
+    (or an undecidable gate: fewer than 3 pairs, zero-variance differences)
     means Wilcoxon signed-rank, anything else the paired t-test. All-zero
     differences fit neither: that is the exact ``degenerate`` test, p = 1.
     """
@@ -736,6 +737,6 @@ def select_paired_test(s: PairedSample, alternative: str = "greater", alpha: flo
         _, p_normal = shapiro_wilk(d)
     except ValueError:
         return wilcoxon_signed_rank(s, alternative)
-    if p_normal < alpha:
+    if p_normal < NORMALITY_ALPHA:
         return wilcoxon_signed_rank(s, alternative)
     return paired_t(s, alternative)

@@ -154,7 +154,6 @@ class TestConfig:
             ("selected = 5", "selected = 0", "1 <= selected"),
             ("pool_size = 25", "pool_size = 0", "pool_size"),
             ("per_question_chunks = 10", "per_question_chunks = 0", "per_question_chunks"),
-            ("alpha = 0.05", "alpha = 1.0", "alpha"),
             ("fdr_q = 0.05", "fdr_q = 1.0", "fdr_q"),
             ("fdr_q = 0.05", "fdr_q = 0", "fdr_q"),
             ("bootstrap_samples = 2000", "bootstrap_samples = 0", "bootstrap_samples"),
@@ -212,7 +211,7 @@ class TestConfig:
             "[bank]\ngenerator = helper\n"
             "[planner]\npool_size = 30\nper_question_chunks = 7\nselected = 4\n"
             "[adherence]\nthreshold = 0.6\nmatching = component_weighted\n"
-            "[stats]\nalpha = 0.01\nfdr_q = 0.1\nbootstrap_samples = 500\n"
+            "[stats]\nfdr_q = 0.1\nbootstrap_samples = 500\n"
             "[model.helper]\nkind = scripted\nmodel_id = helper-id\n"
             "endpoint = http://localhost:2/v1\napi_key_env = GEN_KEY\nbehavior = qa_stub\n"
             "script = s.json\nanswer = off\nretries = 5\nbackoff = 2.0\n"
@@ -233,7 +232,7 @@ class TestConfig:
             pool_size=30, per_question_chunks=7, keep_questions=4,
             chunk_size=120, chunk_overlap=60, chunk_min_tokens=80,
             threshold=0.6, matching="component_weighted",
-            alpha=0.01, fdr_q=0.1, bootstrap_samples=500,
+            fdr_q=0.1, bootstrap_samples=500,
             seed=11, cache_dir=tmp_path / "c", output_dir=tmp_path / "o",
         )
         assert load_config(p) == expected
