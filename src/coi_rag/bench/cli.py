@@ -71,7 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if report.failed and not args.allow_partial else 0
 
     ctx = make_context(cfg)
-    STAGES[args.command](ctx)
+    try:
+        STAGES[args.command](ctx)
+    finally:
+        ctx.cache.close()
     write_manifest(ctx.out)
     print(f"{args.command}: wrote artifacts to {ctx.out}")
     return 0

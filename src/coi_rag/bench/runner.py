@@ -273,12 +273,22 @@ ITEM_CSV_FIELDS = (
 
 
 def stage_evaluate(ctx: StageContext) -> None:
-    """Score every explanation against its corpus; one item row each."""
+    """Score every explanation against its corpus; one item row each.
+
+    A provider failure while scoring one explanation fails that item: its
+    ``error`` starts with ``embed:``. A failure while indexing a corpus
+    fails the run, naming the corpus.
+    """
     sources = {}
     titles = {}
     for spec in ctx.cfg.corpora:
         doc = read_document(spec.path, doc_id=spec.tag, title=spec.title)
-        sources[spec.tag] = build_source_index([doc.text], ctx.embedder, ctx.cfg.matching)
+        try:
+            sources[spec.tag] = build_source_index([doc.text], ctx.embedder, ctx.cfg.matching)
+        except ProviderError as exc:
+            raise ProviderError(
+                f"source index of corpus {spec.tag!r}: {exc}", attempts=exc.attempts
+            ) from exc
         titles[spec.tag] = spec.title
 
     items: list[dict] = []
@@ -287,8 +297,13 @@ def stage_evaluate(ctx: StageContext) -> None:
             items.append(rec)
             continue
         stripped = strip_citations(rec["text"], titles[rec["tag"]])
-        report = evaluate_text(stripped, sources[rec["tag"]], ctx.embedder, t=ctx.cfg.threshold)
         item = dict(rec)
+        try:
+            report = evaluate_text(stripped, sources[rec["tag"]], ctx.embedder, t=ctx.cfg.threshold)
+        except ProviderError as exc:
+            item["error"] = f"embed: {exc}"
+            items.append(item)
+            continue
         if report is None:
             item["unevaluable"] = True
         else:
@@ -435,17 +450,22 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run every stage end to end and write the manifest.
 
-    Provider failures do not abort the run; the affected items carry an
-    error record and the report flags the run as partial.
+    A provider failure while answering or scoring one item does not abort
+    the run; the affected items carry an error record and the report flags
+    the run as partial. Only a failure to index a corpus for scoring does.
+    The call cache the run opened is closed when it ends.
     """
     ctx = make_context(cfg, embedder=embedder, transports=transports)
-    stage_ingest(ctx)
-    stage_build_bank(ctx)
-    stage_plan(ctx)
-    stage_answer(ctx)
-    stage_evaluate(ctx)
-    analysis = stage_analyze(ctx)
-    stage_report(ctx)
+    try:
+        stage_ingest(ctx)
+        stage_build_bank(ctx)
+        stage_plan(ctx)
+        stage_answer(ctx)
+        stage_evaluate(ctx)
+        analysis = stage_analyze(ctx)
+        stage_report(ctx)
+    finally:
+        ctx.cache.close()
     write_manifest(ctx.out)
     counts = analysis["counts"]
     return ExperimentReport(

@@ -1,12 +1,13 @@
-"""Embedding and generation providers, plus the on-disk call cache.
+"""Embedding and generation providers, plus the call cache.
 
 Two provider families exist for each role: a remote one speaking an
 OpenAI-compatible HTTP API, and a hermetic one (hashed embeddings,
 scripted generators) that keeps tests and demos fully offline. Remote
-chat calls are cached per request and remote embeddings per text, with
-each ``embed`` call's uncached texts sent in as few requests as the
-batch cap allows; hermetic calls are cheap and deterministic, so they
-are not cached.
+chat calls are cached per request and remote embeddings per text, as
+rows of one sqlite file per cache directory, with each ``embed`` call's
+uncached texts sent in as few requests as the batch cap allows; hermetic
+calls are cheap and deterministic, so they are not cached and never
+open the cache file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -33,6 +33,11 @@ DEFAULT_ENDPOINT = "https://api.openai.com/v1"
 DEFAULT_API_KEY_ENV = "OPENAI_API_KEY"
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
+
+# The call cache's file in its directory, and the tries, 10 ms apart, at
+# switching a new one to WAL while another process opens it too.
+CACHE_FILE = "calls.sqlite3"
+WAL_SWITCH_ATTEMPTS = 100
 
 # Inputs per embeddings request: the OpenAI API's per-request limit.
 EMBED_BATCH = 2048
@@ -56,37 +61,108 @@ def request_hash(payload: dict) -> str:
 
 
 class CallCache:
-    """Directory-backed map from request-content hash to response payload.
+    """Map from request-content hash to response payload, in one sqlite file.
 
-    Writes go through a uniquely named temp file and ``os.replace``, so an
-    interrupted run never leaves a truncated entry and concurrent writers
-    of one key cannot tear it. An entry that does not parse is a miss and
-    the next ``put`` overwrites it. Hits return the stored payload.
+    Entries are rows of ``calls.sqlite3`` in ``directory``, each payload
+    stored as its ``json.dumps(sort_keys=True, ensure_ascii=False)`` text.
+    The file runs in WAL mode with one commit per ``put``, so an
+    interrupted run keeps every reply already stored and concurrent
+    writers of one key cannot tear it; WAL needs the directory on a local
+    file system. ``sqlite3`` is imported and the file opened on the first
+    ``get`` or ``put``, and a ``get`` with nothing stored yet is a miss that
+    creates nothing. The open that creates the table imports every
+    ``<key>.json`` entry of the older one-file-per-entry layout, leaving the
+    files in place. A row or an old entry that does not parse is a miss,
+    and the next ``put`` overwrites it. Hits return the stored payload. A
+    store file that is not a sqlite database raises instead of being
+    replaced, since it may hold paid replies. A ``CallCache`` is used from
+    the thread that opened it; threads or processes that share a directory
+    each make their own.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / CACHE_FILE
+        self._conn = None
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _store(self, create: bool):
+        """The open connection; None while nothing is stored and ``create`` is false."""
+        if self._conn is None:
+            if not (create or self.path.exists() or any(self.directory.glob("*.json"))):
+                return None
+            self._conn = _open_store(self.path)
+        return self._conn
 
     def get(self, key: str) -> dict | None:
+        conn = self._store(create=False)
+        if conn is None:
+            return None
+        row = conn.execute("SELECT payload FROM calls WHERE key = ?", (key,)).fetchone()
+        if row is None:
+            return None
         try:
-            return json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError):
+            return json.loads(row[0])
+        except (TypeError, ValueError):
             return None
 
     def put(self, key: str, payload: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        self._store(create=True).execute(
+            "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)",
+            (key, json.dumps(payload, sort_keys=True, ensure_ascii=False)),
+        )
+
+    def close(self) -> None:
+        """Close the store file, if open; a later ``get`` or ``put`` reopens it."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+def _open_store(path: Path):
+    """A connection to the cache file at ``path``, its table made and old entries imported."""
+    import sqlite3  # here, not at the top: a hermetic run never loads it
+
+    conn = sqlite3.connect(path, timeout=30.0, isolation_level=None)
+    try:
+        for attempt in range(WAL_SWITCH_ATTEMPTS):
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError:
+                # Two connections switching a new file to WAL at once: sqlite
+                # fails one of them at once instead of waiting out the timeout.
+                if attempt == WAL_SWITCH_ATTEMPTS - 1:
+                    raise
+                time.sleep(0.01)
+        conn.execute("PRAGMA synchronous=NORMAL")  # WAL commits stay atomic; no fsync per put
+        conn.execute("PRAGMA cache_size=-64")  # KiB; point lookups are served by the OS page cache
+        conn.execute("BEGIN IMMEDIATE")
+        if conn.execute("PRAGMA user_version").fetchone()[0] == 0:
+            conn.execute("CREATE TABLE IF NOT EXISTS calls (key TEXT PRIMARY KEY, payload TEXT)")
+            conn.executemany(
+                "INSERT OR IGNORE INTO calls (key, payload) VALUES (?, ?)",
+                _legacy_entries(path.parent),
+            )
+            conn.execute("PRAGMA user_version = 1")
+        conn.execute("COMMIT")
+    except BaseException as exc:
+        conn.close()
+        if isinstance(exc, sqlite3.DatabaseError):
+            raise RuntimeError(f"call cache {path} is not a usable sqlite store: {exc}") from exc
+        raise
+    return conn
+
+
+def _legacy_entries(directory: Path):
+    """(key, payload text) of each ``<key>.json`` entry in ``directory`` that parses."""
+    for entry in directory.glob("*.json"):
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # json.dumps runs the C encoder; json.dump writes piece by piece from Python
-                fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            text = entry.read_text(encoding="utf-8")
+            json.loads(text)
+        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+            continue
+        yield entry.stem, text
 
 
 def _transient(exc: OSError) -> bool:
@@ -202,14 +278,17 @@ class HashedEmbedder:
 def _embedding_rows(response: dict, count: int) -> list[list[float]]:
     """The ``count`` embeddings of a reply, in the order of their ``index``.
 
-    A reply with another number of rows, a missing or repeated index, or
-    an all-zero row is an error, so nothing from it reaches the cache.
+    A reply with another number of rows, a missing or repeated index, rows
+    of different lengths, or an all-zero row is an error, so nothing from
+    it reaches the cache.
     """
     data = response["data"]
     rows = {item["index"]: item["embedding"] for item in data}
     if len(data) != count or sorted(rows) != list(range(count)):
         raise ProviderError(f"embedding reply does not index its {count} inputs once each")
     ordered = [rows[i] for i in range(count)]
+    if len({len(row) for row in ordered}) > 1:
+        raise ProviderError("embedding reply rows differ in length")
     if not all(any(row) for row in ordered):
         raise ProviderError("embedding service returned a zero vector")
     return ordered
@@ -253,6 +332,8 @@ class RemoteEmbedder(RemoteProvider):
 
         An empty batch raises ``ValueError`` before any cache or network
         work; ``HashedEmbedder`` returns a ``(0, dims)`` array instead.
+        Vectors of different lengths, such as a cache entry written for
+        another model size, raise ``ProviderError``.
         """
         if not texts:
             raise ValueError("cannot embed an empty batch")
@@ -278,7 +359,11 @@ class RemoteEmbedder(RemoteProvider):
                 if self.cache:
                     self.cache.put(self._key(text), {"data": [{"embedding": row}]})
                 self._vectors[text] = np.asarray(row, dtype=float)
-        arr = np.stack([self._vectors[t] for t in texts])
+        vectors = [self._vectors[t] for t in texts]
+        if len({v.shape for v in vectors}) > 1:  # a cache entry is outside input too
+            lengths = sorted({v.size for v in vectors})
+            raise ProviderError(f"embeddings of one batch differ in length: {lengths}")
+        arr = np.stack(vectors)
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
         if np.any(norms == 0):  # a cache entry is outside input too
             raise ProviderError("embedding service returned a zero vector")

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import re
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,10 @@ from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
 )
 from coi_rag.bench.runner import analyze_items, load_questions, run_experiment
-from coi_rag.providers import CallCache, ScriptedGenerator, request_hash
+from coi_rag.providers import (
+    CACHE_FILE, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder, ScriptedGenerator,
+    request_hash,
+)
 
 
 def write_questions(path: Path, rows) -> Path:
@@ -391,6 +396,43 @@ class TestRunner:
         assert not report.ok
 
 
+    def test_embed_failure_while_scoring_fails_one_item(self, golden_cfg, tmp_path):
+        run_experiment(golden_cfg)
+        healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        golden_cfg.output_dir = tmp_path / "faulty"
+        # Only explanations hold the scripted preamble; the first one scored fails.
+        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), "Here follows an explanation")
+        report = run_experiment(golden_cfg, embedder=embedder)
+        assert report.failed == 1
+        faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        assert len(faulty) == len(healthy)
+        changed = [i for i, (a, b) in enumerate(zip(healthy, faulty)) if a != b]
+        assert len(changed) == 1
+        item = json.loads(faulty[changed[0]])
+        assert item["error"] == "embed: embedding service unavailable"
+        assert "factscore" not in item
+
+    def test_embed_failure_while_indexing_names_the_corpus(self, golden_cfg):
+        golden_cfg.modes = ["genai"]  # the source index is then the first embedding
+        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), "")  # "" is in every text
+        with pytest.raises(ProviderError, match=f"corpus {golden_cfg.corpora[0].tag!r}: embedding"):
+            run_experiment(golden_cfg, embedder=embedder)
+
+
+class FailOnceEmbedder:
+    """Wraps an embedder; the first batch with a text containing ``marker`` fails."""
+
+    def __init__(self, inner, marker: str):
+        self.inner = inner
+        self.marker = marker
+
+    def embed(self, texts):
+        if self.marker is not None and any(self.marker in t for t in texts):
+            self.marker = None
+            raise ProviderError("embedding service unavailable")
+        return self.inner.embed(texts)
+
+
 def scored_item(model, mode, qid, factscore):
     return {"model": model, "mode": mode, "question_id": qid, "factscore": factscore,
             "mean_similarity": factscore / 2, "adherent_count": round(10 * factscore)}
@@ -508,17 +550,18 @@ RUN_AND_LIST_SCIPY = """
 import sys
 from coi_rag.bench.cli import main
 code = main(["run", "-c", sys.argv[1], "-o", sys.argv[2] + "/out", "--cache-dir", sys.argv[2] + "/cache"])
-print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sqlite3", "_sqlite3")))
 """
 
 
 class TestRunPathImports:
     def test_hermetic_run_never_imports_scipy_stats(self, golden_dir, tmp_path):
-        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy module.
+        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy or sqlite module.
 
         ``scipy.special`` alone costs about 0.2 s and 13 MB a process and
         ``scipy.stats`` a second and 40 MB, so a deferred import on the run
         path fails this test as well; only required_pairs may load scipy.
+        A hermetic run caches nothing, so it never opens the call cache.
         """
         src = str(Path(coi_rag.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -572,6 +615,53 @@ class TestCacheSoundness:
         a = (tmp_path / "out1" / "items.jsonl").read_bytes()
         b = (tmp_path / "out2" / "items.jsonl").read_bytes()
         assert a == b
+
+    def test_legacy_json_entries_replay_without_transport(self, golden_dir, tmp_path):
+        """A cache of one-file-per-entry ``<key>.json`` replays a remote run."""
+        text = (golden_dir / "config.ini").read_text().replace(
+            "[model.mock-a]\nkind = scripted\nbehavior = context_echo",
+            "[model.mock-a]\nkind = remote\nmodel_id = fake-remote",
+        )
+        (tmp_path / "config.ini").write_text(text)
+        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
+            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+        hasher = HashedEmbedder(dims=16)
+        embedded, chats = set(), []
+
+        def fake_remote(url, body, headers):
+            if url.endswith("/embeddings"):
+                embedded.update(body["input"])
+                rows = [hasher.embed_raw(t).tolist() for t in body["input"]]
+                return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
+            chats.append(body)
+            return {"choices": [{"message": {"content": f"Answer of {len(body['messages'][0]['content'])} chars."}}]}
+
+        def dead_remote(url, body, headers):
+            raise AssertionError("network touched by a replay")
+
+        def run(out: str, cache_dir: Path, transport):
+            cfg = load_config(tmp_path / "config.ini")
+            cfg.output_dir, cfg.cache_dir = tmp_path / out, cache_dir
+            cache = CallCache(cache_dir)
+            try:
+                embedder = RemoteEmbedder("emb", cache=cache, transport=transport)
+                report = run_experiment(cfg, embedder=embedder, transports={"mock-a": transport})
+            finally:
+                cache.close()
+            assert report.failed == 0
+            return (cfg.output_dir / "items.jsonl").read_bytes()
+
+        cold = run("cold", tmp_path / "cache", fake_remote)
+        with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
+            rows = conn.execute("SELECT key, payload FROM calls").fetchall()
+        assert len(chats) == 18  # 6 questions x 3 modes
+        assert len(rows) == len(chats) + len(embedded)
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for key, payload in rows:
+            (legacy / f"{key}.json").write_text(payload, encoding="utf-8")
+        assert run("warm", legacy, dead_remote) == cold
+        assert len(list(legacy.glob("*.json"))) == len(rows)
 
     def test_script_file_backed_model(self, tmp_path):
         from coi_rag.providers import GenerationRequest, request_hash

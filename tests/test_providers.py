@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
-import sys
-import threading
+import multiprocessing
+import re
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from coi_rag import providers
 from coi_rag.providers import (
     SCRIPTED_CREATED_AT,
     CallCache,
+    GenerationRequest,
     HashedEmbedder,
     ProviderError,
     RemoteEmbedder,
@@ -45,6 +48,20 @@ def dead_transport(url, body, headers):
     raise AssertionError("transport called although the cache should answer")
 
 
+SHARED_KEY = request_hash({"shared": "key"})
+
+
+def put_rounds(directory: str, writer: int, start) -> None:
+    """Spawned writer: 50 rounds of puts to one key, after both writers are up."""
+    cache = CallCache(directory)
+    start.wait(timeout=60)
+    try:
+        for j in range(50):
+            cache.put(SHARED_KEY, {"writer": writer, "round": j, "pad": "x" * 4096})
+    finally:
+        cache.close()
+
+
 class TestCallCache:
     def test_corrupt_entry_is_a_miss_and_put_overwrites_it(self, tmp_path):
         cache = CallCache(tmp_path)
@@ -59,8 +76,10 @@ class TestCallCache:
         payload = {"text": "na\u00efve \u2014 caf\u00e9", "data": [1.5, 2e-300, -0.0, None], "a": {"z": 1, "y": True}}
         key = request_hash(payload)
         cache.put(key, payload)
-        want = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        assert (tmp_path / f"{key}.json").read_bytes() == want
+        cache.close()
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            (stored,) = conn.execute("SELECT payload FROM calls WHERE key = ?", (key,)).fetchone()
+        assert stored == json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
     def test_corrupt_entry_is_refetched_by_a_provider(self, tmp_path):
         cache = CallCache(tmp_path)
@@ -77,32 +96,76 @@ class TestCallCache:
         assert len(calls) == 1
 
     def test_concurrent_puts_of_one_key(self, tmp_path):
+        spawn = multiprocessing.get_context("spawn")
+        start = spawn.Barrier(2)
+        writers = [spawn.Process(target=put_rounds, args=(str(tmp_path), i, start)) for i in range(2)]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in writers)
+        assert [w.exitcode for w in writers] == [0, 0]
         cache = CallCache(tmp_path)
-        key = request_hash({"shared": "key"})
-        errors = []
+        final = cache.get(SHARED_KEY)
+        cache.close()
+        assert final["round"] == 49 and final["writer"] in (0, 1)
+        assert [p.name for p in tmp_path.iterdir()] == [providers.CACHE_FILE]
 
-        def writer(i: int) -> None:
-            try:
-                for j in range(50):
-                    cache.put(key, {"writer": i, "round": j, "pad": "x" * 4096})
-            except Exception as exc:  # reported below, not swallowed
-                errors.append(exc)
+    def test_legacy_entries_imported_once_and_left_in_place(self, tmp_path):
+        """Old one-file-per-entry caches keep hitting; a broken old entry is refetched."""
+        good_key = GenerationRequest("m", "Old question?").cache_key()
+        legacy = {
+            good_key: json.dumps({"created_at": "2024-01-01T00:00:00Z", "text": "old answer"}).encode(),
+            CHAT_KEY: b'{"text": "trunc',
+            request_hash({"other": 1}): b"\xff\xfe not utf-8",
+        }
+        for key, blob in legacy.items():
+            (tmp_path / f"{key}.json").write_bytes(blob)
+        calls = []
 
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        final = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
-        assert final["round"] == 49
-        assert list(tmp_path.glob("*.tmp")) == []
+        def transport(url, body, headers):
+            calls.append(url)
+            return chat_reply("fresh")
+
+        cache = CallCache(tmp_path)
+        gen = RemoteGenerator("m", cache=cache, transport=transport, backoff=0.0)
+        assert gen.complete("Old question?").text == "old answer"
+        assert gen.complete(PROMPT).text == "fresh"
+        assert cache.get(CHAT_KEY)["text"] == "fresh"
+        cache.close()
+        assert len(calls) == 1
+        for key, blob in legacy.items():
+            assert (tmp_path / f"{key}.json").read_bytes() == blob
+        (tmp_path / f"{good_key}.json").unlink()  # imported already: the store answers
+        warm = CallCache(tmp_path)
+        assert RemoteGenerator("m", cache=warm, transport=dead_transport).complete("Old question?").text == "old answer"
+        warm.close()
+
+    def test_corrupt_row_is_a_miss_and_put_overwrites_it(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = request_hash({"any": "payload"})
+        cache.put(key, {"text": "whole"})
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            conn.execute("UPDATE calls SET payload = ? WHERE key = ?", ('{"text": "trunc', key))
+            conn.commit()
+        assert cache.get(key) is None
+        cache.put(key, {"text": "again"})
+        assert cache.get(key) == {"text": "again"}
+        cache.close()
+
+    def test_unused_cache_leaves_its_directory_empty(self, tmp_path):
+        cache = CallCache(tmp_path / "cache")
+        assert cache.get(request_hash({"any": "payload"})) is None
+        cache.close()
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_store_that_is_not_sqlite_raises_and_is_kept(self, tmp_path):
+        blob = b"paid replies, somehow not a database" * 100
+        (tmp_path / providers.CACHE_FILE).write_bytes(blob)
+        cache = CallCache(tmp_path)
+        with pytest.raises(RuntimeError, match=re.escape(str(tmp_path / providers.CACHE_FILE))):
+            cache.put(request_hash({"any": "payload"}), {"text": "x"})
+        assert (tmp_path / providers.CACHE_FILE).read_bytes() == blob
 
 
 class TestRetries:
@@ -300,6 +363,23 @@ class TestEmbeddingBatches:
         with pytest.raises(ProviderError):
             emb.embed(TEXTS)
         assert list(tmp_path.iterdir()) == []
+
+    def test_ragged_reply_raises_and_caches_nothing(self, tmp_path):
+        ragged = EmbeddingServer(lambda data: [dict(r, embedding=r["embedding"][:4]) if r["index"] == 2 else r for r in data])
+        cache = CallCache(tmp_path)
+        with pytest.raises(ProviderError, match="differ in length"):
+            RemoteEmbedder("emb", cache=cache, transport=ragged).embed(TEXTS)
+        cache.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_cache_entry_beside_fetched_rows_raises(self, tmp_path):
+        cache = CallCache(tmp_path)
+        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
+        server = EmbeddingServer()
+        with pytest.raises(ProviderError, match=re.escape("differ in length: [2, 8]")):
+            RemoteEmbedder("emb", cache=cache, transport=server).embed(TEXTS[:2])
+        cache.close()
+        assert server.inputs == [TEXTS[1:2]]
 
     def test_split_at_batch_cap(self, monkeypatch):
         monkeypatch.setattr(providers, "EMBED_BATCH", 2)
