@@ -9,7 +9,8 @@ and an adherent-clause count.
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
 ``match_clauses`` scores every mode with one loop, and each distinct tuple
-of part texts once per source index.
+of part texts once per source index. ``evaluate_text`` extracts each
+distinct sentence once per source index.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .vector_index import VectorIndex, clamp01
 # ---------------------------------------------------------------------------
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
-_EDGE_PUNCT = re.compile(r"^[\"'\(\[]+|[\"'\)\]\.,!?;:]+$")
+# Stripped from the start and the end of each token and clause part.
+_LEAD_PUNCT = "\"'(["
+_TRAIL_PUNCT = "\"')].,!?;:"
 
 # Closed-class verbs: auxiliaries, modals, and frequent irregulars that the
 # suffix rules below would miss.
@@ -58,7 +61,7 @@ _VERB_LEXICON = {
 
 
 def _clean(token: str) -> str:
-    return _EDGE_PUNCT.sub("", token)
+    return token.lstrip(_LEAD_PUNCT).rstrip(_TRAIL_PUNCT)
 
 
 def _is_verb_like(token: str) -> bool:
@@ -97,49 +100,58 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s.strip()]
 
 
-def extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
+def extract_clauses(
+    text: str,
+    sentence_offset: int = 0,
+    memo: dict[str, tuple[str, str, str] | None] | None = None,
+) -> list[Clause]:
     """Rule-based clause extraction.
 
     Per sentence: find the first verb-like token (closed-class lexicon plus
     -s/-ed/-ing suffix heuristics) that has at least one token before it;
     the tokens before it become the subject, the maximal run of verb-like
     tokens the predicate, and the remainder the object. Sentences with no
-    such token yield no clause. An LLM-backed extractor can replace this
-    one anywhere a ``clause_extractor`` callable is accepted; the output
-    contract is the same.
+    such token yield no clause. A clause's ``sentence_index`` is its
+    sentence's position in ``text`` plus ``sentence_offset``. ``memo`` maps
+    each sentence already seen to its (subject, predicate, object), or None,
+    so a sentence is split into parts once per memo; without one, each call
+    uses a fresh memo. An LLM-backed extractor can replace this one anywhere
+    a ``clause_extractor`` callable is accepted; the output contract is the
+    same.
     """
-    clauses: list[Clause] = []
-    for si, sentence in enumerate(split_sentences(text)):
-        tokens = sentence.split()
-        verb_at = None
-        for i in range(1, len(tokens)):
-            if _is_verb_like(tokens[i]):
-                verb_at = i
-                break
-        if verb_at is None:
-            continue
-        verb_end = verb_at + 1
-        while verb_end < len(tokens) and _is_verb_like(tokens[verb_end]):
-            verb_end += 1
-        subject = _strip_span(tokens[:verb_at])
-        predicate = _strip_span(tokens[verb_at:verb_end])
-        obj = _strip_span(tokens[verb_end:])
-        if not subject or not predicate:
-            continue
-        clauses.append(
-            Clause(
-                subject=subject,
-                predicate=predicate,
-                object=obj,
-                sentence_index=sentence_offset + si,
-            )
-        )
+    return _clauses(split_sentences(text), sentence_offset, {} if memo is None else memo)
+
+
+def _clauses(sentences: list[str], offset: int, memo: dict) -> list[Clause]:
+    clauses = []
+    for si, sentence in enumerate(sentences):
+        if sentence in memo:
+            parts = memo[sentence]
+        else:
+            parts = memo[sentence] = _sentence_parts(sentence)
+        if parts is not None:
+            clauses.append(Clause(*parts, sentence_index=offset + si))
     return clauses
 
 
+def _sentence_parts(sentence: str) -> tuple[str, str, str] | None:
+    """The (subject, predicate, object) of one sentence; None when it has no clause."""
+    tokens = sentence.split()
+    verb_at = next((i for i in range(1, len(tokens)) if _is_verb_like(tokens[i])), None)
+    if verb_at is None:
+        return None
+    verb_end = verb_at + 1
+    while verb_end < len(tokens) and _is_verb_like(tokens[verb_end]):
+        verb_end += 1
+    subject = _strip_span(tokens[:verb_at])
+    predicate = _strip_span(tokens[verb_at:verb_end])
+    if not subject or not predicate:
+        return None
+    return subject, predicate, _strip_span(tokens[verb_end:])
+
+
 def _strip_span(tokens: Sequence[str]) -> str:
-    joined = " ".join(tokens).strip()
-    return _EDGE_PUNCT.sub("", joined).strip()
+    return " ".join(tokens).lstrip(_LEAD_PUNCT).rstrip(_TRAIL_PUNCT).strip()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +177,10 @@ class SourceClauseIndex:
     ``match_clauses``: it maps each distinct tuple of an AI clause's part
     texts to its best (key, raw score), so each tuple is embedded and
     ranked once per index however many explanations repeat it.
+    ``extracted`` is the ``extract_clauses`` memo ``evaluate_text`` passes,
+    so each distinct explanation sentence is split into parts once per
+    index. Both memos live as long as the index, typically one evaluate
+    stage, and hold only what it scored.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -187,6 +203,7 @@ class SourceClauseIndex:
             self.matrices.append(mat)
         self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
         self.best: dict[tuple[str, ...], tuple[str, float]] = {}
+        self.extracted: dict[str, tuple[str, str, str] | None] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -197,9 +214,9 @@ def build_source_index(texts: Iterable[str], embedder, mode: str = "whole_clause
     clauses: list[Clause] = []
     offset = 0
     for text in texts:
-        extracted = extract_clauses(text, sentence_offset=offset)
-        clauses.extend(extracted)
-        offset += len(split_sentences(text))
+        sentences = split_sentences(text)
+        clauses.extend(_clauses(sentences, offset, {}))
+        offset += len(sentences)
     return SourceClauseIndex(clauses, embedder, mode)
 
 
@@ -299,7 +316,7 @@ def evaluate_text(
     The caller is expected to strip citation markers first so page
     references do not distort similarity.
     """
-    clauses = extract_clauses(text)
+    clauses = extract_clauses(text, memo=source.extracted)
     if not clauses:
         return None
     matches = match_clauses(clauses, source, embedder)

@@ -29,7 +29,7 @@ from ..adherence import build_source_index, evaluate_text
 from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
-from ..providers import DECODING, CallCache, ProviderError
+from ..providers import DECODING, CallCache, ProviderError, RemoteEmbedder
 from ..question_bank import QuestionBank, build_bank
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from ..vector_index import VectorIndex, build_index
@@ -145,6 +145,8 @@ def stage_ingest(ctx: StageContext) -> None:
 
 def _load_chunk_index(ctx: StageContext, tag: str) -> VectorIndex:
     index = VectorIndex.load(ctx.out / f"chunk_index.{tag}.jsonl")
+    if isinstance(ctx.embedder, RemoteEmbedder) and ctx.embedder.dims is None:
+        ctx.embedder.dims = index.dims  # so an off-length cached query is fetched again
     chunks = {c.id: c for c in chunks_from_jsonl(ctx.out / f"chunks.{tag}.jsonl")}
     index.payloads = [chunks[k] for k in index.keys]
     return index
@@ -171,11 +173,11 @@ def stage_plan(ctx: StageContext) -> None:
         write_jsonl(ctx.out / "plans.jsonl", [])
         return
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
+    indexes = {tag: _load_chunk_index(ctx, tag) for tag in sorted(ctx.cfg.tags)}
     banks = {
         tag: QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
         for tag in sorted(ctx.cfg.tags)
     }
-    indexes = {tag: _load_chunk_index(ctx, tag) for tag in sorted(ctx.cfg.tags)}
     plans = []
     for q in questions:
         p = planner_mod.plan(

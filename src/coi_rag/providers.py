@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import requests
 
 # Stamped on every scripted reply so hermetic runs are byte-identical.
 SCRIPTED_CREATED_AT = "1970-01-01T00:00:00Z"
@@ -167,7 +166,9 @@ def _legacy_entries(directory: Path):
 
 def _transient(exc: OSError) -> bool:
     """Connection errors, timeouts and HTTP 408, 429 and 5xx are retried."""
-    if isinstance(exc, requests.HTTPError):
+    from requests import HTTPError
+
+    if isinstance(exc, HTTPError):
         status = getattr(exc.response, "status_code", 0)
         return status in (408, 429) or status >= 500
     return True
@@ -219,6 +220,8 @@ class RemoteProvider:
                 if self.transport is not None:
                     response = self.transport(url, body, headers)
                 else:
+                    import requests  # here, not at the top: a hermetic run never loads it
+
                     resp = requests.post(url, json=body, headers=headers, timeout=60)
                     resp.raise_for_status()
                     response = resp.json()
@@ -316,13 +319,17 @@ class RemoteEmbedder(RemoteProvider):
     Each ``embed`` call sends its distinct uncached texts in one request
     per ``EMBED_BATCH`` of them. Every text keeps its own cache entry,
     keyed as a one-input request, and its vector is remembered by the
-    instance, so a text is read from the cache or the network at most
-    once per embedder.
+    instance once a call returns it, so a text is read from the cache or
+    the network at most once per embedder. ``dims`` is the length every
+    vector must have: None until the first call returns, which sets it, or
+    until a caller that knows it, such as one holding an index this model
+    built, sets it first. A cache entry of another length is malformed.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._vectors: dict[str, np.ndarray] = {}
+        self.dims: int | None = None
 
     def _key(self, text: str) -> str:
         return request_hash({"endpoint": "embeddings", "model": self.model_id, "input": [text]})
@@ -332,41 +339,56 @@ class RemoteEmbedder(RemoteProvider):
 
         An empty batch raises ``ValueError`` before any cache or network
         work; ``HashedEmbedder`` returns a ``(0, dims)`` array instead.
-        Vectors of different lengths, such as a cache entry written for
-        another model size, raise ``ProviderError``.
+        A cache entry whose length is not ``dims`` is fetched again and
+        overwritten, and a reply whose length is not ``dims`` raises
+        ``ProviderError`` and caches nothing. While ``dims`` is None, the
+        first reply sets the length, and cached entries of another length
+        are fetched again; when nothing is fetched but the cached entries
+        differ in length, they are all fetched again, since which of them
+        is off cannot be told.
         """
         if not texts:
             raise ValueError("cannot embed an empty batch")
         for i, t in enumerate(texts):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")
+        found: dict[str, np.ndarray] = {}  # remembered only if this call returns
         missing = []
         for text in dict.fromkeys(texts):
             if text in self._vectors:
                 continue
             vector = _cached_vector(self.cache.get(self._key(text))) if self.cache else None
-            if vector is None:
+            if vector is None or self.dims not in (None, vector.size):
                 missing.append(text)
             else:
-                self._vectors[text] = vector
-        for start in range(0, len(missing), EMBED_BATCH):
-            batch = missing[start:start + EMBED_BATCH]
+                found[text] = vector
+        length = self.dims
+        if length is None and len({v.size for v in found.values()}) > 1:
+            missing += found
+            found = {}
+        while missing:
+            batch, missing = missing[:EMBED_BATCH], missing[EMBED_BATCH:]
             rows = self._post(
                 "embeddings", {"model": self.model_id, "input": batch},
                 lambda response: _embedding_rows(response, len(batch)),
             )
+            if length is None:
+                length = len(rows[0])
+                missing += [t for t, v in found.items() if v.size != length]
+                found = {t: v for t, v in found.items() if v.size == length}
+            elif len(rows[0]) != length:
+                raise ProviderError(f"embedding reply rows have length {len(rows[0])}, not {length}")
             for text, row in zip(batch, rows):
                 if self.cache:
                     self.cache.put(self._key(text), {"data": [{"embedding": row}]})
-                self._vectors[text] = np.asarray(row, dtype=float)
-        vectors = [self._vectors[t] for t in texts]
-        if len({v.shape for v in vectors}) > 1:  # a cache entry is outside input too
-            lengths = sorted({v.size for v in vectors})
-            raise ProviderError(f"embeddings of one batch differ in length: {lengths}")
+                found[text] = np.asarray(row, dtype=float)
+        vectors = [found[t] if t in found else self._vectors[t] for t in texts]
         arr = np.stack(vectors)
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
         if np.any(norms == 0):  # a cache entry is outside input too
             raise ProviderError("embedding service returned a zero vector")
+        self._vectors.update(found)
+        self.dims = arr.shape[1]
         return arr / norms
 
 

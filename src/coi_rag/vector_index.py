@@ -72,6 +72,10 @@ class VectorIndex:
             raise ValueError("cannot search an empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if k == 1 and not np.isnan(best := scores.max()):  # the sort puts NaN last
+            tied = np.flatnonzero(scores == best)
+            i = tied[np.argmin(self._key_rank[tied])]
+            return [(self.keys[i], float(scores[i]))]
         order = np.lexsort((self._key_rank, -scores))[:k]
         return [(self.keys[i], float(scores[i])) for i in order]
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coi_rag.adherence import (
+    _VERB_LEXICON,
     AdherenceReport,
     Clause,
     ClauseMatch,
@@ -16,6 +20,7 @@ from coi_rag.adherence import (
     factscore,
     match_clauses,
     mean_similarity,
+    split_sentences,
     threshold_sweep,
 )
 from coi_rag.providers import HashedEmbedder, RemoteEmbedder
@@ -69,6 +74,104 @@ class TestExtractClauses:
     def test_leading_verb_sentence_skipped(self):
         # No token before the only verb-like word: no subject, no clause.
         assert extract_clauses("Runs.") == []
+
+
+# The regex extractor that the string-strip version replaced, kept as the reference.
+_REF_EDGE_PUNCT = re.compile(r"^[\"'\(\[]+|[\"'\)\]\.,!?;:]+$")
+
+
+def _ref_is_verb_like(token: str) -> bool:
+    word = _REF_EDGE_PUNCT.sub("", token).lower()
+    if not word or not word.isalpha():
+        return False
+    if word in _VERB_LEXICON:
+        return True
+    if len(word) > 3 and word.endswith("ed"):
+        return True
+    if len(word) > 4 and word.endswith("ing"):
+        return True
+    if len(word) > 2 and word.endswith("s") and not word.endswith("ss"):
+        return True
+    return False
+
+
+def _ref_strip_span(tokens) -> str:
+    return _REF_EDGE_PUNCT.sub("", " ".join(tokens).strip()).strip()
+
+
+def reference_extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
+    clauses = []
+    for si, sentence in enumerate(split_sentences(text)):
+        tokens = sentence.split()
+        verb_at = next((i for i in range(1, len(tokens)) if _ref_is_verb_like(tokens[i])), None)
+        if verb_at is None:
+            continue
+        verb_end = verb_at + 1
+        while verb_end < len(tokens) and _ref_is_verb_like(tokens[verb_end]):
+            verb_end += 1
+        subject = _ref_strip_span(tokens[:verb_at])
+        predicate = _ref_strip_span(tokens[verb_at:verb_end])
+        obj = _ref_strip_span(tokens[verb_end:])
+        if subject and predicate:
+            clauses.append(Clause(subject, predicate, obj, sentence_offset + si))
+    return clauses
+
+
+LEADS = ("",) * 6 + ('"', "'", "(", "[", '("', "'[", ")", ".")
+TRAILS = ("",) * 6 + ('"', "'", ")", "]", ",", ";", ":", ".", "!", "?", '."', ").", "?!", "...", "'s")
+WORDS = ("the", "parser", "a", "stack", "is", "has", "been", "reads", "walked", "running", "class",
+         "sings", "go", "X", "B.", "don't", "e.g.", "well-formed", "42", "\u00e9t\u00e9s", "I")
+word_tokens = st.builds(
+    lambda a, w, b: a + w + b, st.sampled_from(LEADS), st.sampled_from(WORDS), st.sampled_from(TRAILS)
+)
+tokens = st.one_of(
+    word_tokens,
+    word_tokens,
+    word_tokens,
+    st.builds(lambda a, b: a + b, st.sampled_from(LEADS), st.sampled_from(TRAILS)),  # punctuation-only
+    st.text(alphabet=" \t\n.!?\"'()[],;:abIs", max_size=6),  # stray whitespace and edge runs
+)
+token_soups = st.lists(tokens, min_size=3, max_size=40).map(" ".join)
+
+
+class TestExtractClausesDifferential:
+    """The string-strip extractor, with and without a memo, equals the regex one."""
+
+    @given(token_soups, st.integers(0, 50))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_regex_reference(self, text, offset):
+        want = reference_extract_clauses(text, offset)
+        assert extract_clauses(text, offset) == want
+        memo: dict = {}
+        assert extract_clauses(text, offset, memo) == want
+        assert extract_clauses(text, offset, memo) == want  # every sentence now a hit
+        assert set(memo) == set(split_sentences(text))
+
+    @given(st.lists(token_soups, min_size=1, max_size=6), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_memo_shared_across_texts(self, texts, offset):
+        memo: dict = {}
+        for text in texts + texts[::-1]:
+            assert extract_clauses(text, offset, memo) == reference_extract_clauses(text, offset)
+
+    def test_memo_holds_verbless_sentences_as_none(self):
+        memo: dict = {}
+        text = "Yes. The parser reads a token. Yes."
+        assert extract_clauses(text, 3, memo) == [Clause("The parser", "reads", "a token", 4)]
+        assert memo == {"Yes.": None, "The parser reads a token.": ("The parser", "reads", "a token")}
+
+    def test_evaluate_text_extracts_each_distinct_sentence_once(self, source, hashed256, monkeypatch):
+        from coi_rag import adherence
+
+        seen = []
+        parts = adherence._sentence_parts
+        monkeypatch.setattr(adherence, "_sentence_parts", lambda s: seen.append(s) or parts(s))
+        text = "The parser reads one token at a time. Yes. A stack frame holds the local bindings."
+        first = evaluate_text(text, source, hashed256)
+        again = evaluate_text(text + " Yes.", source, hashed256)
+        assert again == dataclasses.replace(first, word_count=first.word_count + 1)
+        assert sorted(seen) == sorted(split_sentences(text))
+        assert source.extracted.keys() == set(seen)
 
 
 class TestSourceClauseIndex:

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 import coi_rag
+from coi_rag.bench.cli import STAGES
 from coi_rag.bench.cli import main as cli_main
 from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
 )
-from coi_rag.bench.runner import analyze_items, load_questions, run_experiment
+from coi_rag.bench.runner import analyze_items, load_questions, make_context, run_experiment
 from coi_rag.providers import (
     CACHE_FILE, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder, ScriptedGenerator,
     request_hash,
@@ -546,26 +547,27 @@ class TestGoldenDigest:
         assert {r["created_at"] for r in rows} == {"1970-01-01T00:00:00Z"}
 
 
-RUN_AND_LIST_SCIPY = """
+RUN_AND_LIST_MODULES = """
 import sys
 from coi_rag.bench.cli import main
 code = main(["run", "-c", sys.argv[1], "-o", sys.argv[2] + "/out", "--cache-dir", sys.argv[2] + "/cache"])
-print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sqlite3", "_sqlite3")))
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sqlite3", "_sqlite3", "requests", "urllib3")))
 """
 
 
 class TestRunPathImports:
     def test_hermetic_run_never_imports_scipy_stats(self, golden_dir, tmp_path):
-        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy or sqlite module.
+        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy, sqlite or HTTP module.
 
         ``scipy.special`` alone costs about 0.2 s and 13 MB a process and
         ``scipy.stats`` a second and 40 MB, so a deferred import on the run
         path fails this test as well; only required_pairs may load scipy.
-        A hermetic run caches nothing, so it never opens the call cache.
+        A hermetic run caches nothing, so it never opens the call cache,
+        and sends nothing, so it never loads ``requests`` (about 45 ms).
         """
         src = str(Path(coi_rag.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", RUN_AND_LIST_SCIPY, str(golden_dir / "config.ini"), str(tmp_path)],
+            [sys.executable, "-c", RUN_AND_LIST_MODULES, str(golden_dir / "config.ini"), str(tmp_path)],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -662,6 +664,41 @@ class TestCacheSoundness:
             (legacy / f"{key}.json").write_text(payload, encoding="utf-8")
         assert run("warm", legacy, dead_remote) == cold
         assert len(list(legacy.glob("*.json"))) == len(rows)
+
+    @pytest.mark.parametrize("stage", [None, "plan", "answer"], ids=["run", "plan-alone", "answer-alone"])
+    def test_short_query_entry_beside_8_dim_index_is_refetched(self, golden_dir, tmp_path, stage):
+        """A 2-float cache entry under a query's key is fetched again, not ranked against 8-dim chunks.
+
+        A stage run alone loads the chunk index before it embeds anything,
+        so the query may be the first text a fresh embedder sees.
+        """
+        hasher = HashedEmbedder(dims=8)
+
+        def transport(url, body, headers):
+            rows = [hasher.embed_raw(t).tolist() for t in body["input"]]
+            return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
+
+        cfg = load_config(golden_dir / "config.ini")
+        cfg.output_dir, cfg.cache_dir = tmp_path / "out", tmp_path / "cache"
+        query = load_questions(cfg.questions_path, allowed_tags=cfg.tags)[0].query_text()
+        cache = CallCache(cfg.cache_dir)
+        try:
+            if stage is not None:
+                run_experiment(cfg, embedder=RemoteEmbedder("emb", cache=cache, transport=transport))
+            embedder = RemoteEmbedder("emb", cache=cache, transport=transport)
+            short = [query]
+            if stage == "plan":  # the banks are embedded first, and their entries agree in length
+                for bank in cfg.output_dir.glob("bank.*.jsonl"):
+                    short += [json.loads(line)["question"] for line in bank.read_text().splitlines()]
+            for text in short:
+                cache.put(embedder._key(text), {"data": [{"embedding": [3.0, 4.0]}]})
+            if stage is None:
+                assert run_experiment(cfg, embedder=embedder).failed == 0
+            else:
+                STAGES[stage](make_context(cfg, embedder=embedder))
+            assert {len(cache.get(embedder._key(t))["data"][0]["embedding"]) for t in short} == {8}
+        finally:
+            cache.close()
 
     def test_script_file_backed_model(self, tmp_path):
         from coi_rag.providers import GenerationRequest, request_hash

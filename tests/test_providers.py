@@ -372,14 +372,74 @@ class TestEmbeddingBatches:
         cache.close()
         assert list(tmp_path.iterdir()) == []
 
-    def test_short_cache_entry_beside_fetched_rows_raises(self, tmp_path):
+    def test_short_cache_entry_beside_fetched_rows_is_refetched(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = RemoteEmbedder("emb")._key(TEXTS[0])
+        cache.put(key, {"data": [{"embedding": [3.0, 4.0]}]})
+        server = EmbeddingServer()
+        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        np.testing.assert_array_equal(emb.embed(TEXTS[:2]), HashedEmbedder(dims=8).embed(TEXTS[:2]))
+        assert server.inputs == [TEXTS[1:2], TEXTS[:1]]  # the reply set the length
+        assert len(cache.get(key)["data"][0]["embedding"]) == 8
+        cache.close()
+
+    def test_cached_entries_of_two_lengths_are_all_refetched(self, tmp_path):
+        cache = CallCache(tmp_path)
+        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
+        for text in TEXTS[1:3]:
+            row = HashedEmbedder(dims=8).embed_raw(text).tolist()
+            cache.put(RemoteEmbedder("emb")._key(text), {"data": [{"embedding": row}]})
+        server = EmbeddingServer()
+        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        np.testing.assert_array_equal(emb.embed(TEXTS[:3]), HashedEmbedder(dims=8).embed(TEXTS[:3]))
+        assert server.inputs == [TEXTS[:3]]
+        assert emb.dims == 8
+        cache.close()
+
+    def test_preset_dims_refetch_a_lone_short_entry(self, tmp_path):
         cache = CallCache(tmp_path)
         cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
         server = EmbeddingServer()
-        with pytest.raises(ProviderError, match=re.escape("differ in length: [2, 8]")):
-            RemoteEmbedder("emb", cache=cache, transport=server).embed(TEXTS[:2])
+        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb.dims = 8
+        np.testing.assert_array_equal(emb.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
+        assert server.inputs == [TEXTS[:1]]
         cache.close()
-        assert server.inputs == [TEXTS[1:2]]
+
+    def test_off_length_cache_entry_is_refetched_once_dims_are_known(self, tmp_path):
+        cache = CallCache(tmp_path)
+        key = RemoteEmbedder("emb")._key(TEXTS[0])
+        cache.put(key, {"data": [{"embedding": [3.0, 4.0]}]})
+        server = EmbeddingServer()
+        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb.embed(TEXTS[1:])
+        assert emb.dims == 8
+        np.testing.assert_array_equal(emb.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
+        assert server.inputs == [TEXTS[1:], TEXTS[:1]]
+        assert len(cache.get(key)["data"][0]["embedding"]) == 8
+        cache.close()
+
+    def test_reply_of_another_length_raises_and_caches_nothing(self, tmp_path):
+        cache = CallCache(tmp_path)
+        server = EmbeddingServer(lambda data: data, lambda data: [dict(r, embedding=r["embedding"][:4]) for r in data])
+        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb.embed(TEXTS[:1])
+        with pytest.raises(ProviderError, match="length 4, not 8"):
+            emb.embed(TEXTS[1:3])
+        assert cache.get(emb._key(TEXTS[1])) is None and cache.get(emb._key(TEXTS[2])) is None
+        np.testing.assert_array_equal(emb.embed(TEXTS[1:3]), HashedEmbedder(dims=8).embed(TEXTS[1:3]))
+        cache.close()
+
+    def test_failed_call_remembers_nothing(self, tmp_path):
+        cache = CallCache(tmp_path)
+        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
+        emb = RemoteEmbedder("emb", cache=cache, transport=EmbeddingServer(lambda data: data[:-1]))
+        with pytest.raises(ProviderError):
+            emb.embed(TEXTS[:2])
+        assert emb.dims is None and emb._vectors == {}
+        np.testing.assert_array_equal(emb.embed(TEXTS[:2]), HashedEmbedder(dims=8).embed(TEXTS[:2]))
+        assert emb.dims == 8
+        cache.close()
 
     def test_split_at_batch_cap(self, monkeypatch):
         monkeypatch.setattr(providers, "EMBED_BATCH", 2)

@@ -169,6 +169,60 @@ class TestTopK:
         np.testing.assert_allclose(loaded.vectors, index.vectors)
 
 
+def lexsort_top_1(index: VectorIndex, scores: np.ndarray) -> list[tuple[str, float]]:
+    """The full sort ``rank`` runs for ``k > 1``, cut to one row."""
+    i = np.lexsort((index._key_rank, -scores))[0]
+    return [(index.keys[i], float(scores[i]))]
+
+
+class TestRankTop1:
+    """``rank(scores, 1)`` takes the max without a sort and equals the sort's first row."""
+
+    KEYS = [f"src:{i}" for i in (3, 2, 11, 0, 10, 1, 5, 4, 9, 7, 6, 8)]
+
+    def index(self) -> VectorIndex:
+        return VectorIndex(self.KEYS, np.zeros((len(self.KEYS), 2)))
+
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_many_way_ties_equal_lexsort(self, values):
+        scores = np.array(values)
+        got = self.index().rank(scores, 1)
+        want = lexsort_top_1(self.index(), scores)
+        assert got == want
+        assert math.copysign(1.0, got[0][1]) == math.copysign(1.0, want[0][1])
+
+    def test_signed_zeros_tie(self):
+        index = self.index()
+        scores = np.zeros(12)
+        scores[[0, 3, 4]] = -0.0  # src:3, src:0 and src:10; the rest hold +0.0
+        for s in (scores, -scores):
+            got = index.rank(s, 1)
+            assert got == lexsort_top_1(index, s) == [("src:0", 0.0)]
+            assert math.copysign(1.0, got[0][1]) == math.copysign(1.0, s[3])
+
+    def test_all_scores_equal(self):
+        index = self.index()
+        for value in (-1.0, 0.0, 0.7):
+            scores = np.full(12, value)
+            assert index.rank(scores, 1) == lexsort_top_1(index, scores) == [("src:0", value)]
+
+    def test_nan_ranks_last_as_in_the_sort(self):
+        index = self.index()
+        scores = np.linspace(0.0, 1.0, 12)
+        scores[[2, 7]] = np.nan
+        assert index.rank(scores, 1) == lexsort_top_1(index, scores) == [("src:8", 1.0)]
+        all_nan = index.rank(np.full(12, np.nan), 1)
+        assert all_nan[0][0] == lexsort_top_1(index, np.full(12, np.nan))[0][0] == "src:0"
+
+    def test_random_scores_equal_lexsort(self):
+        rng = np.random.default_rng(3)
+        index = VectorIndex([f"k{i}" for i in rng.permutation(200)], np.zeros((200, 2)))
+        for _ in range(50):
+            scores = np.round(rng.normal(size=200), 1)  # coarse, so ties are common
+            assert index.rank(scores, 1) == lexsort_top_1(index, scores)
+
+
 class TestRemoteEmbedder:
     def make_transport(self, dims=4, fail_times=0):
         calls = {"n": 0, "failures_left": fail_times}
