@@ -8,9 +8,10 @@ and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
-``match_clauses`` scores every mode with one loop, and each distinct tuple
-of part texts once per source index. ``evaluate_text`` extracts each
-distinct sentence once per source index.
+``match_clauses`` scores every mode with one loop, each distinct tuple
+of part texts once per source index, and each distinct part text once
+per call. ``evaluate_text`` extracts each distinct sentence once per
+source index.
 """
 
 from __future__ import annotations
@@ -175,8 +176,11 @@ class SourceClauseIndex:
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
     clauses and shares the first part's matrix. ``best`` memoises
     ``match_clauses``: it maps each distinct tuple of an AI clause's part
-    texts to its best (key, raw score), so each tuple is embedded and
-    ranked once per index however many explanations repeat it.
+    texts to its best (key, raw score), so each tuple is ranked once per
+    index however many explanations repeat it. The tuples one call has
+    not seen share their part texts: each distinct (part, text) among
+    them is embedded and scored once per call, and no per-part score is
+    kept on the index.
     ``extracted`` is the ``extract_clauses`` memo ``evaluate_text`` passes,
     so each distinct explanation sentence is split into parts once per
     index. Both memos live as long as the index, typically one evaluate
@@ -237,18 +241,23 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     {predicate} {object}" renderings. ``VectorIndex.rank`` picks the
     best source clause, so a tie goes to the smaller key. Each distinct
     tuple of part texts is scored once per ``source``: only tuples that
-    ``source.best`` has not seen are embedded and ranked.
+    ``source.best`` has not seen are ranked. Within one call, each distinct
+    non-empty (part, text) of those tuples is embedded and scored against
+    its part's matrix once, in order of first appearance; the part scores
+    are dropped when the call returns.
     """
     if not ai:
         return []
     keys = [tuple(part(c) for part in source.parts) for c in ai]
     unseen = [k for k in dict.fromkeys(keys) if k not in source.best]
-    if unseen:  # an embedder may reject an empty batch
-        vectors = iter(embedder.embed([t for k in unseen for t in k if t.strip()]))
+    if unseen:  # the first part is never empty, so the embedded batch is not either
+        pairs = list(dict.fromkeys((p, t) for k in unseen for p, t in enumerate(k) if t.strip()))
+        vectors = embedder.embed([t for _, t in pairs])
+        scores = {(p, t): source.matrices[p] @ v for (p, t), v in zip(pairs, vectors, strict=True)}
         for texts in unseen:
-            sims = sum(
-                mat @ next(vectors) if text.strip() else empty  # empty-vs-empty agrees
-                for text, mat, empty in zip(texts, source.matrices, source.empty)
+            sims = sum(  # part by part, left to right: no BLAS reordering to flip a threshold
+                scores[p, t] if t.strip() else empty  # empty-vs-empty agrees
+                for p, (t, empty) in enumerate(zip(texts, source.empty))
             )
             source.best[texts] = source.index.rank(sims / len(texts), 1)[0]
     return [ClauseMatch(c, source.best[k][0], clamp01(source.best[k][1])) for c, k in zip(ai, keys)]

@@ -24,7 +24,7 @@ from coi_rag.adherence import (
     threshold_sweep,
 )
 from coi_rag.providers import HashedEmbedder, RemoteEmbedder
-from coi_rag.vector_index import cosine
+from coi_rag.vector_index import clamp01, cosine
 
 SOURCE_TEXT = (
     "The parser reads one token at a time. "
@@ -321,14 +321,102 @@ class TestClauseScoreMemo:
         )
 
     def test_each_distinct_clause_embedded_once(self, spy_embedder):
-        clauses = extract_clauses("The parser runs. The parser runs. The stack grows.")
-        for mode in MODES:
-            source = build_source_index([SOURCE_TEXT], spy_embedder, mode)
-            spy_embedder.texts.clear()
-            for _ in range(3):
-                match_clauses(clauses, source, spy_embedder)
-            distinct = {p(c) for c in clauses for p in source.parts} - {""}
-            assert sorted(spy_embedder.texts) == sorted(distinct)
+        for text in (
+            "The parser runs. The parser runs. The stack grows.",
+            "The parser runs. The stack grows. The parser stops.",  # two clauses share a subject
+        ):
+            clauses = extract_clauses(text)
+            for mode in MODES:
+                source = build_source_index([SOURCE_TEXT], spy_embedder, mode)
+                state = dict(vars(source))
+                spy_embedder.texts.clear()
+                for _ in range(3):
+                    match_clauses(clauses, source, spy_embedder)
+                distinct = {p(c) for c in clauses for p in source.parts} - {""}
+                assert sorted(spy_embedder.texts) == sorted(distinct)
+                # Part scores die with the call: the index keeps only its attributes and ``best``.
+                assert vars(source).keys() == state.keys()
+                assert all(vars(source)[name] is value for name, value in state.items())
+                assert source.best.keys() == {tuple(p(c) for p in source.parts) for c in clauses}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_remote_requests_equal_per_tuple_loop(self, mode):
+        """Through ``RemoteEmbedder``, the embedding requests are those of the per-tuple loop."""
+        texts = [  # each text holds part texts the source and earlier texts lack
+            "The lexer runs. The lexer stops. The parser stops.",
+            "The lexer emits tokens. A lexer state holds The lexer. The stack emits tokens.",
+            "The lexer runs. Each module emits a warning. The lexer emits a warning.",
+        ]
+
+        def run(match):
+            hasher = HashedEmbedder(dims=32)
+            inputs = []
+
+            def transport(url, body, headers):
+                inputs.append(body["input"])
+                rows = hasher.embed(body["input"]).tolist()
+                return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+
+            embedder = RemoteEmbedder("m", transport=transport)
+            source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+            inputs.clear()
+            matches = [match(extract_clauses(t), source, embedder) for t in texts]
+            return inputs, matches
+
+        inputs, matches = run(match_clauses)
+        want_inputs, want_matches = run(reference_match_clauses)
+        assert len(inputs) == len(want_inputs) == len(texts)
+        assert inputs == want_inputs
+        assert matches == want_matches
+
+
+def reference_match_clauses(ai: list[Clause], source, embedder) -> list[ClauseMatch]:
+    """Reference matcher: one embedded row and one matvec per part of every unseen tuple."""
+    if not ai:
+        return []
+    keys = [tuple(part(c) for part in source.parts) for c in ai]
+    unseen = [k for k in dict.fromkeys(keys) if k not in source.best]
+    if unseen:
+        vectors = iter(embedder.embed([t for k in unseen for t in k if t.strip()]))
+        for texts in unseen:
+            sims = sum(
+                mat @ next(vectors) if text.strip() else empty
+                for text, mat, empty in zip(texts, source.matrices, source.empty)
+            )
+            source.best[texts] = source.index.rank(sims / len(texts), 1)[0]
+    return [ClauseMatch(c, source.best[k][0], clamp01(source.best[k][1])) for c, k in zip(ai, keys)]
+
+
+# Small pools, so distinct clauses share subjects, predicates and objects,
+# objects are often empty, and a text can be both a subject and an object.
+SHARED_SUBJECTS = ("The parser", "A stack frame", "Each module", "The stack", "Every symbol")
+SHARED_VERBS = ("reads", "holds", "runs", "grows", "is", "has been", "stops")
+SHARED_OBJECTS = ("", "", "", "one token at a time", "the local bindings", "The parser", "The stack", "zebra")
+shared_part_sentences = st.builds(
+    lambda s, v, o: f"{s} {v} {o}".rstrip() + ".",
+    st.sampled_from(SHARED_SUBJECTS), st.sampled_from(SHARED_VERBS), st.sampled_from(SHARED_OBJECTS),
+)
+shared_part_explanations = st.lists(shared_part_sentences, min_size=1, max_size=12).map(" ".join)
+
+
+class TestMatchClausesDifferential:
+    """``match_clauses`` returns exactly what the per-tuple reference loop returns."""
+
+    @given(st.sampled_from(MODES), st.lists(shared_part_explanations, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_tuple_loop(self, mode, texts):
+        embedder = HashedEmbedder(dims=32)
+        source_texts = [SOURCE_TEXT, OBJECTLESS_TEXT]
+        source = build_source_index(source_texts, embedder, mode)
+        reference = build_source_index(source_texts, embedder, mode)
+        for text in texts:
+            clauses = extract_clauses(text)
+            got = match_clauses(clauses, source, embedder)
+            want = reference_match_clauses(clauses, reference, embedder)
+            assert [(m.ai_clause, m.best_source_clause_id, m.similarity) for m in got] == [
+                (m.ai_clause, m.best_source_clause_id, m.similarity) for m in want
+            ]
+        assert source.best == reference.best
 
 
 class TestScores:

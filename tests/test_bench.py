@@ -525,6 +525,12 @@ GOLDEN_DIGESTS = {
     "analysis.json": "57df536f45d6364cc2abd29e95e834dd6449ffc4ca9681ca4c2ba5e1ec5cd12b",
     "report.csv": "ee0d5f85ffc9dd72834d9dc0094a5c80a608f7217e596f9bbb5a49085bed634f",
 }
+# The same run with ``[adherence] matching = component_weighted``.
+COMPONENT_WEIGHTED_DIGESTS = {
+    "items.jsonl": "86b01ea8dd521a979f6228dc56520e9ff752ccb5f60340ef8b2684f34bbdc48e",
+    "analysis.json": "04eeb89e12b67ab76bb211d2a4d97f1a0a54df4242145068a18e2c2a96d16fe2",
+    "report.csv": "d12c799243073a635735b7d737d54ead639cff6b458ff1d5ea8ea62b12690f9f",
+}
 
 
 class TestGoldenDigest:
@@ -545,6 +551,20 @@ class TestGoldenDigest:
             assert hashlib.sha256(first[name]).hexdigest() == digest, name
         rows = [json.loads(line) for line in first["explanations.jsonl"].splitlines()]
         assert {r["created_at"] for r in rows} == {"1970-01-01T00:00:00Z"}
+
+    def test_component_weighted_run_is_pinned(self, golden_dir, tmp_path):
+        text = (golden_dir / "config.ini").read_text()
+        assert "matching = whole_clause" in text
+        (tmp_path / "config.ini").write_text(
+            text.replace("matching = whole_clause", "matching = component_weighted")
+        )
+        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
+            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+        cfg = load_config(tmp_path / "config.ini")
+        assert cfg.matching == "component_weighted"
+        assert run_experiment(cfg).failed == 0
+        for name, digest in COMPONENT_WEIGHTED_DIGESTS.items():
+            assert hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 RUN_AND_LIST_MODULES = """
