@@ -8,7 +8,9 @@ generator config to extract with a real LLM.
 
 from pathlib import Path
 
-from coi_rag import HashedEmbedder, ScriptedGenerator, build_bank, chunk, read_document
+from coi_rag import (
+    HashedEmbedder, QuestionBank, ScriptedGenerator, build_bank, chunk, read_document,
+)
 from coi_rag.question_bank import extract_qas
 from coi_rag.templates import QA_EXTRACTION_TEMPLATE
 
@@ -29,7 +31,7 @@ for question, answer in extract_qas(paragraph, generator):
 
 doc = read_document(FIXTURE / "vex_book.txt", doc_id="vex")
 chunks = chunk(doc)
-bank = build_bank(chunks, generator, HashedEmbedder(256), tag="vex")
+bank = QuestionBank(build_bank(chunks, generator, tag="vex"), HashedEmbedder(256))
 print(f"\nbank built from {len(chunks)} chunks: {len(bank)} implicit questions")
 for q in bank.questions[:3]:
     print(f"  [{q.source_chunk_id}] {q.question}")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from coi_rag import (
     HashedEmbedder,
+    QuestionBank,
     QuestionRecord,
     ScriptedGenerator,
     build_bank,
@@ -26,8 +27,10 @@ embedder = HashedEmbedder(256)
 doc = read_document(FIXTURE / "vex_book.txt", doc_id="vex")
 chunks = chunk(doc)
 chunk_index = build_index([(c.id, c.text, c) for c in chunks], embedder)
-bank = build_bank(chunks, ScriptedGenerator(model_id="stub", behavior="qa_stub"),
-                  embedder, tag="vex")
+bank = QuestionBank(
+    build_bank(chunks, ScriptedGenerator(model_id="stub", behavior="qa_stub"), tag="vex"),
+    embedder,
+)
 
 primary = QuestionRecord(
     id="demo", tag="vex",

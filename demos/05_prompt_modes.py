@@ -12,6 +12,7 @@ from coi_rag import (
     DECODING,
     HashedEmbedder,
     IllocutionPlan,
+    QuestionBank,
     QuestionRecord,
     ScriptedGenerator,
     assemble_genai,
@@ -31,8 +32,10 @@ embedder = HashedEmbedder(256)
 doc = read_document(FIXTURE / "vex_book.txt", doc_id="vex", title=TITLE)
 chunks = chunk(doc)
 index = build_index([(c.id, c.text, c) for c in chunks], embedder)
-bank = build_bank(chunks, ScriptedGenerator(model_id="stub", behavior="qa_stub"),
-                  embedder, tag="vex")
+bank = QuestionBank(
+    build_bank(chunks, ScriptedGenerator(model_id="stub", behavior="qa_stub"), tag="vex"),
+    embedder,
+)
 
 q = QuestionRecord(
     id="demo", tag="vex",

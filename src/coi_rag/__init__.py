@@ -28,7 +28,6 @@ from .planner import (
     CandidateQuestion,
     IllocutionPlan,
     SelectedQuestion,
-    flag_primary_overlap,
     plan,
     pool_ratio_check,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "extract_clauses",
     "extract_qas",
     "factscore",
-    "flag_primary_overlap",
     "generate",
     "match_clauses",
     "mean_similarity",

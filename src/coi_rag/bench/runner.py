@@ -26,11 +26,11 @@ from pathlib import Path
 
 from .. import planner as planner_mod
 from ..adherence import build_source_index, evaluate_text
-from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..corpus import chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import DECODING, CallCache, ProviderError, RemoteEmbedder
-from ..question_bank import QuestionBank, build_bank
+from ..question_bank import QuestionBank, build_bank, save_bank
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from ..vector_index import VectorIndex, build_index
 from .config import ExperimentConfig
@@ -153,18 +153,17 @@ def _load_chunk_index(ctx: StageContext, tag: str) -> VectorIndex:
 
 
 def stage_build_bank(ctx: StageContext) -> None:
-    """Extract implicit questions from every chunk of every corpus (rag_coi runs only)."""
+    """Write every corpus's implicit questions, none without a bank generator (rag_coi only).
+
+    Nothing is embedded here: the plan stage indexes the banks it searches.
+    """
     if "rag_coi" not in ctx.cfg.modes:
         return
-    if not ctx.cfg.bank_model:
-        for spec in ctx.cfg.corpora:
-            write_jsonl(ctx.out / f"bank.{spec.tag}.jsonl", [])
-        return
-    generator = ctx.generator(ctx.cfg.bank_model)
+    generator = ctx.generator(ctx.cfg.bank_model) if ctx.cfg.bank_model else None
     for spec in ctx.cfg.corpora:
         chunks = chunks_from_jsonl(ctx.out / f"chunks.{spec.tag}.jsonl")
-        bank = build_bank(chunks, generator, ctx.embedder, tag=spec.tag)
-        bank.save(ctx.out / f"bank.{spec.tag}.jsonl")
+        questions = build_bank(chunks, generator, tag=spec.tag) if generator else []
+        save_bank(questions, ctx.out / f"bank.{spec.tag}.jsonl")
 
 
 def stage_plan(ctx: StageContext) -> None:
@@ -178,9 +177,8 @@ def stage_plan(ctx: StageContext) -> None:
         tag: QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
         for tag in sorted(ctx.cfg.tags)
     }
-    plans = []
-    for q in questions:
-        p = planner_mod.plan(
+    plans = [
+        planner_mod.plan(
             q,
             banks[q.tag],
             indexes[q.tag],
@@ -188,15 +186,10 @@ def stage_plan(ctx: StageContext) -> None:
             pool_size=ctx.cfg.pool_size,
             per_question_chunks=ctx.cfg.per_question_chunks,
             keep=ctx.cfg.keep_questions,
-        )
-        primary = _primary_chunks(ctx, indexes[q.tag], q)
-        plans.append(planner_mod.flag_primary_overlap(p, primary).to_json())
+        ).to_json()
+        for q in questions
+    ]
     write_jsonl(ctx.out / "plans.jsonl", plans)
-
-
-def _primary_chunks(ctx: StageContext, index: VectorIndex, q: QuestionRecord) -> list[Chunk]:
-    vec = ctx.embedder.embed([q.query_text()])[0]
-    return [index.payload(key) for key, _ in index.top_k(vec, ctx.cfg.per_question_chunks)]
 
 
 def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
@@ -216,7 +209,11 @@ def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str,
 
 
 def stage_answer(ctx: StageContext) -> None:
-    """Generate one explanation per (question, model, mode)."""
+    """Generate one explanation per (question, model, mode).
+
+    A provider failure while embedding a question's query fails that
+    question's rag and rag_coi items, their ``error`` prefixed ``embed:``.
+    """
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
     plans = _load_plans(ctx, questions) if "rag_coi" in ctx.cfg.modes else {}
     indexes = {}
@@ -229,7 +226,16 @@ def stage_answer(ctx: StageContext) -> None:
     rows = []
     for q in questions:
         title = ctx.cfg.corpus(q.tag).title
-        primary = _primary_chunks(ctx, indexes[q.tag], q) if indexes else []
+        primary, embed_error = [], None
+        if indexes:
+            index = indexes[q.tag]
+            try:
+                vec = ctx.embedder.embed([q.query_text()])[0]
+            except ProviderError as exc:
+                embed_error = f"embed: {exc}"
+            else:
+                hits = index.top_k(vec, ctx.cfg.per_question_chunks)
+                primary = [index.payload(key) for key, _ in hits]
         for model_name, generator in generators.items():
             for mode in ctx.cfg.modes:
                 rec = {
@@ -238,13 +244,16 @@ def stage_answer(ctx: StageContext) -> None:
                     "model": model_name,
                     "mode": mode,
                 }
+                if mode != "genai" and embed_error:
+                    rows.append({**rec, "error": embed_error})
+                    continue
                 try:
                     if mode == "genai":
                         bundle = assemble_genai(q)
                     elif mode == "rag":
                         bundle = assemble_rag(q, title, primary)
                     else:
-                        plan = IllocutionPlan.from_json(plans[q.id], q, indexes[q.tag].payload)
+                        plan = IllocutionPlan.from_json(plans[q.id], q, index.payload)
                         bundle = assemble_rag_coi(q, title, primary, plan)
                     result = generate(bundle, generator)
                 except (ProviderError, ValueError) as exc:

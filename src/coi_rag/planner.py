@@ -4,8 +4,10 @@ Given a primary question, the planner over-generates a candidate pool of
 implicit questions (bank retrieval plus "What is {X}?" templates), fetches
 supporting chunks for each, deduplicates chunks so each belongs to exactly
 one candidate, and keeps the best few candidates as the explanatory
-scaffold for prompt assembly. ``IllocutionPlan.to_json``/``from_json`` own
-the plan format that ``plans.jsonl`` stores.
+scaffold for prompt assembly. One embedding of the primary query serves
+the bank search and the primary question's own chunk retrieval, whose
+overlap with the scaffold the plan records. ``IllocutionPlan.to_json``/
+``from_json`` own the plan format that ``plans.jsonl`` stores.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def plan(
     to ``per_question_chunks`` chunks per candidate; (4) assign each chunk
     only to the candidate scoring it highest (ties favor earlier pool
     order), dropping candidates left chunkless; (5) rank survivors by best
-    remaining chunk score and keep the top ``keep``.
+    remaining chunk score and keep the top ``keep``; (6) record, sorted, the
+    kept chunk ids that are also among the primary query text's own top
+    ``per_question_chunks`` chunks as ``primary_overlap_ids``.
 
     With an empty bank and no template labels the plan is empty and
     downstream generation degrades to plain retrieval.
@@ -130,13 +134,16 @@ def plan(
     if len(chunk_index) == 0:
         raise ValueError("chunk index is empty")
 
+    query_vec = embedder.embed([primary.query_text()])[0]
+    primary_ids = {cid for cid, _ in chunk_index.top_k(query_vec, per_question_chunks)}
+
     # Step 1: candidate pool from the bank; vectors[i] embeds candidates[i].
     candidates: list[CandidateQuestion] = []
     vectors: list[np.ndarray] = []
     if len(bank) > 0:
-        query_vec = embedder.embed([primary.query_text()])[0]
         for qid, _score in bank.index.top_k(query_vec, pool_size):
-            candidates.append(CandidateQuestion(text=bank.by_id(qid).question, origin="bank"))
+            text = bank.index.payload(qid).question
+            candidates.append(CandidateQuestion(text=text, origin="bank"))
             vectors.append(bank.index.vector(qid))
 
     # Step 2: template questions augment the pool.
@@ -144,9 +151,6 @@ def plan(
     if template_texts:
         candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
         vectors.extend(embedder.embed(template_texts))
-
-    if not candidates:
-        return IllocutionPlan(primary=primary)
 
     # Step 3: per-candidate chunk retrieval.
     retrieved = [chunk_index.top_k(vec, per_question_chunks) for vec in vectors]
@@ -178,11 +182,8 @@ def plan(
                 chunks=tuple((chunk_index.payload(cid), s) for cid, s in hits),
             )
         )
-    return IllocutionPlan(primary=primary, selected=selected)
 
-
-def flag_primary_overlap(p: IllocutionPlan, primary_chunks: list[Chunk]) -> IllocutionPlan:
-    """Record which plan chunks also appear in the primary retrieval."""
-    primary_ids = {c.id for c in primary_chunks}
+    # Step 6: kept chunks the primary retrieval also returns.
+    p = IllocutionPlan(primary=primary, selected=selected)
     p.primary_overlap_ids = sorted(set(p.chunk_ids()) & primary_ids)
     return p

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 from .adherence import Clause, extract_clauses
 from .corpus import Chunk
-from .records import QuestionRecord, json_line, read_jsonl, write_jsonl
+from .records import QuestionRecord, read_jsonl, write_jsonl
 from .templates import QA_EXTRACTION_TEMPLATE, fill
 from .vector_index import VectorIndex, build_index
 
@@ -28,31 +27,25 @@ class ImplicitQuestion:
 
 
 class QuestionBank:
-    """Implicit questions plus a vector index over their texts."""
+    """Implicit questions plus a vector index over their texts (key: id, payload: question)."""
 
     def __init__(self, questions: list[ImplicitQuestion], embedder):
         self.questions = list(questions)
-        self._by_id = {q.id: q for q in self.questions}
-        if len(self._by_id) != len(self.questions):
-            raise ValueError("duplicate question ids in bank")
         self.index: VectorIndex | None = None
         if self.questions:
-            self.index = build_index(
-                [(q.id, q.question, q.id) for q in self.questions], embedder
-            )
+            self.index = build_index([(q.id, q.question, q) for q in self.questions], embedder)
 
     def __len__(self) -> int:
         return len(self.questions)
 
-    def by_id(self, qid: str) -> ImplicitQuestion:
-        return self._by_id[qid]
-
-    def save(self, bank_path: str | Path) -> None:
-        write_jsonl(bank_path, (asdict(q) for q in self.questions))
-
     @classmethod
     def load(cls, bank_path: str | Path, embedder) -> "QuestionBank":
         return cls([ImplicitQuestion(**rec) for rec in read_jsonl(bank_path)], embedder)
+
+
+def save_bank(questions: list[ImplicitQuestion], bank_path: str | Path) -> None:
+    """Write a bank file, one question per line, that :meth:`QuestionBank.load` reads."""
+    write_jsonl(bank_path, (asdict(q) for q in questions))
 
 
 def parse_qa_lines(response: str) -> tuple[list[tuple[str, str]], int]:
@@ -88,47 +81,19 @@ def extract_qas(paragraph: str, generator) -> list[tuple[str, str]]:
     return pairs
 
 
-def build_bank(
-    chunks: list[Chunk],
-    generator,
-    embedder,
-    tag: str = "",
-    checkpoint_path: str | Path | None = None,
-) -> QuestionBank:
-    """Extract implicit questions from every chunk and index them.
+def build_bank(chunks: list[Chunk], generator, tag: str = "") -> list[ImplicitQuestion]:
+    """Extract implicit questions from every chunk (a paragraph), unindexed.
 
-    A chunk plays the role of a paragraph. When ``checkpoint_path`` is
-    given, per-chunk results are appended there as they complete and
-    already-processed chunks are skipped on re-entry, so a long extraction
-    run can resume after a provider failure.
+    A rerun after a provider failure resumes from the generator's call
+    cache, which keys each reply by model and prompt.
     """
-    done: dict[str, list[dict]] = {}
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        for rec in read_jsonl(checkpoint_path):
-            done.setdefault(rec["source_chunk_id"], []).append(rec)
-
-    questions: list[ImplicitQuestion] = []
-    with open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else nullcontext() as ckpt:
-        for c in chunks:
-            if c.id in done:
-                for rec in done[c.id]:
-                    questions.append(ImplicitQuestion(**rec))
-                continue
-            pairs = extract_qas(c.text, generator)
-            for i, (q, a) in enumerate(pairs):
-                rec = {
-                    "id": f"{c.id}#q{i}",
-                    "question": q,
-                    "answer": a,
-                    "source_chunk_id": c.id,
-                    "tag": tag,
-                }
-                questions.append(ImplicitQuestion(**rec))
-                if ckpt:
-                    ckpt.write(json_line(rec))
-            if ckpt:
-                ckpt.flush()
-    return QuestionBank(questions, embedder)
+    return [
+        ImplicitQuestion(
+            id=f"{c.id}#q{i}", question=q, answer=a, source_chunk_id=c.id, tag=tag
+        )
+        for c in chunks
+        for i, (q, a) in enumerate(extract_qas(c.text, generator))
+    ]
 
 
 def template_questions(

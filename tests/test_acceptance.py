@@ -142,10 +142,11 @@ def test_criterion_3_planner_fidelity():
         scores = [s.best_score for s in p.selected]
         assert scores == sorted(scores, reverse=True)
 
-        want = reference_plan(
+        want, want_overlap = reference_plan(
             primary.query_text(), bank_texts, chunk_texts, embedder,
             25, 10, 5, template_questions(primary),
         )
+        assert p.primary_overlap_ids == want_overlap
         got = [
             (s.question.text, [c.id for c, _ in s.chunks], s.best_score)
             for s in p.selected

@@ -8,6 +8,7 @@ import re
 import sqlite3
 import subprocess
 import sys
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -19,7 +20,10 @@ from coi_rag.bench.cli import main as cli_main
 from coi_rag.bench.config import (
     SECTIONS, CorpusSpec, ExperimentConfig, ModelSpec, load_config,
 )
-from coi_rag.bench.runner import analyze_items, load_questions, make_context, run_experiment
+from coi_rag.bench.runner import (
+    analyze_items, load_questions, make_context, run_experiment, stage_answer,
+    stage_build_bank, stage_evaluate, stage_ingest, stage_plan,
+)
 from coi_rag.providers import (
     CACHE_FILE, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder, ScriptedGenerator,
     request_hash,
@@ -268,6 +272,24 @@ class TestConfig:
             assert set(table) <= documented.get(section, set()), section
 
 
+class TestReadme:
+    def test_library_snippet_runs(self, golden_dir, tmp_path):
+        """The README's python block runs against the golden book and prints three scores."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "book.txt").write_bytes((golden_dir / "vex_book.txt").read_bytes())
+        src = str(Path(coi_rag.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet], cwd=tmp_path, capture_output=True, text=True,
+            timeout=300, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        factscore, mean_similarity, adherent_count = proc.stdout.split()
+        assert 0.0 <= float(factscore) <= 1.0
+        assert 0.0 <= float(mean_similarity) <= 1.0
+        assert int(adherent_count) > 0
+
+
 @pytest.fixture
 def golden_cfg(golden_dir, tmp_path):
     cfg = load_config(golden_dir / "config.ini")
@@ -412,6 +434,48 @@ class TestRunner:
         item = json.loads(faulty[changed[0]])
         assert item["error"] == "embed: embedding service unavailable"
         assert "factscore" not in item
+
+    def test_query_embed_failure_fails_that_questions_retrieval_items(self, golden_cfg, tmp_path):
+        golden_cfg.modes = ["genai", "rag"]
+        run_experiment(golden_cfg)
+        healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        golden_cfg.output_dir = tmp_path / "faulty"
+        # Only the question's query text holds its title: the answer stage's
+        # retrieval for that question is the batch that fails.
+        failing = load_questions(golden_cfg.questions_path)[1]
+        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), failing.title)
+        report = run_experiment(golden_cfg, embedder=embedder)
+        assert report.failed == 2  # its rag item for each of the two models
+        faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        assert len(faulty) == len(healthy)
+        for before, after in zip(healthy, faulty):
+            item = json.loads(after)
+            if item["question_id"] == failing.id and item["mode"] == "rag":
+                assert item["error"] == "embed: embedding service unavailable"
+                assert "text" not in item
+            else:
+                assert after == before
+
+    def test_bank_stage_embeds_nothing_and_each_query_is_embedded_twice(
+        self, golden_cfg, spy_embedder
+    ):
+        ctx = make_context(golden_cfg, embedder=spy_embedder)
+        questions = load_questions(golden_cfg.questions_path)
+        embedded = []
+        try:  # analyze and report embed nothing
+            for stage in (stage_ingest, stage_build_bank, stage_plan, stage_answer, stage_evaluate):
+                start = len(spy_embedder.texts)
+                stage(ctx)
+                embedded.append(Counter(spy_embedder.texts[start:]))
+        finally:
+            ctx.cache.close()
+        _ingest, bank, plan, answer, _evaluate = embedded
+        assert bank == Counter()
+        assert (golden_cfg.output_dir / "bank.vex.jsonl").stat().st_size > 0
+        total = sum(embedded, Counter())
+        for q in questions:
+            text = q.query_text()
+            assert (plan[text], answer[text], total[text]) == (1, 1, 2), q.id
 
     def test_embed_failure_while_indexing_names_the_corpus(self, golden_cfg):
         golden_cfg.modes = ["genai"]  # the source index is then the first embedding
@@ -774,9 +838,17 @@ class TestCli:
         for stage in ("ingest", "build-bank", "plan", "answer", "evaluate",
                       "analyze", "report"):
             assert cli_main([stage, *args]) == 0
-        assert (tmp_path / "out" / "report.csv").exists()
-        analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        staged = tmp_path / "out"
+        analysis = json.loads((staged / "analysis.json").read_text())
         assert analysis["counts"]["failed"] == 0
+        for name, digest in GOLDEN_DIGESTS.items():
+            assert hashlib.sha256((staged / name).read_bytes()).hexdigest() == digest, name
+        cfg = load_config(golden_dir / "config.ini")
+        cfg.output_dir = tmp_path / "run" / "out"
+        cfg.cache_dir = tmp_path / "run" / "cache"
+        run_experiment(cfg)
+        for name in ("plans.jsonl", "bank.vex.jsonl", "bank.orm.jsonl"):
+            assert (staged / name).read_bytes() == (cfg.output_dir / name).read_bytes(), name
 
     def count_completions(self, monkeypatch) -> list[str]:
         calls = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coi_rag.corpus import Chunk
-from coi_rag.planner import IllocutionPlan, flag_primary_overlap, plan, pool_ratio_check
+from coi_rag.planner import IllocutionPlan, plan, pool_ratio_check
 from coi_rag.providers import HashedEmbedder
 from coi_rag.question_bank import ImplicitQuestion, QuestionBank, template_questions
 from coi_rag.records import QuestionRecord
@@ -115,21 +115,22 @@ class TestPlanCases:
             plan(record("a"), bank, cindex, hashed64, pool_size=3, keep=5)
 
     def test_overlap_flagging(self, hashed64):
+        # Each bank question owns one chunk; the primary text's single top
+        # chunk is c0, so only c0 is flagged.
         chunks, cindex, bank = make_setup(
             ["alpha beta gamma", "delta epsilon zeta"],
-            ["alpha beta?"],
+            ["alpha beta?", "delta epsilon?"],
             hashed64,
         )
         p = plan(record("alpha beta"), bank, cindex, hashed64,
-                 clause_extractor=lambda text: [])
-        flag_primary_overlap(p, [chunks[0]])
+                 per_question_chunks=1, clause_extractor=lambda text: [])
+        assert sorted(p.chunk_ids()) == ["c0", "c1"]
         assert p.primary_overlap_ids == ["c0"]
 
     def test_plan_json_round_trippable(self, hashed64):
         chunks, cindex, bank = make_setup(["alpha beta"], ["alpha?"], hashed64)
         primary = record("alpha")
         p = plan(primary, bank, cindex, hashed64, clause_extractor=lambda text: [])
-        flag_primary_overlap(p, [chunks[0]])
         blob = p.to_json()
         assert blob["primary_id"] == "p"
         assert blob["selected"][0]["chunks"][0]["id"] == "c0"
@@ -163,7 +164,7 @@ class TestPlanRandomizedAgainstReference:
                  per_question_chunks=k, keep=m)
 
         templates = template_questions(primary)
-        want = reference_plan(
+        want, want_overlap = reference_plan(
             primary.query_text(), bank_texts, chunk_texts, embedder, M, k, m, templates
         )
         got = [
@@ -173,6 +174,7 @@ class TestPlanRandomizedAgainstReference:
         assert [g[0] for g in got] == [w[0] for w in want]
         assert [g[1] for g in got] == [w[1] for w in want]
         np.testing.assert_allclose([g[2] for g in got], [w[2] for w in want], atol=1e-12)
+        assert p.primary_overlap_ids == want_overlap
 
         # invariants
         ids = p.chunk_ids()

@@ -1,22 +1,26 @@
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coi_rag.adherence import Clause
 from coi_rag.corpus import Chunk
-from coi_rag.providers import HashedEmbedder, ScriptedGenerator
+from coi_rag.providers import CallCache, ProviderError, RemoteGenerator, ScriptedGenerator
 from coi_rag.question_bank import (
     ImplicitQuestion,
     QuestionBank,
     build_bank,
     extract_qas,
     parse_qa_lines,
+    save_bank,
     template_questions,
 )
 from coi_rag.records import QuestionRecord
-from coi_rag.templates import QA_EXTRACTION_TEMPLATE
+from coi_rag.templates import QA_EXTRACTION_TEMPLATE, fill
 
 EXAMPLE_BLOCK = """- Who is Alice? An experienced hiker.
 - What did Alice do? Explored the Rocky Mountains.
@@ -86,18 +90,19 @@ class TestExtractQas:
 class TestBuildBank:
     def test_empty_chunks(self, hashed64):
         gen = ScriptedGenerator(model_id="gen", fn=lambda p: "- What? That.")
-        bank = build_bank([], gen, hashed64)
-        assert len(bank) == 0
-        assert bank.index is None
+        assert build_bank([], gen) == []
+        assert QuestionBank([], hashed64).index is None
 
-    def test_two_qas_per_chunk_over_three_chunks(self, hashed64):
+    def test_two_qas_per_chunk_over_three_chunks(self):
         gen = ScriptedGenerator(
             model_id="gen", fn=lambda p: "- What is one? First.\n- What is two? Second."
         )
         chunks = [make_chunk(i, f"text number {i}") for i in range(3)]
-        bank = build_bank(chunks, gen, hashed64, tag="demo")
-        assert len(bank) == 6
-        assert {q.source_chunk_id for q in bank.questions} == {"c0", "c1", "c2"}
+        questions = build_bank(chunks, gen, tag="demo")
+        assert len(questions) == 6
+        assert [q.id for q in questions[:2]] == ["c0#q0", "c0#q1"]
+        assert {q.source_chunk_id for q in questions} == {"c0", "c1", "c2"}
+        assert {q.tag for q in questions} == {"demo"}
 
     def test_index_cardinality_and_self_similarity(self, hashed64):
         gen = ScriptedGenerator(
@@ -105,35 +110,60 @@ class TestBuildBank:
             fn=lambda p: f"- What is {p.splitlines()[-1].split()[0]} about? Something.",
         )
         chunks = [make_chunk(i, f"theme{i} words here") for i in range(4)]
-        bank = build_bank(chunks, gen, hashed64)
+        bank = QuestionBank(build_bank(chunks, gen), hashed64)
         assert len(bank.index) == len(bank)
         for q in bank.questions:
             key, score = bank.index.top_k(bank.index.vector(q.id), 1)[0]
             assert score == pytest.approx(1.0, abs=1e-9)
 
-    def test_checkpoint_resume_skips_done_chunks(self, hashed64, tmp_path):
-        calls = {"n": 0}
+    def test_rerun_after_provider_failure_resumes_from_call_cache(self, tmp_path):
+        chunks = [make_chunk(i, f"chunk {i} body") for i in range(5)]
+        prompts = [fill(QA_EXTRACTION_TEMPLATE, sentence=c.text) for c in chunks]
 
-        def gen_fn(p: str) -> str:
-            calls["n"] += 1
-            return "- What is it? A thing."
+        def transport(fail_on: str | None = None):
+            sent = []
 
-        gen = ScriptedGenerator(model_id="gen", fn=gen_fn)
-        chunks = [make_chunk(i, f"chunk {i} body") for i in range(3)]
-        ckpt = tmp_path / "bank.ckpt.jsonl"
-        bank1 = build_bank(chunks, gen, hashed64, checkpoint_path=ckpt)
-        assert calls["n"] == 3
-        bank2 = build_bank(chunks, gen, hashed64, checkpoint_path=ckpt)
-        assert calls["n"] == 3  # nothing re-extracted
-        assert [q.id for q in bank2.questions] == [q.id for q in bank1.questions]
+            def post(url, body, headers):
+                prompt = body["messages"][0]["content"]
+                if prompt == fail_on:
+                    response = requests.Response()
+                    response.status_code = 401
+                    raise requests.HTTPError("401 from server", response=response)
+                sent.append(prompt)
+                word = prompt.split()[-2]  # each chunk's number
+                return {"choices": [{"message": {"content": f"- What is {word}? A thing."}}]}
+
+            return post, sent
+
+        def run(cache_dir, post):
+            with closing(CallCache(cache_dir)) as cache:
+                gen = RemoteGenerator("m", cache=cache, transport=post, backoff=0.0)
+                return build_bank(chunks, gen, tag="t")
+
+        failing, sent = transport(fail_on=prompts[2])
+        with pytest.raises(ProviderError, match="401"):
+            run(tmp_path / "cache", failing)
+        assert sent == prompts[:2]
+
+        healthy, sent = transport()
+        resumed = run(tmp_path / "cache", healthy)
+        assert sent == prompts[2:]
+
+        fresh, _ = transport()
+        assert resumed == run(tmp_path / "fresh", fresh)
+        assert [q.question for q in resumed] == [f"What is {i}?" for i in range(5)]
+
+    def test_duplicate_ids_rejected(self, hashed64):
+        q = ImplicitQuestion("q0", "What is it?", "a", "c0", "t")
+        with pytest.raises(ValueError, match="unique"):
+            QuestionBank([q, q], hashed64)
 
     def test_save_load_round_trip(self, hashed64, tmp_path):
         qs = [
             ImplicitQuestion(f"q{i}", f"What is item {i}?", f"a{i}", "c0", "t")
             for i in range(3)
         ]
-        bank = QuestionBank(qs, hashed64)
-        bank.save(tmp_path / "bank.jsonl")
+        save_bank(qs, tmp_path / "bank.jsonl")
         loaded = QuestionBank.load(tmp_path / "bank.jsonl", hashed64)
         assert loaded.questions == qs
 
