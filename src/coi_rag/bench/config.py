@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ValueError(f"bootstrap_samples must be >= 1, got {self.bootstrap_samples}")
         if self.embedder_kind not in ("hashed", "remote"):
             raise ValueError(f"unknown embedder kind: {self.embedder_kind}")
+        if self.embedder_dims < 1:
+            raise ValueError(f"embedder dims must be >= 1, got {self.embedder_dims}")
         if not self.corpora:
             raise ValueError("at least one corpus is required")
         self._model_by_name = {m.name: m for m in self.models}
@@ -154,6 +156,7 @@ class ExperimentConfig:
             api_key_env=self.embedder_api_key_env,
             cache=cache,
             transport=transport,
+            dims=self.embedder_dims,
         )
 
 

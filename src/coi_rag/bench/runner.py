@@ -29,7 +29,7 @@ from ..adherence import build_source_index, evaluate_text
 from ..corpus import chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
-from ..providers import DECODING, CallCache, ProviderError, RemoteEmbedder
+from ..providers import DECODING, CallCache, ProviderError
 from ..question_bank import QuestionBank, build_bank, save_bank
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
 from ..vector_index import VectorIndex, build_index
@@ -145,8 +145,6 @@ def stage_ingest(ctx: StageContext) -> None:
 
 def _load_chunk_index(ctx: StageContext, tag: str) -> VectorIndex:
     index = VectorIndex.load(ctx.out / f"chunk_index.{tag}.jsonl")
-    if isinstance(ctx.embedder, RemoteEmbedder) and ctx.embedder.dims is None:
-        ctx.embedder.dims = index.dims  # so an off-length cached query is fetched again
     chunks = {c.id: c for c in chunks_from_jsonl(ctx.out / f"chunks.{tag}.jsonl")}
     index.payloads = [chunks[k] for k in index.keys]
     return index
@@ -167,7 +165,11 @@ def stage_build_bank(ctx: StageContext) -> None:
 
 
 def stage_plan(ctx: StageContext) -> None:
-    """Write one illocution plan per question (rag_coi runs only)."""
+    """Write one illocution plan per question (rag_coi runs only).
+
+    A provider failure while planning a question writes
+    ``{"primary_id": ..., "error": "plan: ..."}`` in place of its plan.
+    """
     if "rag_coi" not in ctx.cfg.modes:
         write_jsonl(ctx.out / "plans.jsonl", [])
         return
@@ -177,23 +179,26 @@ def stage_plan(ctx: StageContext) -> None:
         tag: QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
         for tag in sorted(ctx.cfg.tags)
     }
-    plans = [
-        planner_mod.plan(
-            q,
-            banks[q.tag],
-            indexes[q.tag],
-            ctx.embedder,
-            pool_size=ctx.cfg.pool_size,
-            per_question_chunks=ctx.cfg.per_question_chunks,
-            keep=ctx.cfg.keep_questions,
-        ).to_json()
-        for q in questions
-    ]
+    plans = []
+    for q in questions:
+        try:
+            plan = planner_mod.plan(
+                q,
+                banks[q.tag],
+                indexes[q.tag],
+                ctx.embedder,
+                pool_size=ctx.cfg.pool_size,
+                per_question_chunks=ctx.cfg.per_question_chunks,
+                keep=ctx.cfg.keep_questions,
+            ).to_json()
+        except ProviderError as exc:
+            plan = {"primary_id": q.id, "error": f"plan: {exc}"}
+        plans.append(plan)
     write_jsonl(ctx.out / "plans.jsonl", plans)
 
 
 def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
-    """The plan record of every question, by question id."""
+    """The plan record of every question, by question id; a failed plan holds an ``error``."""
     path = ctx.out / "plans.jsonl"
     if not path.exists():
         raise FileNotFoundError(
@@ -212,7 +217,9 @@ def stage_answer(ctx: StageContext) -> None:
     """Generate one explanation per (question, model, mode).
 
     A provider failure while embedding a question's query fails that
-    question's rag and rag_coi items, their ``error`` prefixed ``embed:``.
+    question's rag and rag_coi items, their ``error`` prefixed ``embed:``;
+    a question whose plan failed gets its plan's ``error`` on its rag_coi
+    items.
     """
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
     plans = _load_plans(ctx, questions) if "rag_coi" in ctx.cfg.modes else {}
@@ -246,6 +253,9 @@ def stage_answer(ctx: StageContext) -> None:
                 }
                 if mode != "genai" and embed_error:
                     rows.append({**rec, "error": embed_error})
+                    continue
+                if mode == "rag_coi" and "error" in plans[q.id]:
+                    rows.append({**rec, "error": plans[q.id]["error"]})
                     continue
                 try:
                     if mode == "genai":
@@ -461,9 +471,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run every stage end to end and write the manifest.
 
-    A provider failure while answering or scoring one item does not abort
-    the run; the affected items carry an error record and the report flags
-    the run as partial. Only a failure to index a corpus for scoring does.
+    A provider failure while planning, answering or scoring one item does
+    not abort the run; the affected items carry an error record and the
+    report flags the run as partial. Only a failure to index a corpus for
+    scoring does.
     The call cache the run opened is closed when it ends.
     """
     ctx = make_context(cfg, embedder=embedder, transports=transports)

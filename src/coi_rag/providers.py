@@ -278,37 +278,38 @@ class HashedEmbedder:
         return v
 
 
-def _embedding_rows(response: dict, count: int) -> list[list[float]]:
+def _embedding_rows(response: dict, count: int, dims: int) -> list[list[float]]:
     """The ``count`` embeddings of a reply, in the order of their ``index``.
 
-    A reply with another number of rows, a missing or repeated index, rows
-    of different lengths, or an all-zero row is an error, so nothing from
-    it reaches the cache.
+    A reply with another number of rows, a missing or repeated index, a
+    row whose length is not ``dims``, or an all-zero row is an error, so
+    nothing from it reaches the cache.
     """
     data = response["data"]
     rows = {item["index"]: item["embedding"] for item in data}
     if len(data) != count or sorted(rows) != list(range(count)):
         raise ProviderError(f"embedding reply does not index its {count} inputs once each")
     ordered = [rows[i] for i in range(count)]
-    if len({len(row) for row in ordered}) > 1:
-        raise ProviderError("embedding reply rows differ in length")
+    for row in ordered:
+        if len(row) != dims:
+            raise ProviderError(f"embedding row has length {len(row)}, not {dims} ([embedder] dims)")
     if not all(any(row) for row in ordered):
         raise ProviderError("embedding service returned a zero vector")
     return ordered
 
 
-def _cached_vector(payload) -> np.ndarray | None:
+def _cached_vector(payload, dims: int) -> np.ndarray | None:
     """The vector of an embedding cache entry; None for a missing or malformed one.
 
-    Well formed is ``{"data": [{"embedding": [number, ...]}]}`` with at
-    least one number. Anything else counts as a miss, so the text is
-    fetched again and its entry overwritten.
+    Well formed is ``{"data": [{"embedding": [number, ...]}]}`` with
+    ``dims`` numbers, not all zero. Anything else counts as a miss, so the
+    text is fetched again and its entry overwritten.
     """
     try:
         vector = np.array(payload["data"][0]["embedding"])
     except (KeyError, IndexError, TypeError, ValueError):
         return None
-    if vector.ndim != 1 or vector.size == 0 or vector.dtype.kind not in "iuf":
+    if vector.shape != (dims,) or vector.dtype.kind not in "iuf" or not vector.any():
         return None
     return vector.astype(float)
 
@@ -320,16 +321,16 @@ class RemoteEmbedder(RemoteProvider):
     per ``EMBED_BATCH`` of them. Every text keeps its own cache entry,
     keyed as a one-input request, and its vector is remembered by the
     instance once a call returns it, so a text is read from the cache or
-    the network at most once per embedder. ``dims`` is the length every
-    vector must have: None until the first call returns, which sets it, or
-    until a caller that knows it, such as one holding an index this model
-    built, sets it first. A cache entry of another length is malformed.
+    the network at most once per embedder. Every vector has length
+    ``dims``, the model's length as the experiment states it.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, dims: int, **kwargs):
+        if dims <= 0:
+            raise ValueError("dims must be positive")
         super().__init__(*args, **kwargs)
+        self.dims = dims
         self._vectors: dict[str, np.ndarray] = {}
-        self.dims: int | None = None
 
     def _key(self, text: str) -> str:
         return request_hash({"endpoint": "embeddings", "model": self.model_id, "input": [text]})
@@ -339,13 +340,9 @@ class RemoteEmbedder(RemoteProvider):
 
         An empty batch raises ``ValueError`` before any cache or network
         work; ``HashedEmbedder`` returns a ``(0, dims)`` array instead.
-        A cache entry whose length is not ``dims`` is fetched again and
-        overwritten, and a reply whose length is not ``dims`` raises
-        ``ProviderError`` and caches nothing. While ``dims`` is None, the
-        first reply sets the length, and cached entries of another length
-        are fetched again; when nothing is fetched but the cached entries
-        differ in length, they are all fetched again, since which of them
-        is off cannot be told.
+        Every vector must be a nonzero row of length ``dims``: a cache
+        entry that is not is fetched again and overwritten, and a reply
+        that is not raises ``ProviderError`` and caches nothing.
         """
         if not texts:
             raise ValueError("cannot embed an empty batch")
@@ -357,39 +354,25 @@ class RemoteEmbedder(RemoteProvider):
         for text in dict.fromkeys(texts):
             if text in self._vectors:
                 continue
-            vector = _cached_vector(self.cache.get(self._key(text))) if self.cache else None
-            if vector is None or self.dims not in (None, vector.size):
+            entry = self.cache.get(self._key(text)) if self.cache else None
+            vector = _cached_vector(entry, self.dims)
+            if vector is None:
                 missing.append(text)
             else:
                 found[text] = vector
-        length = self.dims
-        if length is None and len({v.size for v in found.values()}) > 1:
-            missing += found
-            found = {}
         while missing:
             batch, missing = missing[:EMBED_BATCH], missing[EMBED_BATCH:]
             rows = self._post(
                 "embeddings", {"model": self.model_id, "input": batch},
-                lambda response: _embedding_rows(response, len(batch)),
+                lambda response: _embedding_rows(response, len(batch), self.dims),
             )
-            if length is None:
-                length = len(rows[0])
-                missing += [t for t, v in found.items() if v.size != length]
-                found = {t: v for t, v in found.items() if v.size == length}
-            elif len(rows[0]) != length:
-                raise ProviderError(f"embedding reply rows have length {len(rows[0])}, not {length}")
             for text, row in zip(batch, rows):
                 if self.cache:
                     self.cache.put(self._key(text), {"data": [{"embedding": row}]})
                 found[text] = np.asarray(row, dtype=float)
-        vectors = [found[t] if t in found else self._vectors[t] for t in texts]
-        arr = np.stack(vectors)
-        norms = np.linalg.norm(arr, axis=1, keepdims=True)
-        if np.any(norms == 0):  # a cache entry is outside input too
-            raise ProviderError("embedding service returned a zero vector")
+        arr = np.stack([found[t] if t in found else self._vectors[t] for t in texts])
         self._vectors.update(found)
-        self.dims = arr.shape[1]
-        return arr / norms
+        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

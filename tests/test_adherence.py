@@ -200,7 +200,7 @@ class TestSourceClauseIndex:
             rows = hasher.embed(body["input"]).tolist()
             return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
 
-        embedder = RemoteEmbedder("m", transport=transport)
+        embedder = RemoteEmbedder("m", transport=transport, dims=64)
         batches = []
         embed = embedder.embed
         monkeypatch.setattr(embedder, "embed", lambda texts: batches.append(texts) or embed(texts))
@@ -357,7 +357,7 @@ class TestClauseScoreMemo:
                 rows = hasher.embed(body["input"]).tolist()
                 return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
 
-            embedder = RemoteEmbedder("m", transport=transport)
+            embedder = RemoteEmbedder("m", transport=transport, dims=32)
             source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
             inputs.clear()
             matches = [match(extract_clauses(t), source, embedder) for t in texts]

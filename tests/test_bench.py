@@ -171,6 +171,7 @@ class TestConfig:
             ("behavior = context_echo_short", "behavior = context_echo_shrot", "context_echo_shrot"),
             ("kind = scripted\nbehavior = qa_stub", "kind = scriptd\nbehavior = qa_stub", "scriptd"),
             ("kind = hashed", "kind = hashd", "hashd"),
+            ("dims = 256", "dims = 0", "dims must be >= 1"),
         ],
     )
     def test_value_failing_after_provider_calls_rejected_on_load(
@@ -246,6 +247,7 @@ class TestConfig:
             seed=11, cache_dir=tmp_path / "c", output_dir=tmp_path / "o",
         )
         assert load_config(p) == expected
+        assert expected.build_embedder().dims == 128
         # Every field is set away from its default, so no table row goes untested.
         for spec in (expected, model):
             for f in dataclasses.fields(spec):
@@ -452,6 +454,25 @@ class TestRunner:
             item = json.loads(after)
             if item["question_id"] == failing.id and item["mode"] == "rag":
                 assert item["error"] == "embed: embedding service unavailable"
+                assert "text" not in item
+            else:
+                assert after == before
+
+    def test_plan_embed_failure_fails_that_questions_rag_coi_items(self, golden_cfg, tmp_path):
+        run_experiment(golden_cfg)
+        healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        golden_cfg.output_dir = tmp_path / "faulty"
+        # The plan stage embeds the query first; the answer stage's embedding succeeds.
+        failing = load_questions(golden_cfg.questions_path)[1]
+        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), failing.title)
+        report = run_experiment(golden_cfg, embedder=embedder)
+        assert report.failed == 2  # its rag_coi item for each of the two models
+        faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+        assert len(faulty) == len(healthy)
+        for before, after in zip(healthy, faulty):
+            item = json.loads(after)
+            if item["question_id"] == failing.id and item["mode"] == "rag_coi":
+                assert item["error"] == "plan: embedding service unavailable"
                 assert "text" not in item
             else:
                 assert after == before
@@ -730,7 +751,7 @@ class TestCacheSoundness:
             cfg.output_dir, cfg.cache_dir = tmp_path / out, cache_dir
             cache = CallCache(cache_dir)
             try:
-                embedder = RemoteEmbedder("emb", cache=cache, transport=transport)
+                embedder = RemoteEmbedder("emb", cache=cache, transport=transport, dims=16)
                 report = run_experiment(cfg, embedder=embedder, transports={"mock-a": transport})
             finally:
                 cache.close()
@@ -768,8 +789,8 @@ class TestCacheSoundness:
         cache = CallCache(cfg.cache_dir)
         try:
             if stage is not None:
-                run_experiment(cfg, embedder=RemoteEmbedder("emb", cache=cache, transport=transport))
-            embedder = RemoteEmbedder("emb", cache=cache, transport=transport)
+                run_experiment(cfg, embedder=RemoteEmbedder("emb", cache=cache, transport=transport, dims=8))
+            embedder = RemoteEmbedder("emb", cache=cache, transport=transport, dims=8)
             short = [query]
             if stage == "plan":  # the banks are embedded first, and their entries agree in length
                 for bank in cfg.output_dir.glob("bank.*.jsonl"):

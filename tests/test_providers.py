@@ -238,7 +238,7 @@ class TestCacheKeys:
         cache = CallCache(tmp_path)
         key = request_hash({"endpoint": "embeddings", "model": "emb", "input": ["vex lists"]})
         cache.put(key, {"object": "list", "data": [{"index": 0, "embedding": [3.0, 4.0]}]})
-        emb = RemoteEmbedder("emb", cache=cache, transport=dead_transport)
+        emb = RemoteEmbedder("emb", cache=cache, transport=dead_transport, dims=2)
         np.testing.assert_allclose(emb.embed(["vex lists"]), [[0.6, 0.8]])
 
     def test_chat_entry_served_without_transport(self, tmp_path):
@@ -287,6 +287,8 @@ class TestMalformedCacheEntries:
             {"data": [{"embedding": [1.0, None]}]},
             {"data": [{"embedding": [[1.0], [2.0, 3.0]]}]},
             {"data": [{"embedding": [True, False]}]},
+            {"data": [{"embedding": [0.0] * 8}]},
+            {"data": [{"embedding": [3.0, 4.0]}]},
         ],
     )
     def test_embedding_entry_refetched_and_overwritten(self, tmp_path, entry):
@@ -295,11 +297,19 @@ class TestMalformedCacheEntries:
         cache.put(key, entry)
         server = EmbeddingServer()
         want = HashedEmbedder(dims=8).embed(TEXTS[:1])
-        np.testing.assert_array_equal(RemoteEmbedder("emb", cache=cache, transport=server).embed(TEXTS[:1]), want)
+        np.testing.assert_array_equal(remote(cache=cache, transport=server).embed(TEXTS[:1]), want)
         assert server.inputs == [TEXTS[:1]]
         assert cache.get(key) == {"data": [{"embedding": server.hasher.embed_raw(TEXTS[0]).tolist()}]}
-        warm = RemoteEmbedder("emb", cache=cache, transport=dead_transport)
+        warm = remote(cache=cache, transport=dead_transport)
         np.testing.assert_array_equal(warm.embed(TEXTS[:1]), want)
+
+
+EMBED_DIMS = 8  # the length of every row ``EmbeddingServer`` sends
+
+
+def remote(**kw) -> RemoteEmbedder:
+    """The embedder under test, at ``EmbeddingServer``'s length."""
+    return RemoteEmbedder("emb", dims=EMBED_DIMS, **kw)
 
 
 class EmbeddingServer:
@@ -310,7 +320,7 @@ class EmbeddingServer:
     """
 
     def __init__(self, *edits):
-        self.hasher = HashedEmbedder(dims=8)
+        self.hasher = HashedEmbedder(dims=EMBED_DIMS)
         self.inputs: list[list[str]] = []
         self.edits = list(edits)
 
@@ -332,19 +342,19 @@ TEXTS = ["vex lists grow", "a parser reads tokens", "the linker joins objects",
 class TestEmbeddingBatches:
     def test_one_request_for_all_misses(self):
         server = EmbeddingServer()
-        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        out = remote(transport=server).embed(TEXTS)
         assert server.inputs == [TEXTS]
         np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
 
     def test_duplicates_sent_once(self):
         server = EmbeddingServer()
-        out = RemoteEmbedder("emb", transport=server).embed(TEXTS[:2] + TEXTS[:1])
+        out = remote(transport=server).embed(TEXTS[:2] + TEXTS[:1])
         assert server.inputs == [TEXTS[:2]]
         np.testing.assert_array_equal(out[2], out[0])
 
     def test_rows_ordered_by_index(self):
         shuffled = EmbeddingServer(lambda data: [data[i] for i in (3, 0, 4, 2, 1)])
-        out = RemoteEmbedder("emb", transport=shuffled).embed(TEXTS)
+        out = remote(transport=shuffled).embed(TEXTS)
         np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
 
     @pytest.mark.parametrize(
@@ -359,7 +369,7 @@ class TestEmbeddingBatches:
         ids=["short", "long", "missing-index", "duplicate-index", "zero-row"],
     )
     def test_bad_reply_raises_and_caches_nothing(self, tmp_path, edit):
-        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer(edit))
+        emb = remote(cache=CallCache(tmp_path), transport=EmbeddingServer(edit))
         with pytest.raises(ProviderError):
             emb.embed(TEXTS)
         assert list(tmp_path.iterdir()) == []
@@ -367,51 +377,40 @@ class TestEmbeddingBatches:
     def test_ragged_reply_raises_and_caches_nothing(self, tmp_path):
         ragged = EmbeddingServer(lambda data: [dict(r, embedding=r["embedding"][:4]) if r["index"] == 2 else r for r in data])
         cache = CallCache(tmp_path)
-        with pytest.raises(ProviderError, match="differ in length"):
-            RemoteEmbedder("emb", cache=cache, transport=ragged).embed(TEXTS)
+        with pytest.raises(ProviderError, match=re.escape("length 4, not 8 ([embedder] dims)")):
+            remote(cache=cache, transport=ragged).embed(TEXTS)
         cache.close()
         assert list(tmp_path.iterdir()) == []
 
     def test_short_cache_entry_beside_fetched_rows_is_refetched(self, tmp_path):
         cache = CallCache(tmp_path)
-        key = RemoteEmbedder("emb")._key(TEXTS[0])
+        key = remote()._key(TEXTS[0])
         cache.put(key, {"data": [{"embedding": [3.0, 4.0]}]})
         server = EmbeddingServer()
-        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb = remote(cache=cache, transport=server)
         np.testing.assert_array_equal(emb.embed(TEXTS[:2]), HashedEmbedder(dims=8).embed(TEXTS[:2]))
-        assert server.inputs == [TEXTS[1:2], TEXTS[:1]]  # the reply set the length
+        assert server.inputs == [TEXTS[:2]]
         assert len(cache.get(key)["data"][0]["embedding"]) == 8
         cache.close()
 
-    def test_cached_entries_of_two_lengths_are_all_refetched(self, tmp_path):
+    def test_of_cached_entries_of_two_lengths_only_the_off_one_is_refetched(self, tmp_path):
         cache = CallCache(tmp_path)
-        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
+        cache.put(remote()._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
         for text in TEXTS[1:3]:
             row = HashedEmbedder(dims=8).embed_raw(text).tolist()
-            cache.put(RemoteEmbedder("emb")._key(text), {"data": [{"embedding": row}]})
+            cache.put(remote()._key(text), {"data": [{"embedding": row}]})
         server = EmbeddingServer()
-        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb = remote(cache=cache, transport=server)
         np.testing.assert_array_equal(emb.embed(TEXTS[:3]), HashedEmbedder(dims=8).embed(TEXTS[:3]))
-        assert server.inputs == [TEXTS[:3]]
-        assert emb.dims == 8
-        cache.close()
-
-    def test_preset_dims_refetch_a_lone_short_entry(self, tmp_path):
-        cache = CallCache(tmp_path)
-        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
-        server = EmbeddingServer()
-        emb = RemoteEmbedder("emb", cache=cache, transport=server)
-        emb.dims = 8
-        np.testing.assert_array_equal(emb.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
         assert server.inputs == [TEXTS[:1]]
         cache.close()
 
     def test_off_length_cache_entry_is_refetched_once_dims_are_known(self, tmp_path):
         cache = CallCache(tmp_path)
-        key = RemoteEmbedder("emb")._key(TEXTS[0])
+        key = remote()._key(TEXTS[0])
         cache.put(key, {"data": [{"embedding": [3.0, 4.0]}]})
         server = EmbeddingServer()
-        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb = remote(cache=cache, transport=server)
         emb.embed(TEXTS[1:])
         assert emb.dims == 8
         np.testing.assert_array_equal(emb.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
@@ -422,9 +421,9 @@ class TestEmbeddingBatches:
     def test_reply_of_another_length_raises_and_caches_nothing(self, tmp_path):
         cache = CallCache(tmp_path)
         server = EmbeddingServer(lambda data: data, lambda data: [dict(r, embedding=r["embedding"][:4]) for r in data])
-        emb = RemoteEmbedder("emb", cache=cache, transport=server)
+        emb = remote(cache=cache, transport=server)
         emb.embed(TEXTS[:1])
-        with pytest.raises(ProviderError, match="length 4, not 8"):
+        with pytest.raises(ProviderError, match=re.escape("length 4, not 8 ([embedder] dims)")):
             emb.embed(TEXTS[1:3])
         assert cache.get(emb._key(TEXTS[1])) is None and cache.get(emb._key(TEXTS[2])) is None
         np.testing.assert_array_equal(emb.embed(TEXTS[1:3]), HashedEmbedder(dims=8).embed(TEXTS[1:3]))
@@ -432,19 +431,18 @@ class TestEmbeddingBatches:
 
     def test_failed_call_remembers_nothing(self, tmp_path):
         cache = CallCache(tmp_path)
-        cache.put(RemoteEmbedder("emb")._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
-        emb = RemoteEmbedder("emb", cache=cache, transport=EmbeddingServer(lambda data: data[:-1]))
+        cache.put(remote()._key(TEXTS[0]), {"data": [{"embedding": [3.0, 4.0]}]})
+        emb = remote(cache=cache, transport=EmbeddingServer(lambda data: data[:-1]))
         with pytest.raises(ProviderError):
             emb.embed(TEXTS[:2])
-        assert emb.dims is None and emb._vectors == {}
+        assert emb._vectors == {}
         np.testing.assert_array_equal(emb.embed(TEXTS[:2]), HashedEmbedder(dims=8).embed(TEXTS[:2]))
-        assert emb.dims == 8
         cache.close()
 
     def test_split_at_batch_cap(self, monkeypatch):
         monkeypatch.setattr(providers, "EMBED_BATCH", 2)
         server = EmbeddingServer()
-        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        out = remote(transport=server).embed(TEXTS)
         assert server.inputs == [TEXTS[0:2], TEXTS[2:4], TEXTS[4:5]]
         np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
 
@@ -455,7 +453,7 @@ class TestEmbeddingBatches:
             raise http_error(503)
 
         server = EmbeddingServer(unavailable)
-        out = RemoteEmbedder("emb", transport=server).embed(TEXTS)
+        out = remote(transport=server).embed(TEXTS)
         assert server.inputs == [TEXTS, TEXTS]
         np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
 
@@ -463,30 +461,30 @@ class TestEmbeddingBatches:
         reads = []
         get = CallCache.get
         monkeypatch.setattr(CallCache, "get", lambda self, key: reads.append(key) or get(self, key))
-        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer())
+        emb = remote(cache=CallCache(tmp_path), transport=EmbeddingServer())
         emb.embed(TEXTS[:3])
         emb.embed(TEXTS[1:] + TEXTS[1:])
         emb.embed(TEXTS)
         assert sorted(reads) == sorted(emb._key(t) for t in TEXTS)
 
     def test_fresh_embedder_on_warm_cache_sends_nothing(self, tmp_path):
-        cold = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=EmbeddingServer())
+        cold = remote(cache=CallCache(tmp_path), transport=EmbeddingServer())
         first = cold.embed(TEXTS)
-        warm = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=dead_transport)
+        warm = remote(cache=CallCache(tmp_path), transport=dead_transport)
         np.testing.assert_array_equal(warm.embed(TEXTS[::-1]), first[::-1])
 
     def test_zero_reply_does_not_poison_the_cache(self, tmp_path):
         server = EmbeddingServer(lambda data: [dict(r, embedding=[0.0] * 8) for r in data])
         with pytest.raises(ProviderError, match="zero vector"):
-            RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=server).embed(TEXTS[:1])
-        fresh = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=server)
+            remote(cache=CallCache(tmp_path), transport=server).embed(TEXTS[:1])
+        fresh = remote(cache=CallCache(tmp_path), transport=server)
         np.testing.assert_array_equal(fresh.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
         assert len(server.inputs) == 2
 
 
     def test_empty_batch_raises_before_cache_or_network(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CallCache, "get", lambda self, key: pytest.fail("cache read"))
-        emb = RemoteEmbedder("emb", cache=CallCache(tmp_path), transport=dead_transport)
+        emb = remote(cache=CallCache(tmp_path), transport=dead_transport)
         with pytest.raises(ValueError, match="empty batch"):
             emb.embed([])
         assert HashedEmbedder(dims=8).embed([]).shape == (0, 8)

@@ -242,7 +242,7 @@ class TestRemoteEmbedder:
 
     def test_orders_and_normalizes(self):
         transport, calls = self.make_transport()
-        emb = RemoteEmbedder("m", transport=transport, backoff=0.0)
+        emb = RemoteEmbedder("m", transport=transport, backoff=0.0, dims=4)
         out = emb.embed(["aa", "bbbb"])
         assert out.shape == (2, 4)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), [1.0, 1.0])
@@ -251,13 +251,13 @@ class TestRemoteEmbedder:
 
     def test_retries_then_succeeds(self):
         transport, calls = self.make_transport(fail_times=2)
-        emb = RemoteEmbedder("m", transport=transport, backoff=0.0)
+        emb = RemoteEmbedder("m", transport=transport, backoff=0.0, dims=4)
         emb.embed(["hello"])
         assert calls["n"] == 3
 
     def test_provider_error_carries_attempts(self):
         transport, _ = self.make_transport(fail_times=99)
-        emb = RemoteEmbedder("m", transport=transport, retries=3, backoff=0.0)
+        emb = RemoteEmbedder("m", transport=transport, retries=3, backoff=0.0, dims=4)
         with pytest.raises(ProviderError) as exc:
             emb.embed(["hello"])
         assert exc.value.attempts == 3
@@ -265,7 +265,7 @@ class TestRemoteEmbedder:
     def test_cache_short_circuits_transport(self, tmp_path):
         transport, calls = self.make_transport()
         cache = CallCache(tmp_path / "cache")
-        emb = RemoteEmbedder("m", cache=cache, transport=transport, backoff=0.0)
+        emb = RemoteEmbedder("m", cache=cache, transport=transport, backoff=0.0, dims=4)
         first = emb.embed(["same text"])
         again = emb.embed(["same text"])
         assert calls["n"] == 1
