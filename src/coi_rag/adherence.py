@@ -9,9 +9,9 @@ and an adherent-clause count.
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
 ``match_clauses`` scores every mode with one loop, each distinct tuple
-of part texts once per source index, and each distinct part text once
-per call. ``evaluate_text`` extracts each distinct sentence once per
-source index.
+of part texts and each distinct part text once per call.
+``evaluate_text`` extracts and scores each distinct explanation
+sentence once per source index, and remembers the result on the index.
 """
 
 from __future__ import annotations
@@ -101,11 +101,7 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s.strip()]
 
 
-def extract_clauses(
-    text: str,
-    sentence_offset: int = 0,
-    memo: dict[str, tuple[str, str, str] | None] | None = None,
-) -> list[Clause]:
+def extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
     """Rule-based clause extraction.
 
     Per sentence: find the first verb-like token (closed-class lexicon plus
@@ -113,23 +109,18 @@ def extract_clauses(
     the tokens before it become the subject, the maximal run of verb-like
     tokens the predicate, and the remainder the object. Sentences with no
     such token yield no clause. A clause's ``sentence_index`` is its
-    sentence's position in ``text`` plus ``sentence_offset``. ``memo`` maps
-    each sentence already seen to its (subject, predicate, object), or None,
-    so a sentence is split into parts once per memo; without one, each call
-    uses a fresh memo. An LLM-backed extractor can replace this one anywhere
-    a ``clause_extractor`` callable is accepted; the output contract is the
+    sentence's position in ``text`` plus ``sentence_offset``. An
+    LLM-backed extractor can replace this one anywhere a
+    ``clause_extractor`` callable is accepted; the output contract is the
     same.
     """
-    return _clauses(split_sentences(text), sentence_offset, {} if memo is None else memo)
+    return _clauses(split_sentences(text), sentence_offset)
 
 
-def _clauses(sentences: list[str], offset: int, memo: dict) -> list[Clause]:
+def _clauses(sentences: list[str], offset: int) -> list[Clause]:
     clauses = []
     for si, sentence in enumerate(sentences):
-        if sentence in memo:
-            parts = memo[sentence]
-        else:
-            parts = memo[sentence] = _sentence_parts(sentence)
+        parts = _sentence_parts(sentence)
         if parts is not None:
             clauses.append(Clause(*parts, sentence_index=offset + si))
     return clauses
@@ -174,17 +165,12 @@ class SourceClauseIndex:
     Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: one
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
-    clauses and shares the first part's matrix. ``best`` memoises
-    ``match_clauses``: it maps each distinct tuple of an AI clause's part
-    texts to its best (key, raw score), so each tuple is ranked once per
-    index however many explanations repeat it. The tuples one call has
-    not seen share their part texts: each distinct (part, text) among
-    them is embedded and scored once per call, and no per-part score is
-    kept on the index.
-    ``extracted`` is the ``extract_clauses`` memo ``evaluate_text`` passes,
-    so each distinct explanation sentence is split into parts once per
-    index. Both memos live as long as the index, typically one evaluate
-    stage, and hold only what it scored.
+    clauses and shares the first part's matrix. ``scored`` is
+    ``evaluate_text``'s memo: it maps each explanation sentence scored
+    against this index to its (best source key, clamped similarity), or
+    to None when the sentence has no clause, so each distinct sentence is
+    extracted and matched once per index however many explanations repeat
+    it. It lives as long as the index, typically one evaluate stage.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -206,8 +192,7 @@ class SourceClauseIndex:
                 mat[nonempty] = embedder.embed([texts[i] for i in nonempty])
             self.matrices.append(mat)
         self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
-        self.best: dict[tuple[str, ...], tuple[str, float]] = {}
-        self.extracted: dict[str, tuple[str, str, str] | None] = {}
+        self.scored: dict[str, tuple[str, float] | None] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -219,7 +204,7 @@ def build_source_index(texts: Iterable[str], embedder, mode: str = "whole_clause
     offset = 0
     for text in texts:
         sentences = split_sentences(text)
-        clauses.extend(_clauses(sentences, offset, {}))
+        clauses.extend(_clauses(sentences, offset))
         offset += len(sentences)
     return SourceClauseIndex(clauses, embedder, mode)
 
@@ -239,28 +224,29 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     part matches an empty part with 1.0 and anything else with 0.0. For
     ``whole_clause`` that is the cosine between full "{subject}
     {predicate} {object}" renderings. ``VectorIndex.rank`` picks the
-    best source clause, so a tie goes to the smaller key. Each distinct
-    tuple of part texts is scored once per ``source``: only tuples that
-    ``source.best`` has not seen are ranked. Within one call, each distinct
-    non-empty (part, text) of those tuples is embedded and scored against
-    its part's matrix once, in order of first appearance; the part scores
-    are dropped when the call returns.
+    best source clause, so a tie goes to the smaller key. Within one
+    call, each distinct tuple of part texts is ranked once, and each
+    distinct non-empty (part, text) is embedded and scored against its
+    part's matrix once, in order of first appearance. Nothing is kept
+    between calls: ``evaluate_text`` remembers each sentence's result.
     """
     if not ai:
         return []
     keys = [tuple(part(c) for part in source.parts) for c in ai]
-    unseen = [k for k in dict.fromkeys(keys) if k not in source.best]
-    if unseen:  # the first part is never empty, so the embedded batch is not either
-        pairs = list(dict.fromkeys((p, t) for k in unseen for p, t in enumerate(k) if t.strip()))
-        vectors = embedder.embed([t for _, t in pairs])
-        scores = {(p, t): source.matrices[p] @ v for (p, t), v in zip(pairs, vectors, strict=True)}
-        for texts in unseen:
-            sims = sum(  # part by part, left to right: no BLAS reordering to flip a threshold
-                scores[p, t] if t.strip() else empty  # empty-vs-empty agrees
-                for p, (t, empty) in enumerate(zip(texts, source.empty))
-            )
-            source.best[texts] = source.index.rank(sims / len(texts), 1)[0]
-    return [ClauseMatch(c, source.best[k][0], clamp01(source.best[k][1])) for c, k in zip(ai, keys)]
+    distinct = list(dict.fromkeys(keys))
+    # The first part is never empty, so the embedded batch is not either.
+    pairs = list(dict.fromkeys((p, t) for k in distinct for p, t in enumerate(k) if t.strip()))
+    vectors = embedder.embed([t for _, t in pairs])
+    scores = {(p, t): source.matrices[p] @ v for (p, t), v in zip(pairs, vectors, strict=True)}
+    best = {}
+    for texts in distinct:
+        sims = sum(  # part by part, left to right: no BLAS reordering to flip a threshold
+            scores[p, t] if t.strip() else empty  # empty-vs-empty agrees
+            for p, (t, empty) in enumerate(zip(texts, source.empty))
+        )
+        key, score = source.index.rank(sims / len(texts), 1)[0]
+        best[texts] = key, clamp01(score)
+    return [ClauseMatch(c, *best[k]) for c, k in zip(ai, keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +309,37 @@ def evaluate_text(
     """Score one explanation against a source; None when unevaluable.
 
     The caller is expected to strip citation markers first so page
-    references do not distort similarity.
+    references do not distort similarity. Each sentence ``source.scored``
+    has not seen is extracted, and its clause, if any, matched in one
+    ``match_clauses`` call; the report is built from the similarities of
+    the text's clause sentences, in order.
     """
-    clauses = extract_clauses(text, memo=source.extracted)
-    if not clauses:
+    sentences = split_sentences(text)
+    scored = source.scored
+    unseen: dict[str, Clause] = {}
+    for si, sentence in enumerate(sentences):
+        if sentence in scored or sentence in unseen:
+            continue
+        parts = _sentence_parts(sentence)
+        if parts is None:
+            scored[sentence] = None
+        else:
+            unseen[sentence] = Clause(*parts, sentence_index=si)
+    if unseen:
+        matches = match_clauses(list(unseen.values()), source, embedder)
+        for sentence, m in zip(unseen, matches, strict=True):
+            scored[sentence] = m.best_source_clause_id, m.similarity
+    sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
+    if not sims:
         return None
-    matches = match_clauses(clauses, source, embedder)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    adherent = sum(1 for s in sims if s >= t)
     return AdherenceReport(
         threshold=t,
-        factscore=factscore(matches, t),
-        mean_similarity=mean_similarity(matches),
-        adherent_count=adherent_count(matches, t),
-        clause_count=len(matches),
+        factscore=adherent / len(sims),
+        mean_similarity=float(np.mean(sims)),
+        adherent_count=adherent,
+        clause_count=len(sims),
         word_count=len(text.split()),
     )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -34,6 +33,15 @@ def write_analysis(analysis: dict, path: Path) -> None:
         json.dumps(analysis, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
+
+
+def escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, then ``<`` and ``>``, escaped.
+
+    The replacements ``xml.sax.saxutils.escape`` makes, without importing
+    it: that module loads ``urllib.request``, ``http.client`` and ``email``.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x) -> str:

@@ -250,14 +250,17 @@ class HashedEmbedder:
     """Deterministic bag-of-words embedder.
 
     Each whitespace token is hashed (stable 64-bit digest) into one of
-    ``dims`` buckets; the count vector is L2-normalized. No network, no
-    state: the same text always maps to the same unit vector.
+    ``dims`` buckets; the count vector is L2-normalized. No network; the
+    only state is a per-instance memo of each token's bucket, so a token
+    is hashed once per embedder. The same text always maps to the same
+    unit vector.
     """
 
     def __init__(self, dims: int = 256):
         if dims <= 0:
             raise ValueError("dims must be positive")
         self.dims = dims
+        self._buckets: dict[str, int] = {}
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -272,46 +275,65 @@ class HashedEmbedder:
 
     def embed_raw(self, text: str) -> np.ndarray:
         """Unnormalized token-count vector; zero vector for empty text."""
-        v = np.zeros(self.dims)
+        buckets = self._buckets
+        ids = []
         for tok in text.split():
-            v[_token_bucket(tok, self.dims)] += 1.0
-        return v
+            bucket = buckets.get(tok)
+            if bucket is None:
+                bucket = buckets[tok] = _token_bucket(tok, self.dims)
+            ids.append(bucket)
+        return np.bincount(ids, minlength=self.dims).astype(float)
 
 
-def _embedding_rows(response: dict, count: int, dims: int) -> list[list[float]]:
-    """The ``count`` embeddings of a reply, in the order of their ``index``.
+def _embedding_rows(response: dict, count: int, dims: int) -> list[tuple[list, np.ndarray]]:
+    """The ``count`` (row, float vector) pairs of a reply, in the order of their ``index``.
 
     A reply with another number of rows, a missing or repeated index, a
-    row whose length is not ``dims``, or an all-zero row is an error, so
-    nothing from it reaches the cache.
+    row whose length is not ``dims``, a row that is not all finite real
+    numbers, or an all-zero row is an error, so nothing from it reaches
+    the cache.
     """
     data = response["data"]
     rows = {item["index"]: item["embedding"] for item in data}
     if len(data) != count or sorted(rows) != list(range(count)):
         raise ProviderError(f"embedding reply does not index its {count} inputs once each")
-    ordered = [rows[i] for i in range(count)]
-    for row in ordered:
+    ordered = []
+    for i in range(count):
+        row = rows[i]
         if len(row) != dims:
             raise ProviderError(f"embedding row has length {len(row)}, not {dims} ([embedder] dims)")
-    if not all(any(row) for row in ordered):
+        vector = _real_vector(row, dims)
+        if vector is None:
+            raise ProviderError(f"embedding row {i} is not all finite real numbers")
+        ordered.append((row, vector))
+    if not all(vector.any() for _, vector in ordered):
         raise ProviderError("embedding service returned a zero vector")
     return ordered
+
+
+def _real_vector(row, dims: int) -> np.ndarray | None:
+    """``row`` as a float vector if it is ``dims`` finite real numbers; else None."""
+    try:
+        vector = np.array(row)
+    except ValueError:  # a ragged row
+        return None
+    if vector.shape != (dims,) or vector.dtype.kind not in "iuf" or not np.isfinite(vector).all():
+        return None
+    return vector.astype(float, copy=False)
 
 
 def _cached_vector(payload, dims: int) -> np.ndarray | None:
     """The vector of an embedding cache entry; None for a missing or malformed one.
 
     Well formed is ``{"data": [{"embedding": [number, ...]}]}`` with
-    ``dims`` numbers, not all zero. Anything else counts as a miss, so the
-    text is fetched again and its entry overwritten.
+    ``dims`` finite numbers, not all zero. Anything else counts as a miss,
+    so the text is fetched again and its entry overwritten.
     """
     try:
-        vector = np.array(payload["data"][0]["embedding"])
-    except (KeyError, IndexError, TypeError, ValueError):
+        vector = _real_vector(payload["data"][0]["embedding"], dims)
+    except (KeyError, IndexError, TypeError):
         return None
-    if vector.shape != (dims,) or vector.dtype.kind not in "iuf" or not vector.any():
-        return None
-    return vector.astype(float)
+    return vector if vector is not None and vector.any() else None
 
 
 class RemoteEmbedder(RemoteProvider):
@@ -340,7 +362,7 @@ class RemoteEmbedder(RemoteProvider):
 
         An empty batch raises ``ValueError`` before any cache or network
         work; ``HashedEmbedder`` returns a ``(0, dims)`` array instead.
-        Every vector must be a nonzero row of length ``dims``: a cache
+        Every vector must be a nonzero row of ``dims`` finite numbers: a cache
         entry that is not is fetched again and overwritten, and a reply
         that is not raises ``ProviderError`` and caches nothing.
         """
@@ -366,10 +388,10 @@ class RemoteEmbedder(RemoteProvider):
                 "embeddings", {"model": self.model_id, "input": batch},
                 lambda response: _embedding_rows(response, len(batch), self.dims),
             )
-            for text, row in zip(batch, rows):
+            for text, (row, vector) in zip(batch, rows):
                 if self.cache:
                     self.cache.put(self._key(text), {"data": [{"embedding": row}]})
-                found[text] = np.asarray(row, dtype=float)
+                found[text] = vector
         arr = np.stack([found[t] if t in found else self._vectors[t] for t in texts])
         self._vectors.update(found)
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)

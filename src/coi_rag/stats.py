@@ -197,6 +197,13 @@ def _t_upper_tail(df: int, t: float) -> float:
     form 1/2 - I_{1-x}(1/2, df/2) / 2 converges faster and is used. x and
     1 - x are ratios of integers rounded once, and x^a is corrected to
     first order for x's rounding, which the power multiplies by a.
+
+    Accuracy is worst near |t| = 1.7-2, where both continued fractions
+    converge slowest, and falls about linearly with df. Against mpmath's
+    incomplete beta at 40 digits over |t| in 1.5-2.5, the relative error
+    is within 4e-14 up to df 200, 1.5e-13 up to df 1,000 and 3e-13 up to
+    df 2,000 (about 1e-10 at df 10^6). A run's df is its pair count
+    minus one: at most 89 at the paper's 90 questions.
     """
     num, den = abs(t).as_integer_ratio()
     x_num, y_num = df * den * den, num * num

@@ -135,30 +135,50 @@ token_soups = st.lists(tokens, min_size=3, max_size=40).map(" ".join)
 
 
 class TestExtractClausesDifferential:
-    """The string-strip extractor, with and without a memo, equals the regex one."""
+    """The string-strip extractor, directly and through ``evaluate_text``'s memo, equals the regex one."""
 
     @given(token_soups, st.integers(0, 50))
     @settings(max_examples=400, deadline=None)
     def test_equals_regex_reference(self, text, offset):
         want = reference_extract_clauses(text, offset)
         assert extract_clauses(text, offset) == want
-        memo: dict = {}
-        assert extract_clauses(text, offset, memo) == want
-        assert extract_clauses(text, offset, memo) == want  # every sentence now a hit
-        assert set(memo) == set(split_sentences(text))
+        embedder = HashedEmbedder(dims=32)
+        source = build_source_index([SOURCE_TEXT], embedder)
+        sentences = split_sentences(text)
+        first = evaluate_text(text, source, embedder)
+        assert (first.clause_count if first else 0) == len(want)
+        assert source.scored.keys() == set(sentences)
+        with_clause = {sentences[c.sentence_index - offset] for c in want}
+        assert {s for s, hit in source.scored.items() if hit is not None} == with_clause
+        assert evaluate_text(text, source, embedder) == first  # every sentence now a hit
 
-    @given(st.lists(token_soups, min_size=1, max_size=6), st.integers(0, 9))
+    @given(st.lists(token_soups, min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_memo_shared_across_texts(self, texts, offset):
-        memo: dict = {}
+    def test_memo_shared_across_texts(self, texts):
+        embedder = HashedEmbedder(dims=32)
+        shared = build_source_index([SOURCE_TEXT], embedder)
         for text in texts + texts[::-1]:
-            assert extract_clauses(text, offset, memo) == reference_extract_clauses(text, offset)
+            report = evaluate_text(text, shared, embedder)
+            assert (report.clause_count if report else 0) == len(reference_extract_clauses(text))
+            assert report == evaluate_text(text, build_source_index([SOURCE_TEXT], embedder), embedder)
 
-    def test_memo_holds_verbless_sentences_as_none(self):
-        memo: dict = {}
-        text = "Yes. The parser reads a token. Yes."
-        assert extract_clauses(text, 3, memo) == [Clause("The parser", "reads", "a token", 4)]
-        assert memo == {"Yes.": None, "The parser reads a token.": ("The parser", "reads", "a token")}
+    def test_memo_holds_verbless_sentences_as_none(self, source, hashed256, monkeypatch):
+        """A sentence with no clause is remembered as None and never reaches ``match_clauses``."""
+        from coi_rag import adherence
+
+        matched = []
+        match = adherence.match_clauses
+        monkeypatch.setattr(
+            adherence, "match_clauses", lambda ai, src, emb: matched.extend(ai) or match(ai, src, emb)
+        )
+        report = evaluate_text("Yes. The parser reads a token. Yes.", source, hashed256)
+        assert report.clause_count == 1
+        assert matched == [Clause("The parser", "reads", "a token", 1)]
+        assert source.scored["Yes."] is None
+        assert source.scored.keys() == {"Yes.", "The parser reads a token."}
+        assert evaluate_text("Yes. No.", source, hashed256) is None
+        assert source.scored["No."] is None
+        assert len(matched) == 1
 
     def test_evaluate_text_extracts_each_distinct_sentence_once(self, source, hashed256, monkeypatch):
         from coi_rag import adherence
@@ -171,7 +191,7 @@ class TestExtractClausesDifferential:
         again = evaluate_text(text + " Yes.", source, hashed256)
         assert again == dataclasses.replace(first, word_count=first.word_count + 1)
         assert sorted(seen) == sorted(split_sentences(text))
-        assert source.extracted.keys() == set(seen)
+        assert source.scored.keys() == set(seen)
 
 
 class TestSourceClauseIndex:
@@ -308,17 +328,34 @@ class TestClauseScoreMemo:
         embedder = HashedEmbedder(dims=32)
         source_texts = [SOURCE_TEXT, OBJECTLESS_TEXT]
         shared = build_source_index(source_texts, embedder, mode)
-        for text in texts:
+        for text in texts + texts[::-1]:
             fresh = build_source_index(source_texts, embedder, mode)
-            clauses = extract_clauses(text)
-            got, want = match_clauses(clauses, shared, embedder), match_clauses(clauses, fresh, embedder)
-            assert [(m.best_source_clause_id, m.similarity) for m in got] == [
-                (m.best_source_clause_id, m.similarity) for m in want
-            ]
             assert evaluate_text(text, shared, embedder) == evaluate_text(text, fresh, embedder)
-        assert len(shared.best) == len(
-            {tuple(p(c) for p in shared.parts) for t in texts for c in extract_clauses(t)}
+        assert shared.scored.keys() == {s for t in texts for s in split_sentences(t)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_distinct_sentence_matched_once(self, mode, monkeypatch):
+        from coi_rag import adherence
+
+        calls = []
+        match = adherence.match_clauses
+        monkeypatch.setattr(
+            adherence, "match_clauses", lambda ai, src, emb: calls.append(list(ai)) or match(ai, src, emb)
         )
+        embedder = HashedEmbedder(dims=32)
+        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+        texts = [
+            "The parser runs. The parser runs. The stack grows. Yes.",
+            "The stack grows. The parser runs.",  # nothing new: no call
+            "The stack grows. Each module exports a single namespace. The parser runs!",
+        ]
+        for text in texts:
+            evaluate_text(text, source, embedder)
+        assert [[c.render() for c in ai] for ai in calls] == [
+            ["The parser runs", "The stack grows"],
+            ["Each module exports a single namespace", "The parser runs"],
+        ]
+        assert source.scored["The parser runs!"] == source.scored["The parser runs."]
 
     def test_each_distinct_clause_embedded_once(self, spy_embedder):
         for text in (
@@ -331,17 +368,17 @@ class TestClauseScoreMemo:
                 state = dict(vars(source))
                 spy_embedder.texts.clear()
                 for _ in range(3):
-                    match_clauses(clauses, source, spy_embedder)
+                    evaluate_text(text, source, spy_embedder)
                 distinct = {p(c) for c in clauses for p in source.parts} - {""}
                 assert sorted(spy_embedder.texts) == sorted(distinct)
-                # Part scores die with the call: the index keeps only its attributes and ``best``.
+                # Part scores die with the call: the index keeps only its attributes and ``scored``.
                 assert vars(source).keys() == state.keys()
                 assert all(vars(source)[name] is value for name, value in state.items())
-                assert source.best.keys() == {tuple(p(c) for p in source.parts) for c in clauses}
+                assert source.scored.keys() == set(split_sentences(text))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_remote_requests_equal_per_tuple_loop(self, mode):
-        """Through ``RemoteEmbedder``, the embedding requests are those of the per-tuple loop."""
+        """Through ``RemoteEmbedder``, the embedding requests are those of the per-clause loop."""
         texts = [  # each text holds part texts the source and earlier texts lack
             "The lexer runs. The lexer stops. The parser stops.",
             "The lexer emits tokens. A lexer state holds The lexer. The stack emits tokens.",
@@ -371,20 +408,20 @@ class TestClauseScoreMemo:
 
 
 def reference_match_clauses(ai: list[Clause], source, embedder) -> list[ClauseMatch]:
-    """Reference matcher: one embedded row and one matvec per part of every unseen tuple."""
+    """Reference matcher: every clause scored on its own, part by part, from one embedding call."""
     if not ai:
         return []
-    keys = [tuple(part(c) for part in source.parts) for c in ai]
-    unseen = [k for k in dict.fromkeys(keys) if k not in source.best]
-    if unseen:
-        vectors = iter(embedder.embed([t for k in unseen for t in k if t.strip()]))
-        for texts in unseen:
-            sims = sum(
-                mat @ next(vectors) if text.strip() else empty
-                for text, mat, empty in zip(texts, source.matrices, source.empty)
-            )
-            source.best[texts] = source.index.rank(sims / len(texts), 1)[0]
-    return [ClauseMatch(c, source.best[k][0], clamp01(source.best[k][1])) for c, k in zip(ai, keys)]
+    texts = [[part(c) for part in source.parts] for c in ai]
+    vectors = iter(embedder.embed([t for k in texts for t in k if t.strip()]))
+    matches = []
+    for clause, k in zip(ai, texts):
+        sims = sum(
+            mat @ next(vectors) if text.strip() else empty
+            for text, mat, empty in zip(k, source.matrices, source.empty)
+        )
+        key, score = source.index.rank(sims / len(k), 1)[0]
+        matches.append(ClauseMatch(clause, key, clamp01(score)))
+    return matches
 
 
 # Small pools, so distinct clauses share subjects, predicates and objects,
@@ -400,23 +437,16 @@ shared_part_explanations = st.lists(shared_part_sentences, min_size=1, max_size=
 
 
 class TestMatchClausesDifferential:
-    """``match_clauses`` returns exactly what the per-tuple reference loop returns."""
+    """``match_clauses`` returns exactly what the per-clause reference loop returns."""
 
     @given(st.sampled_from(MODES), st.lists(shared_part_explanations, min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_equals_per_tuple_loop(self, mode, texts):
         embedder = HashedEmbedder(dims=32)
-        source_texts = [SOURCE_TEXT, OBJECTLESS_TEXT]
-        source = build_source_index(source_texts, embedder, mode)
-        reference = build_source_index(source_texts, embedder, mode)
+        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
         for text in texts:
             clauses = extract_clauses(text)
-            got = match_clauses(clauses, source, embedder)
-            want = reference_match_clauses(clauses, reference, embedder)
-            assert [(m.ai_clause, m.best_source_clause_id, m.similarity) for m in got] == [
-                (m.ai_clause, m.best_source_clause_id, m.similarity) for m in want
-            ]
-        assert source.best == reference.best
+            assert match_clauses(clauses, source, embedder) == reference_match_clauses(clauses, source, embedder)
 
 
 class TestScores:

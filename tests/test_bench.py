@@ -591,6 +591,14 @@ class TestReport:
             labels = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
             assert "a&b/genai" in labels
 
+    def test_escape_equals_saxutils(self):
+        from xml.sax.saxutils import escape as sax_escape
+
+        from coi_rag.bench.report import escape
+
+        for text in ("a&b/genai", "<&>", "&amp;&lt;", "x > y < z & w", "plain", "\"it's\" \u00e9"):
+            assert escape(text) == sax_escape(text)
+
     def test_thin_pool_warns(self, golden_cfg):
         import warnings as w
 
@@ -656,19 +664,24 @@ RUN_AND_LIST_MODULES = """
 import sys
 from coi_rag.bench.cli import main
 code = main(["run", "-c", sys.argv[1], "-o", sys.argv[2] + "/out", "--cache-dir", sys.argv[2] + "/cache"])
-print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sqlite3", "_sqlite3", "requests", "urllib3")))
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in (
+    "scipy", "sqlite3", "_sqlite3", "requests", "urllib3", "xml", "http", "email",
+)))
 """
 
 
 class TestRunPathImports:
     def test_hermetic_run_never_imports_scipy_stats(self, golden_dir, tmp_path):
-        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy, sqlite or HTTP module.
+        """A golden ``coi-bench run`` in a fresh interpreter loads no scipy, sqlite, HTTP, XML or email module.
 
         ``scipy.special`` alone costs about 0.2 s and 13 MB a process and
         ``scipy.stats`` a second and 40 MB, so a deferred import on the run
         path fails this test as well; only required_pairs may load scipy.
         A hermetic run caches nothing, so it never opens the call cache,
         and sends nothing, so it never loads ``requests`` (about 45 ms).
+        ``xml.sax.saxutils`` pulls in ``urllib.request``, ``http.client``
+        and ``email`` (about 40 ms and 3 MB). ``urllib.parse``, which
+        ``pathlib`` loads, is not checked.
         """
         src = str(Path(coi_rag.__file__).resolve().parents[1])
         proc = subprocess.run(

@@ -289,6 +289,7 @@ class TestMalformedCacheEntries:
             {"data": [{"embedding": [True, False]}]},
             {"data": [{"embedding": [0.0] * 8}]},
             {"data": [{"embedding": [3.0, 4.0]}]},
+            {"data": [{"embedding": [1.0] * 7 + [float("nan")]}]},
         ],
     )
     def test_embedding_entry_refetched_and_overwritten(self, tmp_path, entry):
@@ -472,6 +473,22 @@ class TestEmbeddingBatches:
         first = cold.embed(TEXTS)
         warm = remote(cache=CallCache(tmp_path), transport=dead_transport)
         np.testing.assert_array_equal(warm.embed(TEXTS[::-1]), first[::-1])
+
+    @pytest.mark.parametrize(
+        "row",
+        [["x"] * 8, [1.0] * 7 + [None], [[1.0]] * 8, [True] * 8, [1.0] * 7 + [float("nan")], [float("inf")] * 8],
+        ids=["strings", "none", "nested", "bools", "nan", "inf"],
+    )
+    def test_non_numeric_reply_row_raises_and_caches_nothing(self, tmp_path, row):
+        server = EmbeddingServer(lambda data: [dict(r, embedding=row) if r["index"] == 1 else r for r in data])
+        cache = CallCache(tmp_path)
+        with pytest.raises(ProviderError, match="row 1 is not all finite real numbers"):
+            remote(cache=cache, transport=server).embed(TEXTS[:2])
+        cache.close()
+        path = tmp_path / providers.CACHE_FILE
+        if path.exists():
+            with closing(sqlite3.connect(path)) as conn:
+                assert conn.execute("SELECT COUNT(*) FROM calls").fetchone() == (0,)
 
     def test_zero_reply_does_not_poison_the_cache(self, tmp_path):
         server = EmbeddingServer(lambda data: [dict(r, embedding=[0.0] * 8) for r in data])

@@ -150,7 +150,8 @@ class TestScipyEquivalence:
     tails and the t quantile are held within 1e-13 relative: scipy itself
     is about 3e-14 off the exact t tail at df near 200, so no
     implementation equals it bit for bit, and at that tolerance no p-value
-    crosses 0.05 and no BH decision flips.
+    crosses 0.05 and no BH decision flips. Where scipy is no oracle, the
+    t tail is held against mpmath at 40 digits.
     """
 
     def test_average_ranks_equal_rankdata(self):
@@ -202,6 +203,19 @@ class TestScipyEquivalence:
         for df in range(1, 201):
             got = np.array([stats._stdtr(df, float(t)) for t in ts])
             np.testing.assert_allclose(got, special.stdtr(df, ts), rtol=1e-13, atol=0, err_msg=f"df={df}")
+
+    @pytest.mark.parametrize("df, bound", [(89, 4e-14), (200, 4e-14), (1000, 1.5e-13), (2000, 3e-13)])
+    def test_t_tail_within_stated_bound_of_mpmath(self, df, bound):
+        """The ``_t_upper_tail`` docstring's bounds, where its continued fractions converge slowest."""
+        import mpmath
+
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(df) / 2, mpmath.mpf(1) / 2
+            for t in np.linspace(1.5, 2.5, 401):
+                x = df / (df + mpmath.mpf(float(t)) ** 2)
+                exact = mpmath.betainc(a, b, 0, x, regularized=True) / 2
+                rel = abs((stats._t_upper_tail(df, float(t)) - exact) / exact)
+                assert rel <= bound, f"t={t}: {float(rel):.3g}"
 
     def test_ndtr_within_1e13_of_scipy_special(self):
         xs = np.linspace(-20, 20, 4001)

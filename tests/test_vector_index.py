@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestHashedEmbedder:
         with pytest.raises(ValueError):
             HashedEmbedder(64).embed(["ok", "  "])
 
+    @pytest.mark.parametrize("dims", [1, 7, 256])
+    def test_equals_per_token_reference(self, dims):
+        emb = HashedEmbedder(dims)
+        want = reference_embed(HASH_TEXTS, dims)
+        for texts, rows in ((HASH_TEXTS, want), (HASH_TEXTS[::-1], want[::-1])):  # then every token a memo hit
+            assert np.array_equal(emb.embed(texts), rows)
+        for text, counts in zip(HASH_TEXTS + [""], reference_counts(HASH_TEXTS + [""], dims)):
+            assert np.array_equal(emb.embed_raw(text), counts)
+
+    def test_instances_of_different_dims_hash_apart(self):
+        """Each instance keeps its own memo: a bucket depends on ``dims``."""
+        small, large = HashedEmbedder(7), HashedEmbedder(256)
+        for _ in range(2):
+            for emb in (small, large):
+                assert np.array_equal(emb.embed(HASH_TEXTS[:3]), reference_embed(HASH_TEXTS[:3], emb.dims))
+
     @given(
         st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6),
         st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6),
@@ -58,6 +75,30 @@ class TestHashedEmbedder:
         assert base == pytest.approx(0.0, abs=1e-12)
         joined = cosine(*emb.embed([a + " shared", b + " shared"]))
         assert joined >= base
+
+
+# Repeated tokens, punctuation, non-ASCII text and mixed whitespace.
+HASH_TEXTS = [
+    "the parser reads the the token",
+    "Hello, world! (Hello) world. \"quoted\" it's",
+    "\u00e9t\u00e9 na\u00efve \u2014 \u6771\u4eac caf\u00e9 caf\u00e9 \U0001f600",
+    "a\tb\nc  a\u00a0b",
+    "x",
+]
+
+
+def reference_counts(texts: list[str], dims: int) -> np.ndarray:
+    """Token counts per text, from one blake2b digest per token occurrence."""
+    out = np.zeros((len(texts), dims))
+    for i, text in enumerate(texts):
+        for tok in text.split():
+            digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
+            out[i, int.from_bytes(digest, "big") % dims] += 1.0
+    return out
+
+
+def reference_embed(texts: list[str], dims: int) -> np.ndarray:
+    return np.array([row / np.linalg.norm(row) for row in reference_counts(texts, dims)])
 
 
 class TestCosine:
@@ -270,3 +311,4 @@ class TestRemoteEmbedder:
         again = emb.embed(["same text"])
         assert calls["n"] == 1
         np.testing.assert_allclose(first, again)
+
