@@ -99,6 +99,23 @@ def generate(bundle: PromptBundle, provider) -> GenerationResult:
 _BRACKETED = re.compile(r"\[[^\[\]]*\]")
 _PARENTHESIZED = re.compile(r"\(([^()]*)\)")
 _SOURCE_WORDS = re.compile(r"\bpages?\b|\bpp?\.", re.IGNORECASE)
+_SPACE_RUN = re.compile(r" {2,}")
+_SPACE_BEFORE_PUNCT = re.compile(r" +([.,;:!?])")
+_TRAILING_SPACES = re.compile(r" +$", re.MULTILINE)
+
+
+def _tidy_spaces(text: str) -> str:
+    """Collapse space runs, drop spaces before punctuation and at line ends.
+
+    Each pass runs only when a substring test shows it has a match.
+    """
+    if "  " in text:
+        text = _SPACE_RUN.sub(" ", text)
+    if any(" " + p in text for p in ".,;:!?"):
+        text = _SPACE_BEFORE_PUNCT.sub(r"\1", text)
+    if " \n" in text or text.endswith(" "):
+        text = _TRAILING_SPACES.sub("", text)
+    return text
 
 
 def strip_citations(text: str, textbook_title: str | None = None) -> str:
@@ -106,7 +123,13 @@ def strip_citations(text: str, textbook_title: str | None = None) -> str:
 
     Square-bracketed spans go unconditionally; parenthesized spans go only
     when their content looks like a source annotation (mentions pages or
-    the textbook title), so math like "f(x)" survives. Idempotent.
+    the textbook title), so math like "f(x)" survives.
+
+    The markers are removed until none is left, one nesting level per pass;
+    then the spaces are tidied. Tidying can form a new marker (``"(pp .3)"``
+    becomes ``"(pp.3)"``), so both steps repeat until neither changes the
+    text. The result is therefore a fixed point: stripping it again returns
+    it unchanged.
     """
 
     def drop_source_parens(m: re.Match) -> str:
@@ -118,13 +141,11 @@ def strip_citations(text: str, textbook_title: str | None = None) -> str:
         return m.group(0)
 
     out = text
-    while True:  # nested markers unwrap one level per pass
+    while True:
         cleaned = _BRACKETED.sub("", out)
         cleaned = _PARENTHESIZED.sub(drop_source_parens, cleaned)
         if cleaned == out:
-            break
+            cleaned = _tidy_spaces(out)
+            if cleaned == out:
+                return out
         out = cleaned
-    out = re.sub(r" {2,}", " ", out)
-    out = re.sub(r" +([.,;:!?])", r"\1", out)
-    out = re.sub(r" +$", "", out, flags=re.MULTILINE)
-    return out

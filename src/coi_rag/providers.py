@@ -484,21 +484,26 @@ def _context_sentences(prompt: str) -> list[str]:
     and the question) is discarded, as are block-header lines; what remains
     is scanned for capitalized sentences ending in terminal punctuation.
     Order of first appearance is kept; duplicates are dropped.
+
+    A sentence never crosses a line, since ``_SENTENCE_RE`` cannot match a
+    newline, so each line is scanned on its own. A sentence's whitespace is
+    collapsed only on a line with a double space or a character that is not
+    printable: U+0020 is the only printable whitespace character, so on any
+    other line the sentences are already in normal form.
     """
     marker = "Text chunks:"
     idx = prompt.find(marker)
     if idx < 0:
         return []
-    body = prompt[idx + len(marker):]
-    kept = [ln for ln in body.splitlines() if not _BLOCK_HEADER_RE.match(ln.strip())]
-    seen: set[str] = set()
-    sentences: list[str] = []
-    for m in _SENTENCE_RE.finditer("\n".join(kept)):
-        s = " ".join(m.group(0).split())
-        if s not in seen:
-            seen.add(s)
-            sentences.append(s)
-    return sentences
+    sentences: dict[str, None] = {}
+    for line in prompt[idx + len(marker):].splitlines():
+        found = _SENTENCE_RE.findall(line)
+        if not found or _BLOCK_HEADER_RE.match(line.strip()):
+            continue
+        if "  " in line or not line.isprintable():
+            found = [" ".join(s.split()) for s in found]
+        sentences.update(dict.fromkeys(found))
+    return list(sentences)
 
 
 _ECHO_PREAMBLE = (
@@ -559,7 +564,8 @@ class ScriptedGenerator:
     Responses come from an explicit request-hash -> text mapping, from a
     named builtin behavior, or from a caller-supplied function of the
     prompt text, checked in that order. Replies are not cached and carry
-    the fixed ``SCRIPTED_CREATED_AT`` stamp.
+    the fixed ``SCRIPTED_CREATED_AT`` stamp. An unknown ``behavior`` name
+    fails on construction.
     """
 
     model_id: str = "scripted"
@@ -567,16 +573,23 @@ class ScriptedGenerator:
     behavior: str | None = None
     fn: Callable[[str], str] | None = None
 
+    def __post_init__(self) -> None:
+        if self.behavior is not None and self.behavior not in SCRIPTED_BEHAVIORS:
+            raise ValueError(f"unknown scripted behavior: {self.behavior}")
+
     def complete(self, prompt: str) -> GenerationResult:
-        key = GenerationRequest(self.model_id, prompt).cache_key()
-        if key in self.script:
+        # The request hash serialises the whole prompt, so it is computed
+        # only when there is a script to look it up in, or an error to name.
+        if self.script and (key := self._key(prompt)) in self.script:
             text = self.script[key]
         elif self.behavior is not None:
-            if self.behavior not in SCRIPTED_BEHAVIORS:
-                raise ProviderError(f"unknown scripted behavior: {self.behavior}")
             text = SCRIPTED_BEHAVIORS[self.behavior](prompt)
         elif self.fn is not None:
             text = self.fn(prompt)
         else:
+            key = self._key(prompt)
             raise ProviderError(f"scripted generator has no entry for request {key[:12]}")
         return GenerationResult(text=text, created_at=SCRIPTED_CREATED_AT)
+
+    def _key(self, prompt: str) -> str:
+        return GenerationRequest(self.model_id, prompt).cache_key()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_reference import reference_strip_citations
 
 from coi_rag.corpus import Chunk
 from coi_rag.planner import CandidateQuestion, IllocutionPlan, SelectedQuestion
@@ -188,6 +189,17 @@ class TestGenerate:
         assert exc.value.attempts == 3
 
 
+# Pieces of text for the strip_citations properties: markers, the words
+# that make a parenthetical a source annotation, openings that only tidying
+# turns into one ("(pp ." and "(Book  Title"), every punctuation mark the
+# tidying drops a space before, and line breaks for its trailing-space pass.
+CITATION_PIECES = [
+    "a", "f", "x", " ", "  ", "   ", "\n", "\t", "(", ")", "[", "]", ".", ",", ";", ":",
+    "!", "?", "p", "pp", "page", "pages", "3", "Book", "Title", "Book Title", "(pp .",
+    "(Book  Title", "(book title",
+]
+
+
 class TestStripCitations:
     def test_bracketed_page_marker(self):
         assert strip_citations("Use casting [p. 101] to convert.") == "Use casting to convert."
@@ -215,3 +227,22 @@ class TestStripCitations:
     def test_idempotent(self, text):
         once = strip_citations(text, "Book Title")
         assert strip_citations(once, "Book Title") == once
+
+    @pytest.mark.parametrize("text, title, expected", [
+        # Collapsing the double space makes the title parenthetical whole.
+        ("Lists resize (Intro  to Java) on demand.", "Intro to Java", "Lists resize on demand."),
+        # Dropping the space before "." makes "pp." a page marker.
+        ("See (pp .3) here", None, "See here"),
+    ])
+    def test_marker_formed_by_tidying_is_removed(self, text, title, expected):
+        assert strip_citations(text, title) == expected
+        assert strip_citations(expected, title) == expected
+
+    @given(st.lists(st.sampled_from(CITATION_PIECES), max_size=30).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_fixed_point_and_reference_agreement(self, text):
+        out = strip_citations(text, "Book Title")
+        assert strip_citations(out, "Book Title") == out
+        reference = reference_strip_citations(text, "Book Title")
+        if reference_strip_citations(reference, "Book Title") == reference:
+            assert out == reference

@@ -9,8 +9,13 @@ from contextlib import closing
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from text_reference import reference_context_sentences
 
 from coi_rag import providers
+from coi_rag.bench.config import load_config
+from coi_rag.bench.runner import run_experiment
 from coi_rag.providers import (
     SCRIPTED_CREATED_AT,
     CallCache,
@@ -511,3 +516,56 @@ class TestScripted:
     def test_fixed_created_at(self):
         gen = ScriptedGenerator(model_id="m", fn=lambda prompt: "A reply.")
         assert gen.complete(PROMPT).created_at == SCRIPTED_CREATED_AT == "1970-01-01T00:00:00Z"
+
+    def test_unknown_behavior_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown scripted behavior: context_ecoh"):
+            ScriptedGenerator(model_id="m", behavior="context_ecoh")
+
+    def test_no_entry_error_names_the_request_key(self):
+        gen = ScriptedGenerator(model_id="m", script={"0" * 64: "Unused."})
+        with pytest.raises(ProviderError, match=f"no entry for request {CHAT_KEY[:12]}$"):
+            gen.complete(PROMPT)
+        with pytest.raises(ProviderError, match=f"no entry for request {CHAT_KEY[:12]}$"):
+            ScriptedGenerator(model_id="m").complete(PROMPT)
+
+
+# Pieces of evidence text, chosen to reach every branch of the sentence
+# scan: every kind of line break and whitespace that str.split() collapses,
+# non-printable characters, each block header (also padded with spaces),
+# and a second marker.
+PROMPT_PIECES = [
+    "Text chunks:", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028",
+    "\t", "\xa0", "\u3000", " ", "  ", "\x00", ".", "!", "?", "A", "Bee", "c", "dog",
+    "Page 1-2:", "  Page 3-4:  ", "Context:", " Context: ", "Question:",
+    "Implicit question 2: Why so?", "# Topic.", "#", "Caps Here.",
+]
+
+
+class TestContextSentences:
+    @given(
+        st.lists(st.sampled_from(PROMPT_PIECES), max_size=40).map("".join),
+        st.booleans(),
+        st.lists(st.sampled_from(PROMPT_PIECES), max_size=80).map("".join),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, before, marked, after):
+        prompt = before + ("\nText chunks:" if marked else "") + after
+        assert providers._context_sentences(prompt) == reference_context_sentences(prompt)
+
+    def test_matches_reference_on_every_golden_prompt(self, golden_dir, tmp_path, monkeypatch):
+        prompts = []
+        complete = ScriptedGenerator.complete
+
+        def recording(self, prompt):
+            prompts.append(prompt)
+            return complete(self, prompt)
+
+        monkeypatch.setattr(ScriptedGenerator, "complete", recording)
+        cfg = load_config(golden_dir / "config.ini")
+        cfg.output_dir = tmp_path / "out"
+        cfg.cache_dir = tmp_path / "cache"
+        run_experiment(cfg)
+        evidence = [p for p in prompts if "Text chunks:" in p]
+        assert evidence and len(evidence) < len(prompts)
+        for prompt in prompts:
+            assert providers._context_sentences(prompt) == reference_context_sentences(prompt)
