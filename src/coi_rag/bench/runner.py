@@ -1,12 +1,14 @@
 """Staged experiment pipeline.
 
-Stages (each also a CLI subcommand) communicate through files in the
-output directory: ``ingest`` writes chunks and the chunk indexes,
-``build-bank`` the implicit-question banks, ``plan`` the illocution plans,
-``answer`` the generated explanations, ``evaluate`` the per-item adherence
-records, ``analyze`` the statistical comparisons, and ``report`` the
-aggregate CSV and plots. ``run`` chains all of them and writes a manifest
-of content hashes.
+Each stage (also a CLI subcommand) writes its artifacts to the output
+directory: ``ingest`` chunks and the chunk indexes, ``build-bank`` the
+implicit-question banks, ``plan`` the illocution plans, ``answer`` the
+generated explanations, ``evaluate`` the per-item adherence records,
+``analyze`` the statistical comparisons, and ``report`` the aggregate CSV
+and plots. ``run`` chains all of them and writes a manifest of content
+hashes. Within ``run`` each stage hands what it wrote to the next in
+memory, through the :class:`StageContext` accessors, and writes the same
+files; a stage run alone reads them from the output directory.
 
 Each stage decides from the configured modes whether it has work to do:
 ``build-bank`` does nothing unless ``rag_coi`` runs, and ``plan`` then
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from .. import planner as planner_mod
 from ..adherence import build_source_index, evaluate_text
-from ..corpus import chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import DECODING, CallCache, ProviderError
@@ -84,13 +86,20 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
 
 @dataclass
 class StageContext:
-    """Shared handles for one invocation of the pipeline."""
+    """Shared handles for one invocation of the pipeline.
+
+    ``kept`` maps an artifact's file name to the value a stage of this
+    invocation wrote to it, so a later stage takes it from memory. A stage
+    reads its inputs only through the accessors below, which fall back to
+    the file when nothing is kept, as for a stage run alone.
+    """
 
     cfg: ExperimentConfig
     embedder: object
     cache: CallCache
     out: Path
     transports: dict = field(default_factory=dict)
+    kept: dict[str, object] = field(default_factory=dict)
 
     def generator(self, model_name: str):
         spec = self.cfg.model(model_name)
@@ -98,6 +107,36 @@ class StageContext:
 
     def needs_retrieval(self) -> bool:
         return any(m in ("rag", "rag_coi") for m in self.cfg.modes)
+
+    def write_rows(self, name: str, rows: list[dict]) -> None:
+        """Write the artifact ``name`` as JSON Lines and keep ``rows``."""
+        write_jsonl(self.out / name, rows)
+        self.kept[name] = rows
+
+    def rows(self, name: str) -> list[dict]:
+        """The rows of the JSON Lines artifact ``name``."""
+        return self.kept[name] if name in self.kept else read_jsonl(self.out / name)
+
+    def chunks(self, tag: str) -> list[Chunk]:
+        name = f"chunks.{tag}.jsonl"
+        return self.kept[name] if name in self.kept else chunks_from_jsonl(self.out / name)
+
+    def chunk_index(self, tag: str) -> VectorIndex:
+        """The chunk index of corpus ``tag``, each chunk its key's payload."""
+        name = f"chunk_index.{tag}.jsonl"
+        if name in self.kept:
+            return self.kept[name]
+        index = VectorIndex.load(self.out / name)
+        chunks = {c.id: c for c in self.chunks(tag)}
+        index.payloads = [chunks[k] for k in index.keys]
+        return index
+
+    def bank(self, tag: str) -> QuestionBank:
+        """The implicit-question bank of corpus ``tag``, indexed by ``embedder``."""
+        name = f"bank.{tag}.jsonl"
+        if name in self.kept:
+            return QuestionBank(self.kept[name], self.embedder)
+        return QuestionBank.load(self.out / name, self.embedder)
 
 
 def make_context(
@@ -137,17 +176,15 @@ def stage_ingest(ctx: StageContext) -> None:
         )
         if not chunks:
             raise ValueError(f"corpus {spec.tag!r} ({spec.path}) yields no chunks")
-        chunks_to_jsonl(chunks, ctx.out / f"chunks.{spec.tag}.jsonl")
+        name = f"chunks.{spec.tag}.jsonl"
+        chunks_to_jsonl(chunks, ctx.out / name)
+        ctx.kept[name] = chunks
         if ctx.needs_retrieval():
+            name = f"chunk_index.{spec.tag}.jsonl"
             index = build_index([(c.id, c.text, None) for c in chunks], ctx.embedder)
-            index.save(ctx.out / f"chunk_index.{spec.tag}.jsonl")
-
-
-def _load_chunk_index(ctx: StageContext, tag: str) -> VectorIndex:
-    index = VectorIndex.load(ctx.out / f"chunk_index.{tag}.jsonl")
-    chunks = {c.id: c for c in chunks_from_jsonl(ctx.out / f"chunks.{tag}.jsonl")}
-    index.payloads = [chunks[k] for k in index.keys]
-    return index
+            index.save(ctx.out / name)
+            index.payloads = chunks  # saved without payloads; keys are the chunk ids in order
+            ctx.kept[name] = index
 
 
 def stage_build_bank(ctx: StageContext) -> None:
@@ -159,9 +196,10 @@ def stage_build_bank(ctx: StageContext) -> None:
         return
     generator = ctx.generator(ctx.cfg.bank_model) if ctx.cfg.bank_model else None
     for spec in ctx.cfg.corpora:
-        chunks = chunks_from_jsonl(ctx.out / f"chunks.{spec.tag}.jsonl")
-        questions = build_bank(chunks, generator, tag=spec.tag) if generator else []
-        save_bank(questions, ctx.out / f"bank.{spec.tag}.jsonl")
+        name = f"bank.{spec.tag}.jsonl"
+        questions = build_bank(ctx.chunks(spec.tag), generator, tag=spec.tag) if generator else []
+        save_bank(questions, ctx.out / name)
+        ctx.kept[name] = questions
 
 
 def stage_plan(ctx: StageContext) -> None:
@@ -171,14 +209,11 @@ def stage_plan(ctx: StageContext) -> None:
     ``{"primary_id": ..., "error": "plan: ..."}`` in place of its plan.
     """
     if "rag_coi" not in ctx.cfg.modes:
-        write_jsonl(ctx.out / "plans.jsonl", [])
+        ctx.write_rows("plans.jsonl", [])
         return
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
-    indexes = {tag: _load_chunk_index(ctx, tag) for tag in sorted(ctx.cfg.tags)}
-    banks = {
-        tag: QuestionBank.load(ctx.out / f"bank.{tag}.jsonl", ctx.embedder)
-        for tag in sorted(ctx.cfg.tags)
-    }
+    indexes = {tag: ctx.chunk_index(tag) for tag in sorted(ctx.cfg.tags)}
+    banks = {tag: ctx.bank(tag) for tag in sorted(ctx.cfg.tags)}
     plans = []
     for q in questions:
         try:
@@ -194,17 +229,17 @@ def stage_plan(ctx: StageContext) -> None:
         except ProviderError as exc:
             plan = {"primary_id": q.id, "error": f"plan: {exc}"}
         plans.append(plan)
-    write_jsonl(ctx.out / "plans.jsonl", plans)
+    ctx.write_rows("plans.jsonl", plans)
 
 
 def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
     """The plan record of every question, by question id; a failed plan holds an ``error``."""
     path = ctx.out / "plans.jsonl"
-    if not path.exists():
+    if "plans.jsonl" not in ctx.kept and not path.exists():
         raise FileNotFoundError(
             f"{path} not found: rag_coi answers need the plan stage's output"
         )
-    plans = {rec["primary_id"]: rec for rec in read_jsonl(path)}
+    plans = {rec["primary_id"]: rec for rec in ctx.rows("plans.jsonl")}
     missing = [q.id for q in questions if q.id not in plans]
     if missing:
         raise ValueError(
@@ -219,14 +254,14 @@ def stage_answer(ctx: StageContext) -> None:
     A provider failure while embedding a question's query fails that
     question's rag and rag_coi items, their ``error`` prefixed ``embed:``;
     a question whose plan failed gets its plan's ``error`` on its rag_coi
-    items.
+    items. Each (question, mode) prompt is assembled once for every model.
     """
     questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
     plans = _load_plans(ctx, questions) if "rag_coi" in ctx.cfg.modes else {}
     indexes = {}
     if ctx.needs_retrieval():
         for tag in sorted(ctx.cfg.tags):
-            indexes[tag] = _load_chunk_index(ctx, tag)
+            indexes[tag] = ctx.chunk_index(tag)
 
     generators = {m.name: ctx.generator(m.name) for m in ctx.cfg.answer_models}
 
@@ -243,20 +278,14 @@ def stage_answer(ctx: StageContext) -> None:
             else:
                 hits = index.top_k(vec, ctx.cfg.per_question_chunks)
                 primary = [index.payload(key) for key, _ in hits]
-        for model_name, generator in generators.items():
-            for mode in ctx.cfg.modes:
-                rec = {
-                    "question_id": q.id,
-                    "tag": q.tag,
-                    "model": model_name,
-                    "mode": mode,
-                }
-                if mode != "genai" and embed_error:
-                    rows.append({**rec, "error": embed_error})
-                    continue
-                if mode == "rag_coi" and "error" in plans[q.id]:
-                    rows.append({**rec, "error": plans[q.id]["error"]})
-                    continue
+        # Per mode, its prompt and the prompt's sha256, or the error every model's item gets.
+        prompts, errors = {}, {}
+        for mode in ctx.cfg.modes:
+            if mode != "genai" and embed_error:
+                errors[mode] = embed_error
+            elif mode == "rag_coi" and "error" in plans[q.id]:
+                errors[mode] = plans[q.id]["error"]
+            else:
                 try:
                     if mode == "genai":
                         bundle = assemble_genai(q)
@@ -265,6 +294,23 @@ def stage_answer(ctx: StageContext) -> None:
                     else:
                         plan = IllocutionPlan.from_json(plans[q.id], q, index.payload)
                         bundle = assemble_rag_coi(q, title, primary, plan)
+                except ValueError as exc:
+                    errors[mode] = str(exc)
+                else:
+                    prompts[mode] = (bundle, hashlib.sha256(bundle.text.encode("utf-8")).hexdigest())
+        for model_name, generator in generators.items():
+            for mode in ctx.cfg.modes:
+                rec = {
+                    "question_id": q.id,
+                    "tag": q.tag,
+                    "model": model_name,
+                    "mode": mode,
+                }
+                if mode in errors:
+                    rows.append({**rec, "error": errors[mode]})
+                    continue
+                bundle, sha = prompts[mode]
+                try:
                     result = generate(bundle, generator)
                 except (ProviderError, ValueError) as exc:
                     rec["error"] = str(exc)
@@ -275,13 +321,11 @@ def stage_answer(ctx: StageContext) -> None:
                             "created_at": result.created_at,
                             "decoding": list(DECODING),
                             "retrieved_chunk_ids": list(bundle.retrieved_chunk_ids),
-                            "prompt_sha256": hashlib.sha256(
-                                bundle.text.encode("utf-8")
-                            ).hexdigest(),
+                            "prompt_sha256": sha,
                         }
                     )
                 rows.append(rec)
-    write_jsonl(ctx.out / "explanations.jsonl", rows)
+    ctx.write_rows("explanations.jsonl", rows)
 
 
 # The item metrics compared between rag_coi and rag.
@@ -313,7 +357,7 @@ def stage_evaluate(ctx: StageContext) -> None:
         titles[spec.tag] = spec.title
 
     items: list[dict] = []
-    for rec in read_jsonl(ctx.out / "explanations.jsonl"):
+    for rec in ctx.rows("explanations.jsonl"):
         if "error" in rec:
             items.append(rec)
             continue
@@ -341,7 +385,7 @@ def stage_evaluate(ctx: StageContext) -> None:
             )
         items.append(item)
 
-    write_jsonl(ctx.out / "items.jsonl", items)
+    ctx.write_rows("items.jsonl", items)
     with open(ctx.out / "items.csv", "w", encoding="utf-8", newline="") as dst:
         writer = csv.DictWriter(
             dst, fieldnames=ITEM_CSV_FIELDS, extrasaction="ignore", lineterminator="\n"
@@ -351,7 +395,7 @@ def stage_evaluate(ctx: StageContext) -> None:
 
 
 def stage_analyze(ctx: StageContext) -> dict:
-    analysis = analyze_items(read_jsonl(ctx.out / "items.jsonl"), ctx.cfg)
+    analysis = analyze_items(ctx.rows("items.jsonl"), ctx.cfg)
     write_analysis(analysis, ctx.out / "analysis.json")
     return analysis
 
@@ -440,7 +484,7 @@ def _json_float(x: float) -> float | None:
 
 
 def stage_report(ctx: StageContext) -> None:
-    items = read_jsonl(ctx.out / "items.jsonl")
+    items = ctx.rows("items.jsonl")
     analysis = json.loads((ctx.out / "analysis.json").read_text(encoding="utf-8"))
     write_csv_and_plots(items, analysis, ctx.cfg, ctx.out)
 

@@ -372,25 +372,25 @@ class RemoteEmbedder(RemoteProvider):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")
         found: dict[str, np.ndarray] = {}  # remembered only if this call returns
-        missing = []
+        missing = []  # (text, its cache key)
         for text in dict.fromkeys(texts):
             if text in self._vectors:
                 continue
-            entry = self.cache.get(self._key(text)) if self.cache else None
-            vector = _cached_vector(entry, self.dims)
+            key = self._key(text) if self.cache else None
+            vector = _cached_vector(self.cache.get(key), self.dims) if self.cache else None
             if vector is None:
-                missing.append(text)
+                missing.append((text, key))
             else:
                 found[text] = vector
         while missing:
             batch, missing = missing[:EMBED_BATCH], missing[EMBED_BATCH:]
             rows = self._post(
-                "embeddings", {"model": self.model_id, "input": batch},
+                "embeddings", {"model": self.model_id, "input": [text for text, _ in batch]},
                 lambda response: _embedding_rows(response, len(batch), self.dims),
             )
-            for text, (row, vector) in zip(batch, rows):
+            for (text, key), (row, vector) in zip(batch, rows):
                 if self.cache:
-                    self.cache.put(self._key(text), {"data": [{"embedding": row}]})
+                    self.cache.put(key, {"data": [{"embedding": row}]})
                 found[text] = vector
         arr = np.stack([found[t] if t in found else self._vectors[t] for t in texts])
         self._vectors.update(found)

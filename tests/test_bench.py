@@ -13,6 +13,7 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
+import requests
 
 import coi_rag
 from coi_rag.bench.cli import STAGES
@@ -24,10 +25,12 @@ from coi_rag.bench.runner import (
     analyze_items, load_questions, make_context, run_experiment, stage_answer,
     stage_build_bank, stage_evaluate, stage_ingest, stage_plan,
 )
+from coi_rag.corpus import chunks_from_jsonl
 from coi_rag.providers import (
-    CACHE_FILE, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder, ScriptedGenerator,
-    request_hash,
+    CACHE_FILE, SCRIPTED_BEHAVIORS, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder,
+    ScriptedGenerator, request_hash,
 )
+from coi_rag.records import read_jsonl
 
 
 def write_questions(path: Path, rows) -> Path:
@@ -498,6 +501,61 @@ class TestRunner:
             text = q.query_text()
             assert (plan[text], answer[text], total[text]) == (1, 1, 2), q.id
 
+    @pytest.mark.parametrize("marker", [None, "Here follows an explanation"], ids=["golden", "one-item-fails"])
+    def test_kept_values_equal_what_their_files_read_back(self, golden_cfg, marker):
+        embedder = golden_cfg.build_embedder()
+        if marker is not None:  # the first explanation scored fails, as an error row
+            embedder = FailOnceEmbedder(embedder, marker)
+        ctx = make_context(golden_cfg, embedder=embedder)
+        try:
+            for stage in STAGES.values():
+                stage(ctx)
+        finally:
+            ctx.cache.close()
+        out, tags = golden_cfg.output_dir, sorted(golden_cfg.tags)
+        rows = ["plans.jsonl", "explanations.jsonl", "items.jsonl"]
+        assert sorted(ctx.kept) == sorted(
+            rows + [f"{kind}.{tag}.jsonl" for kind in ("bank", "chunk_index", "chunks") for tag in tags]
+        )
+        for name in rows:
+            assert ctx.kept[name] == read_jsonl(out / name), name
+        assert any("error" in i for i in ctx.kept["items.jsonl"]) == (marker is not None)
+        from_files = dataclasses.replace(ctx, kept={})
+        for tag in tags:
+            chunks = chunks_from_jsonl(out / f"chunks.{tag}.jsonl")
+            assert ctx.kept[f"chunks.{tag}.jsonl"] == chunks
+            assert [dataclasses.asdict(q) for q in ctx.kept[f"bank.{tag}.jsonl"]] == read_jsonl(
+                out / f"bank.{tag}.jsonl"
+            )
+            kept, loaded = ctx.kept[f"chunk_index.{tag}.jsonl"], from_files.chunk_index(tag)
+            assert kept.keys == loaded.keys
+            assert kept.vectors.tobytes() == loaded.vectors.tobytes()
+            assert kept.payloads == loaded.payloads == chunks
+
+    def test_each_prompt_assembled_once_for_every_model(self, golden_cfg, monkeypatch):
+        from coi_rag.bench import runner
+
+        assembled = Counter()
+        failing = load_questions(golden_cfg.questions_path)[1]
+        for name in ("assemble_genai", "assemble_rag", "assemble_rag_coi"):
+            def counting(q, *args, _name=name, _assemble=getattr(runner, name)):
+                assembled[_name, q.id] += 1
+                if _name == "assemble_rag" and q.id == failing.id:
+                    raise ValueError("no chunks for this prompt")
+                return _assemble(q, *args)
+
+            monkeypatch.setattr(runner, name, counting)
+        report = run_experiment(golden_cfg)
+        questions = load_questions(golden_cfg.questions_path)
+        assert assembled == Counter(
+            {(name, q.id): 1 for name in ("assemble_genai", "assemble_rag", "assemble_rag_coi")
+             for q in questions}
+        )
+        assert report.failed == 2  # that question's rag item for each of the two models
+        rows = read_jsonl(golden_cfg.output_dir / "explanations.jsonl")
+        failed = [(r["model"], r["mode"], r["question_id"], r["error"]) for r in rows if "error" in r]
+        assert failed == [(m, "rag", failing.id, "no chunks for this prompt") for m in ("mock-a", "mock-b")]
+
     def test_embed_failure_while_indexing_names_the_corpus(self, golden_cfg):
         golden_cfg.modes = ["genai"]  # the source index is then the first embedding
         embedder = FailOnceEmbedder(golden_cfg.build_embedder(), "")  # "" is in every text
@@ -851,6 +909,15 @@ class TestCacheSoundness:
         assert cache.get("0" * 64) is None
 
 
+def assert_same_files(a: Path, b: Path) -> None:
+    """Both directory trees hold the same files with the same bytes."""
+    names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+    assert "manifest.json" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestCli:
     def test_run_subcommand(self, golden_dir, tmp_path, capsys):
         rc = cli_main(
@@ -881,8 +948,50 @@ class TestCli:
         cfg.output_dir = tmp_path / "run" / "out"
         cfg.cache_dir = tmp_path / "run" / "cache"
         run_experiment(cfg)
-        for name in ("plans.jsonl", "bank.vex.jsonl", "bank.orm.jsonl"):
-            assert (staged / name).read_bytes() == (cfg.output_dir / name).read_bytes(), name
+        assert_same_files(staged, cfg.output_dir)
+
+    def test_staged_subcommands_on_a_warm_remote_cache(self, golden_dir, tmp_path, monkeypatch):
+        """Stages run alone on the cache a remote ``run`` warmed write the run's files.
+
+        Every reply then comes from the cache, ``created_at`` included.
+        """
+        cfg_path = edited_golden_config(
+            golden_dir, tmp_path, "kind = hashed\n", "kind = remote\nmodel_id = emb\n"
+        )
+        cfg_path.write_text(re.sub(r"kind = scripted\nbehavior = \w+", "kind = remote", cfg_path.read_text()))
+        behaviors = {"bankgen": "qa_stub", "mock-a": "context_echo", "mock-b": "context_echo_short"}
+        cfg = load_config(cfg_path)
+        hasher = HashedEmbedder(dims=cfg.embedder_dims)
+        requested = []
+
+        def transport(url, body, headers):
+            requested.append(url)
+            if url.endswith("/embeddings"):
+                rows = [hasher.embed_raw(t).tolist() for t in body["input"]]
+                return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
+            reply = SCRIPTED_BEHAVIORS[behaviors[body["model"]]](body["messages"][0]["content"])
+            return {"choices": [{"message": {"content": reply}}]}
+
+        cfg.output_dir, cfg.cache_dir = tmp_path / "run", tmp_path / "cache"
+        cache = CallCache(cfg.cache_dir)
+        try:
+            embedder = cfg.build_embedder(cache=cache, transport=transport)
+            report = run_experiment(cfg, embedder=embedder, transports={m.name: transport for m in cfg.models})
+        finally:
+            cache.close()
+        assert report.failed == 0 and report.items == 36
+        assert requested
+        created = {r["created_at"] for r in read_jsonl(cfg.output_dir / "explanations.jsonl")}
+        assert "1970-01-01T00:00:00Z" not in created  # remote replies, not scripted ones
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a staged run on a warm cache sent a request")
+
+        monkeypatch.setattr(requests, "post", unreachable)
+        args = ["-c", str(cfg_path), "-o", str(tmp_path / "staged"), "--cache-dir", str(cfg.cache_dir)]
+        for stage in STAGES:
+            assert cli_main([stage, *args]) == 0
+        assert_same_files(tmp_path / "staged", cfg.output_dir)
 
     def count_completions(self, monkeypatch) -> list[str]:
         calls = []

@@ -473,6 +473,19 @@ class TestEmbeddingBatches:
         emb.embed(TEXTS)
         assert sorted(reads) == sorted(emb._key(t) for t in TEXTS)
 
+    def test_each_cache_key_computed_once_on_a_cold_embed(self, tmp_path, monkeypatch):
+        keyed = []
+        key = RemoteEmbedder._key
+        monkeypatch.setattr(RemoteEmbedder, "_key", lambda self, text: keyed.append(text) or key(self, text))
+        cache = CallCache(tmp_path)
+        try:
+            remote(cache=cache, transport=EmbeddingServer()).embed(TEXTS + TEXTS[:2])
+            assert sorted(keyed) == sorted(TEXTS)
+            warm = remote(cache=cache, transport=dead_transport).embed(TEXTS)
+        finally:
+            cache.close()
+        np.testing.assert_array_equal(warm, HashedEmbedder(dims=EMBED_DIMS).embed(TEXTS))
+
     def test_fresh_embedder_on_warm_cache_sends_nothing(self, tmp_path):
         cold = remote(cache=CallCache(tmp_path), transport=EmbeddingServer())
         first = cold.embed(TEXTS)
