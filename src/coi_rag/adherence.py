@@ -8,8 +8,10 @@ and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
-``match_clauses`` scores every mode with one loop, each distinct tuple
-of part texts and each distinct part text once per call.
+``match_clauses`` scores every mode the same way: each distinct part text
+once per call, and all distinct tuples of part texts as one (tuples x
+source clauses) array, from which one ``VectorIndex.rank_many`` call
+picks every tuple's best source clause.
 ``evaluate_text`` extracts and scores each distinct explanation
 sentence once per source index, and remembers the result on the index.
 """
@@ -23,13 +25,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .vector_index import VectorIndex, clamp01
+from .vector_index import VectorIndex, clamp01, row_scores
 
 # ---------------------------------------------------------------------------
 # Clause extraction
 # ---------------------------------------------------------------------------
 
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+_SENTENCE_END = re.compile(r"([.!?])\s+")
 # Stripped from the start and the end of each token and clause part.
 _LEAD_PUNCT = "\"'(["
 _TRAIL_PUNCT = "\"')].,!?;:"
@@ -98,7 +100,13 @@ class Clause:
 
 
 def split_sentences(text: str) -> list[str]:
-    return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s.strip()]
+    """The sentences of ``text``, cut after each ``.``, ``!`` or ``?`` that whitespace follows."""
+    # Sentence bodies alternate with the marks that end them; the last body has none.
+    parts = _SENTENCE_END.split(text.strip())
+    sentences = [body + mark for body, mark in zip(parts[::2], parts[1::2])]
+    if parts[-1]:
+        sentences.append(parts[-1])
+    return sentences
 
 
 def extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
@@ -223,11 +231,13 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     of ``source``'s matching mode of the per-part cosines, where an empty
     part matches an empty part with 1.0 and anything else with 0.0. For
     ``whole_clause`` that is the cosine between full "{subject}
-    {predicate} {object}" renderings. ``VectorIndex.rank`` picks the
-    best source clause, so a tie goes to the smaller key. Within one
-    call, each distinct tuple of part texts is ranked once, and each
-    distinct non-empty (part, text) is embedded and scored against its
-    part's matrix once, in order of first appearance. Nothing is kept
+    {predicate} {object}" renderings. Within one call, each distinct
+    non-empty (part, text) is embedded, in order of first appearance, and
+    scored against its part's matrix once, each score row the product
+    ``matrix @ v`` would give. The scores of all distinct tuples of part
+    texts form one (tuples x source clauses) array, summed part by part,
+    and one ``VectorIndex.rank_many`` call picks every tuple's best source
+    clause from it, a tie going to the smaller key. Nothing is kept
     between calls: ``evaluate_text`` remembers each sentence's result.
     """
     if not ai:
@@ -237,16 +247,23 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     # The first part is never empty, so the embedded batch is not either.
     pairs = list(dict.fromkeys((p, t) for k in distinct for p, t in enumerate(k) if t.strip()))
     vectors = embedder.embed([t for _, t in pairs])
-    scores = {(p, t): source.matrices[p] @ v for (p, t), v in zip(pairs, vectors, strict=True)}
-    best = {}
-    for texts in distinct:
-        sims = sum(  # part by part, left to right: no BLAS reordering to flip a threshold
-            scores[p, t] if t.strip() else empty  # empty-vs-empty agrees
-            for p, (t, empty) in enumerate(zip(texts, source.empty))
-        )
-        key, score = source.index.rank(sims / len(texts), 1)[0]
-        best[texts] = key, clamp01(score)
-    return [ClauseMatch(c, *best[k]) for c, k in zip(ai, keys)]
+    for p, (matrix, empty) in enumerate(zip(source.matrices, source.empty)):
+        rows = [i for i, (q, _) in enumerate(pairs) if q == p]
+        # One row per distinct text of the part, in the order of the tuples
+        # that first hold it: row j is tuple j's unless some tuples share a
+        # text or leave the part empty.
+        scores = row_scores(matrix, vectors[rows])
+        if len(rows) < len(distinct):
+            slot = {pairs[i][1]: j for j, i in enumerate(rows)}
+            scores = np.vstack([scores, empty])[[slot.get(k[p], len(rows)) for k in distinct]]
+        if p == 0:
+            sims = scores
+        else:  # part by part, left to right: no BLAS reordering to flip a threshold
+            sims += scores
+    sims /= len(source.parts)
+    best = source.index.rank_many(sims, 1)
+    by_tuple = {k: (key, clamp01(score)) for k, [(key, score)] in zip(distinct, best)}
+    return [ClauseMatch(c, *by_tuple[k]) for c, k in zip(ai, keys)]
 
 
 # ---------------------------------------------------------------------------

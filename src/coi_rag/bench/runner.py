@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .. import planner as planner_mod
 from ..adherence import build_source_index, evaluate_text
-from ..corpus import Chunk, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..corpus import Chunk, Document, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import DECODING, CallCache, ProviderError
@@ -89,9 +89,10 @@ class StageContext:
     """Shared handles for one invocation of the pipeline.
 
     ``kept`` maps an artifact's file name to the value a stage of this
-    invocation wrote to it, so a later stage takes it from memory. A stage
-    reads its inputs only through the accessors below, which fall back to
-    the file when nothing is kept, as for a stage run alone.
+    invocation wrote to it, and an input file's path to the value a stage
+    read from it, so a later stage takes it from memory. A stage reads its
+    inputs only through the accessors below, which fall back to the file
+    when nothing is kept, as for a stage run alone.
     """
 
     cfg: ExperimentConfig
@@ -112,6 +113,21 @@ class StageContext:
         """Write the artifact ``name`` as JSON Lines and keep ``rows``."""
         write_jsonl(self.out / name, rows)
         self.kept[name] = rows
+
+    def questions(self) -> list[QuestionRecord]:
+        """The question dataset, read once per invocation."""
+        key = str(self.cfg.questions_path)
+        if key not in self.kept:
+            self.kept[key] = load_questions(self.cfg.questions_path, allowed_tags=self.cfg.tags)
+        return self.kept[key]
+
+    def document(self, tag: str) -> Document:
+        """The source document of corpus ``tag``, read once per invocation."""
+        spec = self.cfg.corpus(tag)
+        key = str(spec.path)
+        if key not in self.kept:
+            self.kept[key] = read_document(spec.path, doc_id=spec.tag, title=spec.title)
+        return self.kept[key]
 
     def rows(self, name: str) -> list[dict]:
         """The rows of the JSON Lines artifact ``name``."""
@@ -167,9 +183,8 @@ def make_context(
 def stage_ingest(ctx: StageContext) -> None:
     """Chunk every corpus; embed chunks when a retrieval mode is active."""
     for spec in ctx.cfg.corpora:
-        doc = read_document(spec.path, doc_id=spec.tag, title=spec.title)
         chunks = chunk(
-            doc,
+            ctx.document(spec.tag),
             size=ctx.cfg.chunk_size,
             overlap=ctx.cfg.chunk_overlap,
             min_tokens=ctx.cfg.chunk_min_tokens,
@@ -211,7 +226,7 @@ def stage_plan(ctx: StageContext) -> None:
     if "rag_coi" not in ctx.cfg.modes:
         ctx.write_rows("plans.jsonl", [])
         return
-    questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
+    questions = ctx.questions()
     indexes = {tag: ctx.chunk_index(tag) for tag in sorted(ctx.cfg.tags)}
     banks = {tag: ctx.bank(tag) for tag in sorted(ctx.cfg.tags)}
     plans = []
@@ -256,7 +271,7 @@ def stage_answer(ctx: StageContext) -> None:
     a question whose plan failed gets its plan's ``error`` on its rag_coi
     items. Each (question, mode) prompt is assembled once for every model.
     """
-    questions = load_questions(ctx.cfg.questions_path, allowed_tags=ctx.cfg.tags)
+    questions = ctx.questions()
     plans = _load_plans(ctx, questions) if "rag_coi" in ctx.cfg.modes else {}
     indexes = {}
     if ctx.needs_retrieval():
@@ -347,9 +362,9 @@ def stage_evaluate(ctx: StageContext) -> None:
     sources = {}
     titles = {}
     for spec in ctx.cfg.corpora:
-        doc = read_document(spec.path, doc_id=spec.tag, title=spec.title)
+        text = ctx.document(spec.tag).text
         try:
-            sources[spec.tag] = build_source_index([doc.text], ctx.embedder, ctx.cfg.matching)
+            sources[spec.tag] = build_source_index([text], ctx.embedder, ctx.cfg.matching)
         except ProviderError as exc:
             raise ProviderError(
                 f"source index of corpus {spec.tag!r}: {exc}", attempts=exc.attempts

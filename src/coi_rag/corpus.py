@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -165,7 +165,16 @@ def chunk(
 
 
 def chunks_to_jsonl(chunks: Iterable[Chunk], path: str | Path) -> None:
-    write_jsonl(path, (asdict(c) for c in chunks))
+    write_jsonl(
+        path,
+        (
+            {
+                "id": c.id, "doc_id": c.doc_id, "token_start": c.token_start,
+                "token_end": c.token_end, "text": c.text, "page_span": c.page_span,
+            }
+            for c in chunks
+        ),
+    )
 
 
 def chunks_from_jsonl(path: str | Path) -> list[Chunk]:

@@ -6,7 +6,8 @@ supporting chunks for each, deduplicates chunks so each belongs to exactly
 one candidate, and keeps the best few candidates as the explanatory
 scaffold for prompt assembly. One embedding of the primary query serves
 the bank search and the primary question's own chunk retrieval, whose
-overlap with the scaffold the plan records. ``IllocutionPlan.to_json``/
+overlap with the scaffold the plan records; that retrieval and every
+candidate's are one batched search. ``IllocutionPlan.to_json``/
 ``from_json`` own the plan format that ``plans.jsonl`` stores.
 """
 
@@ -135,7 +136,6 @@ def plan(
         raise ValueError("chunk index is empty")
 
     query_vec = embedder.embed([primary.query_text()])[0]
-    primary_ids = {cid for cid, _ in chunk_index.top_k(query_vec, per_question_chunks)}
 
     # Step 1: candidate pool from the bank; vectors[i] embeds candidates[i].
     candidates: list[CandidateQuestion] = []
@@ -152,8 +152,12 @@ def plan(
         candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
         vectors.extend(embedder.embed(template_texts))
 
-    # Step 3: per-candidate chunk retrieval.
-    retrieved = [chunk_index.top_k(vec, per_question_chunks) for vec in vectors]
+    # Step 3: per-candidate chunk retrieval, in one search that the primary
+    # query's own retrieval leads.
+    primary_hits, *retrieved = chunk_index.top_k_many(
+        np.vstack([query_vec, *vectors]), per_question_chunks
+    )
+    primary_ids = {cid for cid, _ in primary_hits}
 
     # Step 4: every chunk goes to the candidate that scores it highest;
     # ties break toward earlier pool order.

@@ -13,6 +13,7 @@ open the cache file.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -250,10 +251,10 @@ class HashedEmbedder:
     """Deterministic bag-of-words embedder.
 
     Each whitespace token is hashed (stable 64-bit digest) into one of
-    ``dims`` buckets; the count vector is L2-normalized. No network; the
-    only state is a per-instance memo of each token's bucket, so a token
-    is hashed once per embedder. The same text always maps to the same
-    unit vector.
+    ``dims`` buckets; the count vector is L2-normalized. ``embed`` counts
+    and normalizes a whole batch in one pass. No network; the only state
+    is a per-instance memo of each token's bucket, so a token is hashed
+    once per embedder. The same text always maps to the same unit vector.
     """
 
     def __init__(self, dims: int = 256):
@@ -263,26 +264,36 @@ class HashedEmbedder:
         self._buckets: dict[str, int] = {}
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        """One unit row per text, from one count over the whole batch.
+
+        Each row is divided by the square root of its exact integer sum of
+        squares, so it is bit-identical to ``embed_raw(t) /
+        np.linalg.norm(embed_raw(t))``.
+        """
         if not texts:
             return np.zeros((0, self.dims))
-        out = np.zeros((len(texts), self.dims))
-        for i, text in enumerate(texts):
-            if not text.strip():
-                raise ValueError(f"cannot embed empty text at position {i}")
-            out[i] = self.embed_raw(text)
-            out[i] /= np.linalg.norm(out[i])
+        token_lists = [text.split() for text in texts]
+        lengths = [len(tokens) for tokens in token_lists]
+        if 0 in lengths:
+            raise ValueError(f"cannot embed empty text at position {lengths.index(0)}")
+        ids = self._bucket_ids(list(itertools.chain.from_iterable(token_lists)))
+        cells = np.repeat(np.arange(0, len(texts) * self.dims, self.dims), lengths) + ids
+        # Float weights make bincount count straight into the float rows.
+        out = np.bincount(cells, weights=np.ones(len(ids)), minlength=len(texts) * self.dims)
+        out = out.reshape(len(texts), self.dims)
+        out /= np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
         return out
 
     def embed_raw(self, text: str) -> np.ndarray:
         """Unnormalized token-count vector; zero vector for empty text."""
+        return np.bincount(self._bucket_ids(text.split()), minlength=self.dims).astype(float)
+
+    def _bucket_ids(self, tokens: list[str]) -> np.ndarray:
+        """Each token's bucket; a token the memo lacks is hashed once and remembered."""
         buckets = self._buckets
-        ids = []
-        for tok in text.split():
-            bucket = buckets.get(tok)
-            if bucket is None:
-                bucket = buckets[tok] = _token_bucket(tok, self.dims)
-            ids.append(bucket)
-        return np.bincount(ids, minlength=self.dims).astype(float)
+        for tok in set(tokens).difference(buckets):
+            buckets[tok] = _token_bucket(tok, self.dims)
+        return np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
 
 def _embedding_rows(response: dict, count: int, dims: int) -> list[tuple[list, np.ndarray]]:

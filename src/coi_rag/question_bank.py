@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +45,16 @@ class QuestionBank:
 
 def save_bank(questions: list[ImplicitQuestion], bank_path: str | Path) -> None:
     """Write a bank file, one question per line, that :meth:`QuestionBank.load` reads."""
-    write_jsonl(bank_path, (asdict(q) for q in questions))
+    write_jsonl(
+        bank_path,
+        (
+            {
+                "id": q.id, "question": q.question, "answer": q.answer,
+                "source_chunk_id": q.source_chunk_id, "tag": q.tag,
+            }
+            for q in questions
+        ),
+    )
 
 
 def parse_qa_lines(response: str) -> tuple[list[tuple[str, str]], int]:

@@ -24,12 +24,23 @@ def clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def row_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``matrix @ q`` for each row ``q`` of ``queries``, one result row each.
+
+    The stacked ``matmul`` runs one matrix-vector product per query, so
+    each row is bit-identical to ``matrix @ q``; one matrix-matrix product
+    would sum in another order and could move a score by an ulp.
+    """
+    return np.matmul(matrix[None], queries[:, :, None])[:, :, 0]
+
+
 class VectorIndex:
     """Immutable list of (key, vector, payload) rows with exact search.
 
     Corpora here are at most a few hundred thousand rows, so search is
-    exact; no approximate structures. ``rank`` owns the one ranking rule:
-    score descending, ties by ascending key, so retrieval is reproducible.
+    exact; no approximate structures. ``rank_many`` owns the one ranking
+    rule, for one row of scores or many: score descending, ties by
+    ascending key, so retrieval is reproducible.
     """
 
     def __init__(self, keys: Sequence[str], vectors: np.ndarray, payloads: Sequence[Any] | None = None):
@@ -44,7 +55,8 @@ class VectorIndex:
         if len(self.payloads) != len(self.keys):
             raise ValueError("need one payload per key")
         self._by_key = {k: i for i, k in enumerate(self.keys)}
-        self._key_rank = np.argsort(np.argsort(np.array(self.keys, dtype=object)))
+        self._key_order = np.argsort(np.array(self.keys, dtype=object))  # rows by ascending key
+        self._key_rank = np.argsort(self._key_order)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -66,18 +78,46 @@ class VectorIndex:
             raise ValueError(f"query dims {query.shape} do not match index dims {self.dims}")
         return self.rank(self.vectors @ query, k)
 
+    def top_k_many(self, queries: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        """``top_k`` of each row of ``queries``, scored and ranked in one batch."""
+        queries = np.asarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != self.dims:
+            raise ValueError(f"queries shape {queries.shape} does not match index dims {self.dims}")
+        return self.rank_many(row_scores(self.vectors, queries), k)
+
     def rank(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """The ``k`` best rows by one score per row: descending, ties by ascending key."""
+        """The ``k`` best rows by one score per row; ``rank_many`` of one row."""
+        return self.rank_many(np.asarray(scores, dtype=float)[None], k)[0]
+
+    def rank_many(self, scores: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        """The ``k`` best index rows for each row of a (queries x index rows) score array.
+
+        Score descending, ties by ascending key, NaN last. For ``k == 1`` a
+        score row takes its max and, of the index rows tied at it, the one
+        with the smallest key; a score row holding a NaN, whose max is NaN,
+        takes the sort's first instead.
+        """
         if len(self) == 0:
             raise ValueError("cannot search an empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k == 1 and not np.isnan(best := scores.max()):  # the sort puts NaN last
-            tied = np.flatnonzero(scores == best)
-            i = tied[np.argmin(self._key_rank[tied])]
-            return [(self.keys[i], float(scores[i]))]
-        order = np.lexsort((self._key_rank, -scores))[:k]
-        return [(self.keys[i], float(scores[i])) for i in order]
+        scores = np.asarray(scores, dtype=float)
+        if k == 1:
+            best = scores.max(axis=1, keepdims=True)
+            # In key order, the first tied index row holds the smallest tied key.
+            tied = (scores == best)[:, self._key_order]
+            order = self._key_order[tied.argmax(axis=1)][:, None]
+            if (nan := np.isnan(best[:, 0])).any():
+                order[nan] = self._sort(scores[nan])[:, :1]
+        else:
+            order = self._sort(scores)[:, :k]
+        picked = np.take_along_axis(scores, order, axis=1).tolist()
+        keys = self.keys
+        return [[(keys[i], s) for i, s in zip(rows, row)] for rows, row in zip(order.tolist(), picked)]
+
+    def _sort(self, scores: np.ndarray) -> np.ndarray:
+        """Each score row's index rows, best first."""
+        return np.lexsort((np.broadcast_to(self._key_rank, scores.shape), -scores), axis=-1)
 
     def save(self, path: str | Path) -> None:
         write_jsonl(

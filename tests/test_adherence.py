@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_reference import reference_split_sentences
 
 from coi_rag.adherence import (
     _VERB_LEXICON,
@@ -46,6 +47,39 @@ def source(hashed256):
 def fake_matches(similarities):
     clause = Clause("s", "is", "o", 0)
     return [ClauseMatch(clause, f"src:{i}", s) for i, s in enumerate(similarities)]
+
+
+# ASCII whitespace, then Unicode whitespace that str.split, str.strip and \s all take.
+SPLIT_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+split_whitespace = st.text(alphabet=SPLIT_WHITESPACE, max_size=3)
+split_soups = st.one_of(
+    st.builds(
+        lambda lead, pieces: lead + "".join(pieces),
+        split_whitespace,
+        st.lists(
+            st.builds(
+                lambda w, p, ws: w + p + ws,
+                st.sampled_from(("", "a", "The parser", "e.g", "x1", "\u00e9t\u00e9")),
+                st.sampled_from(("", ".", "!", "?", "...", "?!", "!.", ".?!", '."')),
+                split_whitespace,
+            ),
+            max_size=8,
+        ),
+    ),
+    st.text(alphabet="ab.!?" + SPLIT_WHITESPACE, max_size=30),
+)
+
+
+class TestSplitSentences:
+    @given(split_soups)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_look_behind_split(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    def test_marks_and_whitespace(self):
+        text = " \u2028A b. C?! d\xa0\x1cE... f.\tg! "
+        assert split_sentences(text) == ["A b.", "C?!", "d\xa0\x1cE...", "f.", "g!"]
+        assert split_sentences(" \t\n") == split_sentences("") == []
 
 
 class TestExtractClauses:

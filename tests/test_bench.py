@@ -25,7 +25,7 @@ from coi_rag.bench.runner import (
     analyze_items, load_questions, make_context, run_experiment, stage_answer,
     stage_build_bank, stage_evaluate, stage_ingest, stage_plan,
 )
-from coi_rag.corpus import chunks_from_jsonl
+from coi_rag.corpus import chunks_from_jsonl, read_document
 from coi_rag.providers import (
     CACHE_FILE, SCRIPTED_BEHAVIORS, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder,
     ScriptedGenerator, request_hash,
@@ -502,10 +502,18 @@ class TestRunner:
             assert (plan[text], answer[text], total[text]) == (1, 1, 2), q.id
 
     @pytest.mark.parametrize("marker", [None, "Here follows an explanation"], ids=["golden", "one-item-fails"])
-    def test_kept_values_equal_what_their_files_read_back(self, golden_cfg, marker):
+    def test_kept_values_equal_what_their_files_read_back(self, golden_cfg, marker, monkeypatch):
+        from coi_rag.bench import runner
+
         embedder = golden_cfg.build_embedder()
         if marker is not None:  # the first explanation scored fails, as an error row
             embedder = FailOnceEmbedder(embedder, marker)
+        reads = Counter()
+        for name in ("read_document", "load_questions"):
+            def counting(path, *args, _read=getattr(runner, name), **kwargs):
+                reads[str(path)] += 1
+                return _read(path, *args, **kwargs)
+            monkeypatch.setattr(runner, name, counting)
         ctx = make_context(golden_cfg, embedder=embedder)
         try:
             for stage in STAGES.values():
@@ -513,15 +521,20 @@ class TestRunner:
         finally:
             ctx.cache.close()
         out, tags = golden_cfg.output_dir, sorted(golden_cfg.tags)
+        inputs = [str(golden_cfg.questions_path)] + [str(golden_cfg.corpus(tag).path) for tag in tags]
+        assert reads == Counter(inputs)  # each input file read once by all seven stages
         rows = ["plans.jsonl", "explanations.jsonl", "items.jsonl"]
         assert sorted(ctx.kept) == sorted(
-            rows + [f"{kind}.{tag}.jsonl" for kind in ("bank", "chunk_index", "chunks") for tag in tags]
+            inputs + rows + [f"{kind}.{tag}.jsonl" for kind in ("bank", "chunk_index", "chunks") for tag in tags]
         )
         for name in rows:
             assert ctx.kept[name] == read_jsonl(out / name), name
         assert any("error" in i for i in ctx.kept["items.jsonl"]) == (marker is not None)
+        assert ctx.kept[inputs[0]] == load_questions(golden_cfg.questions_path, allowed_tags=golden_cfg.tags)
         from_files = dataclasses.replace(ctx, kept={})
         for tag in tags:
+            spec = golden_cfg.corpus(tag)
+            assert ctx.kept[str(spec.path)] == read_document(spec.path, doc_id=tag, title=spec.title)
             chunks = chunks_from_jsonl(out / f"chunks.{tag}.jsonl")
             assert ctx.kept[f"chunks.{tag}.jsonl"] == chunks
             assert [dataclasses.asdict(q) for q in ctx.kept[f"bank.{tag}.jsonl"]] == read_jsonl(

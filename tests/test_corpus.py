@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from coi_rag.corpus import (
     read_document,
     tokenize,
 )
+from coi_rag.records import write_jsonl
 
 
 def make_doc(n_tokens: int, doc_id: str = "d") -> Document:
@@ -147,3 +150,5 @@ class TestSerialization:
         path = tmp_path / "chunks.jsonl"
         chunks_to_jsonl(chunks, path)
         assert chunks_from_jsonl(path) == chunks
+        write_jsonl(tmp_path / "asdict.jsonl", (dataclasses.asdict(c) for c in chunks))
+        assert path.read_bytes() == (tmp_path / "asdict.jsonl").read_bytes()

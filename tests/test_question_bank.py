@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from contextlib import closing
 
 import pytest
@@ -19,7 +20,7 @@ from coi_rag.question_bank import (
     save_bank,
     template_questions,
 )
-from coi_rag.records import QuestionRecord
+from coi_rag.records import QuestionRecord, write_jsonl
 from coi_rag.templates import QA_EXTRACTION_TEMPLATE, fill
 
 EXAMPLE_BLOCK = """- Who is Alice? An experienced hiker.
@@ -166,6 +167,8 @@ class TestBuildBank:
         save_bank(qs, tmp_path / "bank.jsonl")
         loaded = QuestionBank.load(tmp_path / "bank.jsonl", hashed64)
         assert loaded.questions == qs
+        write_jsonl(tmp_path / "asdict.jsonl", (dataclasses.asdict(q) for q in qs))
+        assert (tmp_path / "bank.jsonl").read_bytes() == (tmp_path / "asdict.jsonl").read_bytes()
 
 
 class TestTemplateQuestions:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coi_rag.providers import CallCache, HashedEmbedder, ProviderError, RemoteEmbedder
-from coi_rag.vector_index import VectorIndex, build_index, clamp01, cosine
+from coi_rag.vector_index import VectorIndex, build_index, clamp01, cosine, row_scores
+
+EMBED_TOKENS = ("a", "b", "the", "The", "the.", "caf\u00e9", "\u6771\u4eac", "x\x1cy", "42")
 
 
 class TestHashedEmbedder:
@@ -75,6 +77,36 @@ class TestHashedEmbedder:
         assert base == pytest.approx(0.0, abs=1e-12)
         joined = cosine(*emb.embed([a + " shared", b + " shared"]))
         assert joined >= base
+
+    @given(
+        st.sampled_from([1, 7, 256]),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["x", "the", "caf\u00e9", "\U0001f600"]),  # single tokens, often repeated
+                st.lists(st.sampled_from(EMBED_TOKENS), min_size=1, max_size=8).map(" ".join),
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_per_text_normalized_counts(self, dims, texts):
+        """One batch count is bit-identical to each text's counts over their own norm."""
+        raw = HashedEmbedder(dims).embed_raw
+        want = np.array([raw(t) / np.linalg.norm(raw(t)) for t in texts])
+        assert HashedEmbedder(dims).embed(texts).tobytes() == want.tobytes()
+
+    @given(
+        st.lists(st.sampled_from(["a", "b c", "", " ", "\t\n", "\xa0", "\x1c", "\u2028", "x\xa0y"]), min_size=1, max_size=8)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_empty_text_error_names_the_first_blank_position(self, texts):
+        first = next((i for i, t in enumerate(texts) if not t.strip()), None)
+        emb = HashedEmbedder(16)
+        if first is None:
+            assert emb.embed(texts).shape == (len(texts), 16)
+        else:
+            with pytest.raises(ValueError, match=f"^cannot embed empty text at position {first}$"):
+                emb.embed(texts)
 
 
 # Repeated tokens, punctuation, non-ASCII text and mixed whitespace.
@@ -262,6 +294,86 @@ class TestRankTop1:
         for _ in range(50):
             scores = np.round(rng.normal(size=200), 1)  # coarse, so ties are common
             assert index.rank(scores, 1) == lexsort_top_1(index, scores)
+
+
+def reference_rank(index: VectorIndex, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """One row ranked on its own: the max and its smallest tied key for k = 1, else one lexsort."""
+    if k == 1 and not np.isnan(best := scores.max()):  # the sort puts NaN last
+        tied = np.flatnonzero(scores == best)
+        i = tied[np.argmin(index._key_rank[tied])]
+        return [(index.keys[i], float(scores[i]))]
+    order = np.lexsort((index._key_rank, -scores))[:k]
+    return [(index.keys[i], float(scores[i])) for i in order]
+
+
+def exact(hits: list[tuple[str, float]]) -> list[tuple[str, str]]:
+    """Hits with each score as its repr, which tells -0.0 from 0.0 and lets NaN equal NaN."""
+    return [(key, repr(score)) for key, score in hits]
+
+
+score_rows = st.tuples(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]), min_size=12, max_size=12),
+    st.one_of(st.just(set()), st.sets(st.integers(0, 11), max_size=3), st.just(set(range(12)))),
+).map(lambda row_nans: [np.nan if i in row_nans[1] else v for i, v in enumerate(row_nans[0])])
+
+
+class TestRankMany:
+    """``rank_many`` and ``top_k_many`` equal a loop of the one-row ``rank`` and ``top_k``."""
+
+    KEYS = TestRankTop1.KEYS
+
+    @given(st.lists(score_rows, min_size=1, max_size=6), st.sampled_from([1, 2, 3, 12, 20]))
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_loop_of_one_row_rank(self, rows, k):
+        index = VectorIndex(self.KEYS, np.zeros((12, 2)))
+        scores = np.array(rows)
+        want = [exact(reference_rank(index, row, k)) for row in scores]
+        assert [exact(hits) for hits in index.rank_many(scores, k)] == want
+        assert [exact(index.rank(row, k)) for row in scores] == want
+
+    def test_nan_rows_among_finite_rows(self):
+        index = VectorIndex(self.KEYS, np.zeros((12, 2)))
+        scores = np.tile(np.linspace(0.0, 1.0, 12), (4, 1))
+        scores[1, [2, 7]] = np.nan
+        scores[2] = np.nan
+        for k in (1, 3):
+            want = [exact(reference_rank(index, row, k)) for row in scores]
+            assert [exact(hits) for hits in index.rank_many(scores, k)] == want
+        assert [hits[0][0] for hits in index.rank_many(scores, 1)] == ["src:8", "src:8", "src:0", "src:8"]
+
+    @pytest.mark.parametrize("k", [1, 3, 12, 14])
+    def test_top_k_many_equals_loop_of_top_k(self, k):
+        rng = np.random.default_rng(k)
+        vecs = rng.integers(0, 3, size=(12, 4)).astype(float)  # integer vectors: exact ties
+        vecs[4] = vecs[1]
+        index = VectorIndex(self.KEYS, vecs)
+        queries = np.vstack([vecs[1], -vecs[2], rng.integers(-2, 3, size=(30, 4)), [np.nan, 1.0, 0.0, 0.0]])
+        want = [exact(reference_rank(index, vecs @ q, k)) for q in queries]
+        assert [exact(hits) for hits in index.top_k_many(queries, k)] == want
+        assert [exact(index.top_k(q, k)) for q in queries] == want
+
+    def test_top_k_many_checks_its_queries(self):
+        index = VectorIndex(["a", "b"], np.eye(2))
+        assert index.top_k_many(np.zeros((0, 2)), 1) == []
+        for bad in (np.zeros(2), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="does not match index dims"):
+                index.top_k_many(bad, 1)
+        with pytest.raises(ValueError, match="empty index"):
+            VectorIndex([], np.zeros((0, 2))).top_k_many(np.zeros((1, 2)), 1)
+
+
+class TestRowScores:
+    @pytest.mark.parametrize("rows", [480, 61])  # a book's source clauses; a book's chunks
+    def test_equal_matrix_vector_products_bit_for_bit(self, rows):
+        """A NumPy that runs the batch as one matrix-matrix product sums in another order and fails here."""
+        rng = np.random.default_rng(rows)
+        matrix = rng.normal(size=(rows, 256))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        for n in (1, 2, 30, 300):
+            queries = rng.normal(size=(n, 256))
+            queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+            want = np.stack([matrix @ q for q in queries])
+            assert row_scores(matrix, queries).tobytes() == want.tobytes()
 
 
 class TestRemoteEmbedder:

@@ -1,9 +1,11 @@
-"""Frozen plain forms of two text scans that the library runs in fast forms.
+"""Frozen plain forms of three text scans that the library runs in fast forms.
 
 ``reference_context_sentences`` scans the joined evidence text in one pass
 and normalizes every sentence; ``reference_strip_citations`` runs its three
-whitespace passes unconditionally, once, after the marker loop. Tests hold
-``providers._context_sentences`` and ``prompting.strip_citations`` to them.
+whitespace passes unconditionally, once, after the marker loop;
+``reference_split_sentences`` splits on a look-behind for the sentence mark.
+Tests hold ``providers._context_sentences``, ``prompting.strip_citations``
+and ``adherence.split_sentences`` to them.
 """
 
 from __future__ import annotations
@@ -58,3 +60,10 @@ def reference_strip_citations(text: str, textbook_title: str | None = None) -> s
     out = re.sub(r" +([.,;:!?])", r"\1", out)
     out = re.sub(r" +$", "", out, flags=re.MULTILINE)
     return out
+
+
+_LOOK_BEHIND_SPLIT = re.compile(r"(?<=[.!?])\s+")
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    return [s for s in _LOOK_BEHIND_SPLIT.split(text.strip()) if s.strip()]
