@@ -8,12 +8,12 @@ the absolute number of grounded statements.
 """
 
 from coi_rag import (
+    AdherenceReport,
     HashedEmbedder,
     build_source_index,
     evaluate_text,
     extract_clauses,
     strip_citations,
-    threshold_sweep,
     match_clauses,
 )
 
@@ -51,7 +51,8 @@ print(f"  adherence ratio {report2.factscore:.2f}, mean similarity "
       f"{report2.mean_similarity:.2f}, adherent clauses {report2.adherent_count}")
 
 mixed = clean + " " + unfaithful
-matches = match_clauses(extract_clauses(mixed), source, embedder)
+sims = [m.similarity for m in match_clauses(extract_clauses(mixed), source, embedder)]
 print("\nthreshold sweep on the mixed explanation:")
-for t, score in threshold_sweep(matches, [0.5, 0.6, 0.7, 0.8, 0.9]):
+for t in [0.5, 0.6, 0.7, 0.8, 0.9]:
+    score = AdherenceReport.from_similarities(sims, t, len(mixed.split())).factscore
     print(f"  t={t:.1f}: adherence {score:.2f}")

@@ -14,14 +14,10 @@ from .adherence import (
     Clause,
     ClauseMatch,
     SourceClauseIndex,
-    adherent_count,
     build_source_index,
     evaluate_text,
     extract_clauses,
-    factscore,
     match_clauses,
-    mean_similarity,
-    threshold_sweep,
 )
 from .corpus import Chunk, Document, chunk, read_document, tokenize
 from .planner import (
@@ -82,7 +78,6 @@ __all__ = [
     "SelectedQuestion",
     "SourceClauseIndex",
     "VectorIndex",
-    "adherent_count",
     "assemble_genai",
     "assemble_rag",
     "assemble_rag_coi",
@@ -95,15 +90,12 @@ __all__ = [
     "evaluate_text",
     "extract_clauses",
     "extract_qas",
-    "factscore",
     "generate",
     "match_clauses",
-    "mean_similarity",
     "plan",
     "pool_ratio_check",
     "read_document",
     "strip_citations",
     "template_questions",
-    "threshold_sweep",
     "tokenize",
 ]

@@ -2,9 +2,10 @@
 
 An explanation is decomposed into subject-predicate-object clauses, each
 clause is matched against the clauses of the evidence source by embedding
-similarity, and the scores are summarized as a thresholded adherence ratio
-(the share of clauses whose best match clears ``t``), a mean similarity,
-and an adherent-clause count.
+similarity, and ``AdherenceReport.from_similarities``, the one place the
+scores are computed, summarizes the best-match similarities as a
+thresholded adherence ratio (the share that clear ``t``), a mean
+similarity, and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
@@ -271,36 +272,6 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
 # ---------------------------------------------------------------------------
 
 
-def factscore(matches: Sequence[ClauseMatch], t: float = 0.7) -> float:
-    """Share of clauses whose best source similarity is at least ``t``."""
-    if not matches:
-        raise ValueError("no clause matches: explanation is unevaluable, not score 0")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    return adherent_count(matches, t) / len(matches)
-
-
-def adherent_count(matches: Sequence[ClauseMatch], t: float = 0.7) -> int:
-    if not matches:
-        raise ValueError("no clause matches: explanation is unevaluable")
-    return sum(1 for m in matches if m.similarity >= t)
-
-
-def mean_similarity(matches: Sequence[ClauseMatch]) -> float:
-    if not matches:
-        raise ValueError("no clause matches: explanation is unevaluable")
-    return float(np.mean([m.similarity for m in matches]))
-
-
-def threshold_sweep(
-    matches: Sequence[ClauseMatch], ts: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Adherence ratio at each threshold; non-increasing in ``t``."""
-    if list(ts) != sorted(ts):
-        raise ValueError("thresholds must be sorted ascending")
-    return [(t, factscore(matches, t)) for t in ts]
-
-
 @dataclass(frozen=True)
 class AdherenceReport:
     threshold: float
@@ -311,10 +282,34 @@ class AdherenceReport:
     word_count: int
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
         if self.clause_count < 1:
             raise ValueError("report requires at least one clause")
         if self.adherent_count > self.clause_count:
             raise ValueError("adherent_count cannot exceed clause_count")
+
+    @classmethod
+    def from_similarities(
+        cls, similarities: Sequence[float], t: float, word_count: int
+    ) -> AdherenceReport:
+        """The report of clauses whose best source similarities are ``similarities``.
+
+        The adherence ratio is the share of similarities at least ``t``.
+        No similarities raise ValueError: the explanation is unevaluable,
+        not score 0.
+        """
+        if not len(similarities):
+            raise ValueError("no clause similarities: explanation is unevaluable, not score 0")
+        adherent = sum(1 for s in similarities if s >= t)
+        return cls(
+            threshold=t,
+            factscore=adherent / len(similarities),
+            mean_similarity=float(np.mean(similarities)),
+            adherent_count=adherent,
+            clause_count=len(similarities),
+            word_count=word_count,
+        )
 
 
 def evaluate_text(
@@ -328,8 +323,8 @@ def evaluate_text(
     The caller is expected to strip citation markers first so page
     references do not distort similarity. Each sentence ``source.scored``
     has not seen is extracted, and its clause, if any, matched in one
-    ``match_clauses`` call; the report is built from the similarities of
-    the text's clause sentences, in order.
+    ``match_clauses`` call; ``AdherenceReport.from_similarities`` scores
+    the similarities of the text's clause sentences, in order.
     """
     sentences = split_sentences(text)
     scored = source.scored
@@ -347,16 +342,4 @@ def evaluate_text(
         for sentence, m in zip(unseen, matches, strict=True):
             scored[sentence] = m.best_source_clause_id, m.similarity
     sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
-    if not sims:
-        return None
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    adherent = sum(1 for s in sims if s >= t)
-    return AdherenceReport(
-        threshold=t,
-        factscore=adherent / len(sims),
-        mean_similarity=float(np.mean(sims)),
-        adherent_count=adherent,
-        clause_count=len(sims),
-        word_count=len(text.split()),
-    )
+    return AdherenceReport.from_similarities(sims, t, len(text.split())) if sims else None

@@ -133,6 +133,13 @@ class StageContext:
         """The rows of the JSON Lines artifact ``name``."""
         return self.kept[name] if name in self.kept else read_jsonl(self.out / name)
 
+    def analysis(self) -> dict:
+        """The statistical comparisons the analyze stage wrote to ``analysis.json``."""
+        name = "analysis.json"
+        if name in self.kept:
+            return self.kept[name]
+        return json.loads((self.out / name).read_text(encoding="utf-8"))
+
     def chunks(self, tag: str) -> list[Chunk]:
         name = f"chunks.{tag}.jsonl"
         return self.kept[name] if name in self.kept else chunks_from_jsonl(self.out / name)
@@ -387,17 +394,7 @@ def stage_evaluate(ctx: StageContext) -> None:
         if report is None:
             item["unevaluable"] = True
         else:
-            item.update(
-                {
-                    "threshold": report.threshold,
-                    "matching": ctx.cfg.matching,
-                    "factscore": report.factscore,
-                    "mean_similarity": report.mean_similarity,
-                    "adherent_count": report.adherent_count,
-                    "clause_count": report.clause_count,
-                    "word_count": report.word_count,
-                }
-            )
+            item.update(vars(report), matching=ctx.cfg.matching)
         items.append(item)
 
     ctx.write_rows("items.jsonl", items)
@@ -412,6 +409,7 @@ def stage_evaluate(ctx: StageContext) -> None:
 def stage_analyze(ctx: StageContext) -> dict:
     analysis = analyze_items(ctx.rows("items.jsonl"), ctx.cfg)
     write_analysis(analysis, ctx.out / "analysis.json")
+    ctx.kept["analysis.json"] = analysis
     return analysis
 
 
@@ -499,9 +497,7 @@ def _json_float(x: float) -> float | None:
 
 
 def stage_report(ctx: StageContext) -> None:
-    items = ctx.rows("items.jsonl")
-    analysis = json.loads((ctx.out / "analysis.json").read_text(encoding="utf-8"))
-    write_csv_and_plots(items, analysis, ctx.cfg, ctx.out)
+    write_csv_and_plots(ctx.rows("items.jsonl"), ctx.analysis(), ctx.cfg, ctx.out)
 
 
 def write_manifest(out: Path) -> None:

@@ -16,15 +16,7 @@ import pytest
 
 from planner_reference import reference_plan
 
-from coi_rag.adherence import (
-    Clause,
-    ClauseMatch,
-    adherent_count,
-    build_source_index,
-    evaluate_text,
-    factscore,
-    threshold_sweep,
-)
+from coi_rag.adherence import AdherenceReport, build_source_index, evaluate_text
 from coi_rag.bench.config import load_config
 from coi_rag.bench.runner import run_experiment
 from coi_rag.corpus import Document, chunk
@@ -190,17 +182,14 @@ def test_criterion_4_adherence_oracles():
     assert report2.factscore == 0.0
 
     rng = np.random.default_rng(404)
-    clause = Clause("s", "is", "o", 0)
     for _ in range(500):
         sims = rng.uniform(size=rng.integers(1, 40))
-        matches = [ClauseMatch(clause, f"src:{i}", float(s)) for i, s in enumerate(sims)]
         ts = sorted(rng.uniform(size=4))
-        scores = [f for _, f in threshold_sweep(matches, ts)]
+        reports = [AdherenceReport.from_similarities(sims, t, word_count=len(sims)) for t in ts]
+        scores = [r.factscore for r in reports]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
-        for t in ts:
-            assert factscore(matches, t) * len(matches) == pytest.approx(
-                adherent_count(matches, t)
-            )
+        for r in reports:
+            assert r.factscore * len(sims) == pytest.approx(r.adherent_count)
     ok("4 adherence oracles: copy=1.0, disjoint=0.0, sweep monotone, exact ratio")
 
 

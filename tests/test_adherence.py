@@ -14,15 +14,11 @@ from coi_rag.adherence import (
     AdherenceReport,
     Clause,
     ClauseMatch,
-    adherent_count,
     build_source_index,
     evaluate_text,
     extract_clauses,
-    factscore,
     match_clauses,
-    mean_similarity,
     split_sentences,
-    threshold_sweep,
 )
 from coi_rag.providers import HashedEmbedder, RemoteEmbedder
 from coi_rag.vector_index import clamp01, cosine
@@ -42,11 +38,6 @@ MODES = ("whole_clause", "component_weighted")
 @pytest.fixture
 def source(hashed256):
     return build_source_index([SOURCE_TEXT], hashed256)
-
-
-def fake_matches(similarities):
-    clause = Clause("s", "is", "o", 0)
-    return [ClauseMatch(clause, f"src:{i}", s) for i, s in enumerate(similarities)]
 
 
 # ASCII whitespace, then Unicode whitespace that str.split, str.strip and \s all take.
@@ -483,41 +474,37 @@ class TestMatchClausesDifferential:
             assert match_clauses(clauses, source, embedder) == reference_match_clauses(clauses, source, embedder)
 
 
+def report(sims, t=0.7):
+    return AdherenceReport.from_similarities(sims, t, word_count=10)
+
+
 class TestScores:
     def test_factscore_all_ones(self):
-        assert factscore(fake_matches([1.0, 1.0, 1.0]), 1.0) == 1.0
+        assert report([1.0, 1.0, 1.0], 1.0).factscore == 1.0
 
     def test_factscore_half(self):
-        assert factscore(fake_matches([0.9, 0.5]), 0.7) == 0.5
+        assert report([0.9, 0.5]).factscore == 0.5
 
     def test_factscore_t_zero_is_one(self):
-        assert factscore(fake_matches([0.3, 0.01, 0.0]), 0.0) == 1.0
+        assert report([0.3, 0.01, 0.0], 0.0).factscore == 1.0
 
     def test_factscore_empty_is_error(self):
         with pytest.raises(ValueError):
-            factscore([], 0.7)
+            report([])
+        with pytest.raises(ValueError):
+            report(np.array([]))
 
     def test_mean_similarity(self):
-        assert mean_similarity(fake_matches([1.0, 1.0])) == 1.0
-        assert mean_similarity(fake_matches([0.8, 0.6])) == pytest.approx(0.7)
-        with pytest.raises(ValueError):
-            mean_similarity([])
+        assert report([1.0, 1.0]).mean_similarity == 1.0
+        assert report([0.8, 0.6]).mean_similarity == pytest.approx(0.7)
 
     def test_adherent_count(self):
-        assert adherent_count(fake_matches([0.9, 0.71, 0.69]), 0.7) == 2
-        with pytest.raises(ValueError):
-            adherent_count([], 0.7)
+        got = report([0.9, 0.71, 0.69])
+        assert (got.adherent_count, got.clause_count, got.word_count) == (2, 3, 10)
 
     def test_threshold_sweep_examples(self):
-        assert threshold_sweep(fake_matches([1.0]), [0.6, 0.7, 0.8]) == [
-            (0.6, 1.0), (0.7, 1.0), (0.8, 1.0),
-        ]
-        got = threshold_sweep(fake_matches([0.65, 0.75]), [0.6, 0.7, 0.8])
-        assert [f for _, f in got] == [1.0, 0.5, 0.0]
-
-    def test_threshold_sweep_requires_sorted(self):
-        with pytest.raises(ValueError):
-            threshold_sweep(fake_matches([0.5]), [0.8, 0.2])
+        assert [report([1.0], t).factscore for t in (0.6, 0.7, 0.8)] == [1.0, 1.0, 1.0]
+        assert [report([0.65, 0.75], t).factscore for t in (0.6, 0.7, 0.8)] == [1.0, 0.5, 0.0]
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30),
@@ -525,18 +512,43 @@ class TestScores:
     )
     @settings(max_examples=100, deadline=None)
     def test_sweep_non_increasing_and_counts_exact(self, sims, ts):
-        matches = fake_matches(sims)
         ts = sorted(ts)
-        scores = [f for _, f in threshold_sweep(matches, ts)]
+        scores = [report(sims, t).factscore for t in ts]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         for t in ts:
             brute = sum(1 for s in sims if s >= t)
-            assert adherent_count(matches, t) == brute
-            assert factscore(matches, t) * len(sims) == pytest.approx(brute)
+            got = report(np.array(sims), t)
+            assert got == report(sims, t)
+            assert got.adherent_count == brute
+            assert got.factscore * len(sims) == pytest.approx(brute)
 
     def test_monotonicity_in_threshold(self):
-        matches = fake_matches([0.2, 0.5, 0.7, 0.9])
-        assert factscore(matches, 0.3) >= factscore(matches, 0.8)
+        sims = [0.2, 0.5, 0.7, 0.9]
+        assert report(sims, 0.3).factscore >= report(sims, 0.8).factscore
+
+
+clause_free_sentences = st.sampled_from(("Yes.", "No way.", "Maybe!", "Purple quasar?"))
+
+
+class TestReportFromRun:
+    """``evaluate_text`` scores a text by ``from_similarities`` and nothing else."""
+
+    @given(
+        st.sampled_from(MODES),
+        st.floats(min_value=0, max_value=1),
+        st.lists(st.lists(st.one_of(sentences, clause_free_sentences), max_size=8).map(" ".join), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_formula_over_scored_similarities(self, mode, t, texts):
+        embedder = HashedEmbedder(dims=32)
+        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+        for text in texts:
+            got = evaluate_text(text, source, embedder, t)
+            hits = [source.scored[s] for s in split_sentences(text)]
+            sims = [hit[1] for hit in hits if hit is not None]
+            assert (got is None) == (not extract_clauses(text)) == (not sims)
+            if sims:
+                assert got == AdherenceReport.from_similarities(sims, t, len(text.split()))
 
 
 class TestOracles:
@@ -567,3 +579,5 @@ class TestOracles:
     def test_report_invariants(self):
         with pytest.raises(ValueError):
             AdherenceReport(0.7, 0.5, 0.5, 3, 2, 10)
+        with pytest.raises(ValueError, match="threshold"):
+            AdherenceReport(1.5, 0.5, 0.5, 1, 2, 10)

@@ -525,10 +525,12 @@ class TestRunner:
         assert reads == Counter(inputs)  # each input file read once by all seven stages
         rows = ["plans.jsonl", "explanations.jsonl", "items.jsonl"]
         assert sorted(ctx.kept) == sorted(
-            inputs + rows + [f"{kind}.{tag}.jsonl" for kind in ("bank", "chunk_index", "chunks") for tag in tags]
+            inputs + rows + ["analysis.json"]
+            + [f"{kind}.{tag}.jsonl" for kind in ("bank", "chunk_index", "chunks") for tag in tags]
         )
         for name in rows:
             assert ctx.kept[name] == read_jsonl(out / name), name
+        assert ctx.kept["analysis.json"] == json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert any("error" in i for i in ctx.kept["items.jsonl"]) == (marker is not None)
         assert ctx.kept[inputs[0]] == load_questions(golden_cfg.questions_path, allowed_tags=golden_cfg.tags)
         from_files = dataclasses.replace(ctx, kept={})
