@@ -6,9 +6,11 @@ implicit-question banks, ``plan`` the illocution plans, ``answer`` the
 generated explanations, ``evaluate`` the per-item adherence records,
 ``analyze`` the statistical comparisons, and ``report`` the aggregate CSV
 and plots. ``run`` chains all of them and writes a manifest of content
-hashes. Within ``run`` each stage hands what it wrote to the next in
-memory, through the :class:`StageContext` accessors, and writes the same
-files; a stage run alone reads them from the output directory.
+hashes. A stage writes every artifact through :meth:`StageContext.keep`
+and reads one through :meth:`StageContext.artifact`, so within ``run``
+each stage hands what it wrote to the next in memory; a stage run alone
+reads it from the output directory, and fails naming a file no earlier
+stage wrote.
 
 Each stage decides from the configured modes whether it has work to do:
 ``build-bank`` does nothing unless ``rag_coi`` runs, and ``plan`` then
@@ -23,17 +25,17 @@ import csv
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .. import planner as planner_mod
-from ..adherence import build_source_index, evaluate_text
-from ..corpus import Chunk, Document, chunk, chunks_from_jsonl, chunks_to_jsonl, read_document
+from ..adherence import AdherenceReport, build_source_index, evaluate_text
+from ..corpus import Chunk, Document, chunk, chunks_from_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import DECODING, CallCache, ProviderError
-from ..question_bank import QuestionBank, build_bank, save_bank
-from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl
+from ..question_bank import QuestionBank, build_bank
+from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl, write_records
 from ..vector_index import VectorIndex, build_index
 from .config import ExperimentConfig
 from .report import write_analysis, write_csv_and_plots
@@ -88,11 +90,12 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
 class StageContext:
     """Shared handles for one invocation of the pipeline.
 
-    ``kept`` maps an artifact's file name to the value a stage of this
-    invocation wrote to it, and an input file's path to the value a stage
-    read from it, so a later stage takes it from memory. A stage reads its
-    inputs only through the accessors below, which fall back to the file
-    when nothing is kept, as for a stage run alone.
+    ``kept`` maps an artifact's file name, or an input file's path, to its
+    value, so each is written or read once per invocation. A stage writes
+    every artifact through :meth:`keep` and reads every artifact through
+    :meth:`artifact`, which falls back to the file in ``out`` when nothing
+    is kept, as for a stage run alone; the inputs are read through
+    :meth:`load`, keyed by their own path.
     """
 
     cfg: ExperimentConfig
@@ -109,57 +112,59 @@ class StageContext:
     def needs_retrieval(self) -> bool:
         return any(m in ("rag", "rag_coi") for m in self.cfg.modes)
 
-    def write_rows(self, name: str, rows: list[dict]) -> None:
-        """Write the artifact ``name`` as JSON Lines and keep ``rows``."""
-        write_jsonl(self.out / name, rows)
-        self.kept[name] = rows
+    def keep(self, name: str, value, write=write_jsonl) -> None:
+        """Write ``value`` to the artifact ``name`` with ``write(path, value)`` and keep it."""
+        write(self.out / name, value)
+        self.kept[name] = value
+
+    def load(self, key: str, read):
+        """The value kept under ``key``, else ``read()``, kept under ``key``."""
+        if key not in self.kept:
+            self.kept[key] = read()
+        return self.kept[key]
+
+    def artifact(self, name: str, read=read_jsonl):
+        """The artifact ``name``, kept or else ``read(path)``; raises if its file is missing."""
+        return self.load(name, lambda: read(self._written(name)))
+
+    def _written(self, name: str) -> Path:
+        path = self.out / name
+        if not path.exists():
+            raise FileNotFoundError(f"{path} not found: run the stage that writes it first")
+        return path
 
     def questions(self) -> list[QuestionRecord]:
         """The question dataset, read once per invocation."""
-        key = str(self.cfg.questions_path)
-        if key not in self.kept:
-            self.kept[key] = load_questions(self.cfg.questions_path, allowed_tags=self.cfg.tags)
-        return self.kept[key]
+        path = self.cfg.questions_path
+        return self.load(str(path), lambda: load_questions(path, allowed_tags=self.cfg.tags))
 
     def document(self, tag: str) -> Document:
         """The source document of corpus ``tag``, read once per invocation."""
         spec = self.cfg.corpus(tag)
-        key = str(spec.path)
-        if key not in self.kept:
-            self.kept[key] = read_document(spec.path, doc_id=spec.tag, title=spec.title)
-        return self.kept[key]
-
-    def rows(self, name: str) -> list[dict]:
-        """The rows of the JSON Lines artifact ``name``."""
-        return self.kept[name] if name in self.kept else read_jsonl(self.out / name)
-
-    def analysis(self) -> dict:
-        """The statistical comparisons the analyze stage wrote to ``analysis.json``."""
-        name = "analysis.json"
-        if name in self.kept:
-            return self.kept[name]
-        return json.loads((self.out / name).read_text(encoding="utf-8"))
+        return self.load(
+            str(spec.path), lambda: read_document(spec.path, doc_id=spec.tag, title=spec.title)
+        )
 
     def chunks(self, tag: str) -> list[Chunk]:
-        name = f"chunks.{tag}.jsonl"
-        return self.kept[name] if name in self.kept else chunks_from_jsonl(self.out / name)
+        return self.artifact(f"chunks.{tag}.jsonl", chunks_from_jsonl)
 
     def chunk_index(self, tag: str) -> VectorIndex:
         """The chunk index of corpus ``tag``, each chunk its key's payload."""
-        name = f"chunk_index.{tag}.jsonl"
-        if name in self.kept:
-            return self.kept[name]
-        index = VectorIndex.load(self.out / name)
-        chunks = {c.id: c for c in self.chunks(tag)}
-        index.payloads = [chunks[k] for k in index.keys]
-        return index
+
+        def read(path: Path) -> VectorIndex:
+            index = VectorIndex.load(path)
+            chunks = {c.id: c for c in self.chunks(tag)}
+            index.payloads = [chunks[k] for k in index.keys]
+            return index
+
+        return self.artifact(f"chunk_index.{tag}.jsonl", read)
 
     def bank(self, tag: str) -> QuestionBank:
         """The implicit-question bank of corpus ``tag``, indexed by ``embedder``."""
         name = f"bank.{tag}.jsonl"
         if name in self.kept:
             return QuestionBank(self.kept[name], self.embedder)
-        return QuestionBank.load(self.out / name, self.embedder)
+        return QuestionBank.load(self._written(name), self.embedder)
 
 
 def make_context(
@@ -198,15 +203,11 @@ def stage_ingest(ctx: StageContext) -> None:
         )
         if not chunks:
             raise ValueError(f"corpus {spec.tag!r} ({spec.path}) yields no chunks")
-        name = f"chunks.{spec.tag}.jsonl"
-        chunks_to_jsonl(chunks, ctx.out / name)
-        ctx.kept[name] = chunks
+        ctx.keep(f"chunks.{spec.tag}.jsonl", chunks, write_records)
         if ctx.needs_retrieval():
-            name = f"chunk_index.{spec.tag}.jsonl"
             index = build_index([(c.id, c.text, None) for c in chunks], ctx.embedder)
-            index.save(ctx.out / name)
+            ctx.keep(f"chunk_index.{spec.tag}.jsonl", index, lambda path, index: index.save(path))
             index.payloads = chunks  # saved without payloads; keys are the chunk ids in order
-            ctx.kept[name] = index
 
 
 def stage_build_bank(ctx: StageContext) -> None:
@@ -218,10 +219,8 @@ def stage_build_bank(ctx: StageContext) -> None:
         return
     generator = ctx.generator(ctx.cfg.bank_model) if ctx.cfg.bank_model else None
     for spec in ctx.cfg.corpora:
-        name = f"bank.{spec.tag}.jsonl"
         questions = build_bank(ctx.chunks(spec.tag), generator, tag=spec.tag) if generator else []
-        save_bank(questions, ctx.out / name)
-        ctx.kept[name] = questions
+        ctx.keep(f"bank.{spec.tag}.jsonl", questions, write_records)
 
 
 def stage_plan(ctx: StageContext) -> None:
@@ -231,7 +230,7 @@ def stage_plan(ctx: StageContext) -> None:
     ``{"primary_id": ..., "error": "plan: ..."}`` in place of its plan.
     """
     if "rag_coi" not in ctx.cfg.modes:
-        ctx.write_rows("plans.jsonl", [])
+        ctx.keep("plans.jsonl", [])
         return
     questions = ctx.questions()
     indexes = {tag: ctx.chunk_index(tag) for tag in sorted(ctx.cfg.tags)}
@@ -251,21 +250,17 @@ def stage_plan(ctx: StageContext) -> None:
         except ProviderError as exc:
             plan = {"primary_id": q.id, "error": f"plan: {exc}"}
         plans.append(plan)
-    ctx.write_rows("plans.jsonl", plans)
+    ctx.keep("plans.jsonl", plans)
 
 
 def _load_plans(ctx: StageContext, questions: list[QuestionRecord]) -> dict[str, dict]:
     """The plan record of every question, by question id; a failed plan holds an ``error``."""
-    path = ctx.out / "plans.jsonl"
-    if "plans.jsonl" not in ctx.kept and not path.exists():
-        raise FileNotFoundError(
-            f"{path} not found: rag_coi answers need the plan stage's output"
-        )
-    plans = {rec["primary_id"]: rec for rec in ctx.rows("plans.jsonl")}
+    plans = {rec["primary_id"]: rec for rec in ctx.artifact("plans.jsonl")}
     missing = [q.id for q in questions if q.id not in plans]
     if missing:
         raise ValueError(
-            f"{path} has no plan for question(s) {', '.join(missing)}; rerun the plan stage"
+            f"{ctx.out / 'plans.jsonl'} has no plan for question(s) {', '.join(missing)}; "
+            "rerun the plan stage"
         )
     return plans
 
@@ -347,15 +342,15 @@ def stage_answer(ctx: StageContext) -> None:
                         }
                     )
                 rows.append(rec)
-    ctx.write_rows("explanations.jsonl", rows)
+    ctx.keep("explanations.jsonl", rows)
 
 
 # The item metrics compared between rag_coi and rag.
 METRICS = ("factscore", "mean_similarity", "adherent_count")
 
 ITEM_CSV_FIELDS = (
-    "question_id", "tag", "model", "mode", "factscore", "mean_similarity",
-    "adherent_count", "clause_count", "word_count",
+    "question_id", "tag", "model", "mode",
+    *(f.name for f in fields(AdherenceReport) if f.name != "threshold"),
 )
 
 
@@ -379,7 +374,7 @@ def stage_evaluate(ctx: StageContext) -> None:
         titles[spec.tag] = spec.title
 
     items: list[dict] = []
-    for rec in ctx.rows("explanations.jsonl"):
+    for rec in ctx.artifact("explanations.jsonl"):
         if "error" in rec:
             items.append(rec)
             continue
@@ -397,7 +392,7 @@ def stage_evaluate(ctx: StageContext) -> None:
             item.update(vars(report), matching=ctx.cfg.matching)
         items.append(item)
 
-    ctx.write_rows("items.jsonl", items)
+    ctx.keep("items.jsonl", items)
     with open(ctx.out / "items.csv", "w", encoding="utf-8", newline="") as dst:
         writer = csv.DictWriter(
             dst, fieldnames=ITEM_CSV_FIELDS, extrasaction="ignore", lineterminator="\n"
@@ -407,9 +402,8 @@ def stage_evaluate(ctx: StageContext) -> None:
 
 
 def stage_analyze(ctx: StageContext) -> dict:
-    analysis = analyze_items(ctx.rows("items.jsonl"), ctx.cfg)
-    write_analysis(analysis, ctx.out / "analysis.json")
-    ctx.kept["analysis.json"] = analysis
+    analysis = analyze_items(ctx.artifact("items.jsonl"), ctx.cfg)
+    ctx.keep("analysis.json", analysis, lambda path, analysis: write_analysis(analysis, path))
     return analysis
 
 
@@ -497,7 +491,11 @@ def _json_float(x: float) -> float | None:
 
 
 def stage_report(ctx: StageContext) -> None:
-    write_csv_and_plots(ctx.rows("items.jsonl"), ctx.analysis(), ctx.cfg, ctx.out)
+    items = ctx.artifact("items.jsonl")
+    analysis = ctx.artifact(
+        "analysis.json", lambda path: json.loads(path.read_text(encoding="utf-8"))
+    )
+    write_csv_and_plots(items, analysis, ctx.cfg, ctx.out)
 
 
 def write_manifest(out: Path) -> None:

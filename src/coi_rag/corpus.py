@@ -5,9 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
-from .records import read_jsonl, write_jsonl
+from .records import read_jsonl
 
 PAGE_SENTINEL = re.compile(r"^\x0c?@@PAGE (\d+)@@\s*$")
 
@@ -162,19 +161,6 @@ def chunk(
             )
         )
     return chunks
-
-
-def chunks_to_jsonl(chunks: Iterable[Chunk], path: str | Path) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "id": c.id, "doc_id": c.doc_id, "token_start": c.token_start,
-                "token_end": c.token_end, "text": c.text, "page_span": c.page_span,
-            }
-            for c in chunks
-        ),
-    )
 
 
 def chunks_from_jsonl(path: str | Path) -> list[Chunk]:

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .adherence import Clause, extract_clauses
 from .corpus import Chunk
-from .records import QuestionRecord, read_jsonl, write_jsonl
+from .records import QuestionRecord, read_jsonl
 from .templates import QA_EXTRACTION_TEMPLATE, fill
 from .vector_index import VectorIndex, build_index
 
@@ -41,20 +41,6 @@ class QuestionBank:
     @classmethod
     def load(cls, bank_path: str | Path, embedder) -> "QuestionBank":
         return cls([ImplicitQuestion(**rec) for rec in read_jsonl(bank_path)], embedder)
-
-
-def save_bank(questions: list[ImplicitQuestion], bank_path: str | Path) -> None:
-    """Write a bank file, one question per line, that :meth:`QuestionBank.load` reads."""
-    write_jsonl(
-        bank_path,
-        (
-            {
-                "id": q.id, "question": q.question, "answer": q.answer,
-                "source_chunk_id": q.source_chunk_id, "tag": q.tag,
-            }
-            for q in questions
-        ),
-    )
 
 
 def parse_qa_lines(response: str) -> tuple[list[tuple[str, str]], int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -16,6 +16,11 @@ def json_line(row: dict) -> str:
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json_line(row) for row in rows)
+
+
+def write_records(path: str | Path, records: Iterable) -> None:
+    """Write dataclass instances as JSON Lines, one row of their fields each."""
+    write_jsonl(path, map(asdict, records))
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

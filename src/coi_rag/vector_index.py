@@ -72,11 +72,11 @@ class VectorIndex:
         return self.vectors[self._by_key[key]]
 
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Exact top-k by cosine, ranked by ``rank``."""
+        """Exact top-k by cosine; ``top_k_many`` of one query."""
         query = np.asarray(query, dtype=float)
         if query.shape != (self.dims,):
             raise ValueError(f"query dims {query.shape} do not match index dims {self.dims}")
-        return self.rank(self.vectors @ query, k)
+        return self.top_k_many(query[None], k)[0]
 
     def top_k_many(self, queries: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
         """``top_k`` of each row of ``queries``, scored and ranked in one batch."""
@@ -84,10 +84,6 @@ class VectorIndex:
         if queries.ndim != 2 or queries.shape[1] != self.dims:
             raise ValueError(f"queries shape {queries.shape} does not match index dims {self.dims}")
         return self.rank_many(row_scores(self.vectors, queries), k)
-
-    def rank(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """The ``k`` best rows by one score per row; ``rank_many`` of one row."""
-        return self.rank_many(np.asarray(scores, dtype=float)[None], k)[0]
 
     def rank_many(self, scores: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
         """The ``k`` best index rows for each row of a (queries x index rows) score array.

@@ -444,7 +444,7 @@ def reference_match_clauses(ai: list[Clause], source, embedder) -> list[ClauseMa
             mat @ next(vectors) if text.strip() else empty
             for text, mat, empty in zip(k, source.matrices, source.empty)
         )
-        key, score = source.index.rank(sims / len(k), 1)[0]
+        key, score = source.index.rank_many((sims / len(k))[None], 1)[0][0]
         matches.append(ClauseMatch(clause, key, clamp01(score)))
     return matches
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -1008,6 +1009,16 @@ class TestCli:
             assert cli_main([stage, *args]) == 0
         assert_same_files(tmp_path / "staged", cfg.output_dir)
 
+    def test_relative_config_path(self, golden_dir, tmp_path, monkeypatch):
+        """Inputs named relative to a config given by a relative path are not looked up in the output dir."""
+        shutil.copytree(golden_dir, tmp_path / "golden", ignore=shutil.ignore_patterns("out*", "cache"))
+        monkeypatch.chdir(tmp_path)
+        args = ["-c", "golden/config.ini", "--cache-dir", "cache"]
+        assert cli_main(["run", *args, "-o", "run"]) == 0
+        for stage in STAGES:
+            assert cli_main([stage, *args, "-o", "staged"]) == 0
+        assert_same_files(tmp_path / "staged", tmp_path / "run")
+
     def count_completions(self, monkeypatch) -> list[str]:
         calls = []
         complete = ScriptedGenerator.complete
@@ -1053,6 +1064,24 @@ class TestCli:
             cli_main(["answer", *args])
         assert calls == []
         assert not (out / "explanations.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "before, stage, missing",
+        [((), "evaluate", "explanations.jsonl"),
+         ((), "analyze", "items.jsonl"),
+         (("ingest", "build-bank", "plan", "answer", "evaluate"), "report", "analysis.json"),
+         ((), "plan", "chunk_index.orm.jsonl")],
+        ids=["evaluate", "analyze", "report", "plan"],
+    )
+    def test_stage_run_out_of_order_names_the_artifact_it_lacks(
+        self, golden_dir, tmp_path, before, stage, missing
+    ):
+        args = ["-c", str(golden_dir / "config.ini"), "-o", str(tmp_path / "out"),
+                "--cache-dir", str(tmp_path / "cache")]
+        for earlier in before:
+            assert cli_main([earlier, *args]) == 0
+        with pytest.raises(FileNotFoundError, match=re.escape(f"{missing} not found")):
+            cli_main([stage, *args])
 
     def failing_config(self, golden_dir, tmp_path) -> Path:
         # A remote model pointed at a dead local port: every call fails fast.

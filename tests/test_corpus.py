@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +8,10 @@ from coi_rag.corpus import (
     Document,
     chunk,
     chunks_from_jsonl,
-    chunks_to_jsonl,
     read_document,
     tokenize,
 )
-from coi_rag.records import write_jsonl
+from coi_rag.records import read_jsonl, write_records
 
 
 def make_doc(n_tokens: int, doc_id: str = "d") -> Document:
@@ -148,7 +145,8 @@ class TestSerialization:
         doc = make_doc(400)
         chunks = chunk(doc)
         path = tmp_path / "chunks.jsonl"
-        chunks_to_jsonl(chunks, path)
+        write_records(path, chunks)
         assert chunks_from_jsonl(path) == chunks
-        write_jsonl(tmp_path / "asdict.jsonl", (dataclasses.asdict(c) for c in chunks))
-        assert path.read_bytes() == (tmp_path / "asdict.jsonl").read_bytes()
+        assert read_jsonl(path)[0].keys() == {
+            "id", "doc_id", "token_start", "token_end", "text", "page_span",
+        }

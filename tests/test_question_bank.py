@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from contextlib import closing
 
 import pytest
@@ -17,10 +16,9 @@ from coi_rag.question_bank import (
     build_bank,
     extract_qas,
     parse_qa_lines,
-    save_bank,
     template_questions,
 )
-from coi_rag.records import QuestionRecord, write_jsonl
+from coi_rag.records import QuestionRecord, read_jsonl, write_records
 from coi_rag.templates import QA_EXTRACTION_TEMPLATE, fill
 
 EXAMPLE_BLOCK = """- Who is Alice? An experienced hiker.
@@ -164,11 +162,12 @@ class TestBuildBank:
             ImplicitQuestion(f"q{i}", f"What is item {i}?", f"a{i}", "c0", "t")
             for i in range(3)
         ]
-        save_bank(qs, tmp_path / "bank.jsonl")
+        write_records(tmp_path / "bank.jsonl", qs)
         loaded = QuestionBank.load(tmp_path / "bank.jsonl", hashed64)
         assert loaded.questions == qs
-        write_jsonl(tmp_path / "asdict.jsonl", (dataclasses.asdict(q) for q in qs))
-        assert (tmp_path / "bank.jsonl").read_bytes() == (tmp_path / "asdict.jsonl").read_bytes()
+        assert read_jsonl(tmp_path / "bank.jsonl")[0].keys() == {
+            "id", "question", "answer", "source_chunk_id", "tag",
+        }
 
 
 class TestTemplateQuestions:

@@ -218,7 +218,7 @@ class TestTopK:
             for k in (1, 3, 12):
                 assert index.top_k(q, k) == brute_force_top_k(index, q, k)
         scores = np.array([2.0, 1.0, 2.0] + [0.0] * 9)
-        assert index.rank(scores, 2) == [("src:11", 2.0), ("src:3", 2.0)]
+        assert index.rank_many(scores[None], 2)[0] == [("src:11", 2.0), ("src:3", 2.0)]
 
     def test_empty_index_error(self):
         index = VectorIndex([], np.zeros((0, 4)))
@@ -243,13 +243,13 @@ class TestTopK:
 
 
 def lexsort_top_1(index: VectorIndex, scores: np.ndarray) -> list[tuple[str, float]]:
-    """The full sort ``rank`` runs for ``k > 1``, cut to one row."""
+    """The full sort ``rank_many`` runs for ``k > 1``, cut to one row."""
     i = np.lexsort((index._key_rank, -scores))[0]
     return [(index.keys[i], float(scores[i]))]
 
 
 class TestRankTop1:
-    """``rank(scores, 1)`` takes the max without a sort and equals the sort's first row."""
+    """``rank_many`` of one row at ``k == 1`` takes the max, unsorted, and equals the sort's first row."""
 
     KEYS = [f"src:{i}" for i in (3, 2, 11, 0, 10, 1, 5, 4, 9, 7, 6, 8)]
 
@@ -260,7 +260,7 @@ class TestRankTop1:
     @settings(max_examples=300, deadline=None)
     def test_many_way_ties_equal_lexsort(self, values):
         scores = np.array(values)
-        got = self.index().rank(scores, 1)
+        got = self.index().rank_many(scores[None], 1)[0]
         want = lexsort_top_1(self.index(), scores)
         assert got == want
         assert math.copysign(1.0, got[0][1]) == math.copysign(1.0, want[0][1])
@@ -270,7 +270,7 @@ class TestRankTop1:
         scores = np.zeros(12)
         scores[[0, 3, 4]] = -0.0  # src:3, src:0 and src:10; the rest hold +0.0
         for s in (scores, -scores):
-            got = index.rank(s, 1)
+            got = index.rank_many(s[None], 1)[0]
             assert got == lexsort_top_1(index, s) == [("src:0", 0.0)]
             assert math.copysign(1.0, got[0][1]) == math.copysign(1.0, s[3])
 
@@ -278,14 +278,14 @@ class TestRankTop1:
         index = self.index()
         for value in (-1.0, 0.0, 0.7):
             scores = np.full(12, value)
-            assert index.rank(scores, 1) == lexsort_top_1(index, scores) == [("src:0", value)]
+            assert index.rank_many(scores[None], 1)[0] == lexsort_top_1(index, scores) == [("src:0", value)]
 
     def test_nan_ranks_last_as_in_the_sort(self):
         index = self.index()
         scores = np.linspace(0.0, 1.0, 12)
         scores[[2, 7]] = np.nan
-        assert index.rank(scores, 1) == lexsort_top_1(index, scores) == [("src:8", 1.0)]
-        all_nan = index.rank(np.full(12, np.nan), 1)
+        assert index.rank_many(scores[None], 1)[0] == lexsort_top_1(index, scores) == [("src:8", 1.0)]
+        all_nan = index.rank_many(np.full((1, 12), np.nan), 1)[0]
         assert all_nan[0][0] == lexsort_top_1(index, np.full(12, np.nan))[0][0] == "src:0"
 
     def test_random_scores_equal_lexsort(self):
@@ -293,7 +293,7 @@ class TestRankTop1:
         index = VectorIndex([f"k{i}" for i in rng.permutation(200)], np.zeros((200, 2)))
         for _ in range(50):
             scores = np.round(rng.normal(size=200), 1)  # coarse, so ties are common
-            assert index.rank(scores, 1) == lexsort_top_1(index, scores)
+            assert index.rank_many(scores[None], 1)[0] == lexsort_top_1(index, scores)
 
 
 def reference_rank(index: VectorIndex, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -318,7 +318,7 @@ score_rows = st.tuples(
 
 
 class TestRankMany:
-    """``rank_many`` and ``top_k_many`` equal a loop of the one-row ``rank`` and ``top_k``."""
+    """``rank_many`` and ``top_k_many`` equal a loop of one-row ``rank_many`` calls and of ``top_k``."""
 
     KEYS = TestRankTop1.KEYS
 
@@ -329,7 +329,7 @@ class TestRankMany:
         scores = np.array(rows)
         want = [exact(reference_rank(index, row, k)) for row in scores]
         assert [exact(hits) for hits in index.rank_many(scores, k)] == want
-        assert [exact(index.rank(row, k)) for row in scores] == want
+        assert [exact(index.rank_many(row[None], k)[0]) for row in scores] == want
 
     def test_nan_rows_among_finite_rows(self):
         index = VectorIndex(self.KEYS, np.zeros((12, 2)))
