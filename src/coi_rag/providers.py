@@ -4,10 +4,12 @@ Two provider families exist for each role: a remote one speaking an
 OpenAI-compatible HTTP API, and a hermetic one (hashed embeddings,
 scripted generators) that keeps tests and demos fully offline. Remote
 chat calls are cached per request and remote embeddings per text, as
-rows of one sqlite file per cache directory, with each ``embed`` call's
-uncached texts sent in as few requests as the batch cap allows; hermetic
-calls are cheap and deterministic, so they are not cached and never
-open the cache file.
+rows of one sqlite file per cache directory: a chat reply as JSON text,
+an embedding as the raw little-endian float64 bytes of its vector. Each
+``embed`` call's uncached texts are sent in as few requests as the batch
+cap allows, and the rows of one embeddings reply are stored in one
+commit; hermetic calls are cheap and deterministic, so they are not
+cached and never open the cache file.
 """
 
 from __future__ import annotations
@@ -63,17 +65,19 @@ def request_hash(payload: dict) -> str:
 class CallCache:
     """Map from request-content hash to response payload, in one sqlite file.
 
-    Entries are rows of ``calls.sqlite3`` in ``directory``, each payload
-    stored as its ``json.dumps(sort_keys=True, ensure_ascii=False)`` text.
-    The file runs in WAL mode with one commit per ``put``, so an
-    interrupted run keeps every reply already stored and concurrent
-    writers of one key cannot tear it; WAL needs the directory on a local
-    file system. ``sqlite3`` is imported and the file opened on the first
-    ``get`` or ``put``, and a ``get`` with nothing stored yet is a miss that
-    creates nothing. The open that creates the table imports every
-    ``<key>.json`` entry of the older one-file-per-entry layout, leaving the
-    files in place. A row or an old entry that does not parse is a miss,
-    and the next ``put`` overwrites it. Hits return the stored payload. A
+    Entries are rows of ``calls.sqlite3`` in ``directory``. A dict payload
+    is stored as its ``json.dumps(sort_keys=True, ensure_ascii=False)``
+    text and read back parsed; a bytes payload is stored as a BLOB and read
+    back as the same bytes. The file runs in WAL mode with one commit per
+    ``put``, or per ``put_many`` for a group of entries, so an interrupted
+    run keeps every reply already stored and concurrent writers of one key
+    cannot tear it; WAL needs the directory on a local file system.
+    ``sqlite3`` is imported and the file opened on the first ``get`` or
+    ``put``, and a ``get`` with nothing stored yet is a miss that creates
+    nothing. The open that creates the table imports every ``<key>.json``
+    entry of the older one-file-per-entry layout, leaving the files in
+    place. A text row or an old entry that does not parse is a miss, and
+    the next ``put`` overwrites it. Hits return the stored payload. A
     store file that is not a sqlite database raises instead of being
     replaced, since it may hold paid replies. A ``CallCache`` is used from
     the thread that opened it; threads or processes that share a directory
@@ -94,23 +98,39 @@ class CallCache:
             self._conn = _open_store(self.path)
         return self._conn
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> dict | bytes | None:
         conn = self._store(create=False)
         if conn is None:
             return None
         row = conn.execute("SELECT payload FROM calls WHERE key = ?", (key,)).fetchone()
         if row is None:
             return None
+        if isinstance(row[0], bytes):
+            return row[0]
         try:
             return json.loads(row[0])
         except (TypeError, ValueError):
             return None
 
-    def put(self, key: str, payload: dict) -> None:
+    def put(self, key: str, payload: dict | bytes) -> None:
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload, sort_keys=True, ensure_ascii=False)
         self._store(create=True).execute(
-            "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)",
-            (key, json.dumps(payload, sort_keys=True, ensure_ascii=False)),
+            "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)", (key, payload)
         )
+
+    def put_many(self, entries) -> None:
+        """``put`` each (key, payload) of ``entries`` in one commit; if one fails, none is stored."""
+        conn = self._store(create=True)
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            for key, payload in entries:
+                self.put(key, payload)
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
     def close(self) -> None:
         """Close the store file, if open; a later ``get`` or ``put`` reopens it."""
@@ -296,8 +316,8 @@ class HashedEmbedder:
         return np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
 
-def _embedding_rows(response: dict, count: int, dims: int) -> list[tuple[list, np.ndarray]]:
-    """The ``count`` (row, float vector) pairs of a reply, in the order of their ``index``.
+def _embedding_rows(response: dict, count: int, dims: int) -> list[np.ndarray]:
+    """The ``count`` float vectors of a reply, in the order of their ``index``.
 
     A reply with another number of rows, a missing or repeated index, a
     row whose length is not ``dims``, a row that is not all finite real
@@ -316,8 +336,8 @@ def _embedding_rows(response: dict, count: int, dims: int) -> list[tuple[list, n
         vector = _real_vector(row, dims)
         if vector is None:
             raise ProviderError(f"embedding row {i} is not all finite real numbers")
-        ordered.append((row, vector))
-    if not all(vector.any() for _, vector in ordered):
+        ordered.append(vector)
+    if not all(vector.any() for vector in ordered):
         raise ProviderError("embedding service returned a zero vector")
     return ordered
 
@@ -336,14 +356,23 @@ def _real_vector(row, dims: int) -> np.ndarray | None:
 def _cached_vector(payload, dims: int) -> np.ndarray | None:
     """The vector of an embedding cache entry; None for a missing or malformed one.
 
-    Well formed is ``{"data": [{"embedding": [number, ...]}]}`` with
-    ``dims`` finite numbers, not all zero. Anything else counts as a miss,
-    so the text is fetched again and its entry overwritten.
+    Well formed is ``dims`` finite numbers, not all zero, stored either as
+    exactly ``8 * dims`` little-endian float64 bytes or, as entries written
+    before the bytes form and imported ``<key>.json`` files hold them, as
+    ``{"data": [{"embedding": [number, ...]}]}``. Anything else counts as a
+    miss, so the text is fetched again and its entry overwritten.
     """
-    try:
-        vector = _real_vector(payload["data"][0]["embedding"], dims)
-    except (KeyError, IndexError, TypeError):
-        return None
+    if isinstance(payload, bytes):
+        if len(payload) != 8 * dims:
+            return None
+        vector = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(vector).all():
+            return None
+    else:
+        try:
+            vector = _real_vector(payload["data"][0]["embedding"], dims)
+        except (KeyError, IndexError, TypeError):
+            return None
     return vector if vector is not None and vector.any() else None
 
 
@@ -355,7 +384,10 @@ class RemoteEmbedder(RemoteProvider):
     keyed as a one-input request, and its vector is remembered by the
     instance once a call returns it, so a text is read from the cache or
     the network at most once per embedder. Every vector has length
-    ``dims``, the model's length as the experiment states it.
+    ``dims``, the model's length as the experiment states it. An entry is
+    stored as the ``8 * dims`` little-endian float64 bytes of its vector,
+    and the entries of one reply are stored in one commit; a hit is never
+    rewritten.
     """
 
     def __init__(self, *args, dims: int, **kwargs):
@@ -399,10 +431,11 @@ class RemoteEmbedder(RemoteProvider):
                 "embeddings", {"model": self.model_id, "input": [text for text, _ in batch]},
                 lambda response: _embedding_rows(response, len(batch), self.dims),
             )
-            for (text, key), (row, vector) in zip(batch, rows):
-                if self.cache:
-                    self.cache.put(key, {"data": [{"embedding": row}]})
-                found[text] = vector
+            if self.cache:
+                self.cache.put_many(
+                    (key, vector.astype("<f8").tobytes()) for (_, key), vector in zip(batch, rows)
+                )
+            found.update((text, vector) for (text, _), vector in zip(batch, rows))
         arr = np.stack([found[t] if t in found else self._vectors[t] for t in texts])
         self._vectors.update(found)
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
@@ -467,8 +500,8 @@ def _well_formed_completion(payload) -> bool:
 class RemoteGenerator(RemoteProvider):
     """OpenAI-compatible chat-completions client, cached per request.
 
-    A missing or malformed cache entry is a miss: the request is sent and
-    its entry overwritten.
+    A missing or malformed cache entry, a bytes one included, is a miss:
+    the request is sent and its entry overwritten.
     """
 
     def complete(self, prompt: str) -> GenerationResult:

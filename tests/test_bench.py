@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 import requests
+from cache_entries import json_entry, stored_vector
 
 import coi_rag
 from coi_rag.bench.cli import STAGES
@@ -812,50 +813,42 @@ class TestCacheSoundness:
 
     def test_legacy_json_entries_replay_without_transport(self, golden_dir, tmp_path):
         """A cache of one-file-per-entry ``<key>.json`` replays a remote run."""
-        text = (golden_dir / "config.ini").read_text().replace(
-            "[model.mock-a]\nkind = scripted\nbehavior = context_echo",
-            "[model.mock-a]\nkind = remote\nmodel_id = fake-remote",
-        )
-        (tmp_path / "config.ini").write_text(text)
-        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
-            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
-        hasher = HashedEmbedder(dims=16)
-        embedded, chats = set(), []
-
-        def fake_remote(url, body, headers):
-            if url.endswith("/embeddings"):
-                embedded.update(body["input"])
-                rows = [hasher.embed_raw(t).tolist() for t in body["input"]]
-                return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
-            chats.append(body)
-            return {"choices": [{"message": {"content": f"Answer of {len(body['messages'][0]['content'])} chars."}}]}
-
-        def dead_remote(url, body, headers):
-            raise AssertionError("network touched by a replay")
-
-        def run(out: str, cache_dir: Path, transport):
-            cfg = load_config(tmp_path / "config.ini")
-            cfg.output_dir, cfg.cache_dir = tmp_path / out, cache_dir
-            cache = CallCache(cache_dir)
-            try:
-                embedder = RemoteEmbedder("emb", cache=cache, transport=transport, dims=16)
-                report = run_experiment(cfg, embedder=embedder, transports={"mock-a": transport})
-            finally:
-                cache.close()
-            assert report.failed == 0
-            return (cfg.output_dir / "items.jsonl").read_bytes()
-
-        cold = run("cold", tmp_path / "cache", fake_remote)
+        golden = RemoteGolden(golden_dir, tmp_path)
+        cold = golden.run("cold", tmp_path / "cache", golden.transport)
         with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
             rows = conn.execute("SELECT key, payload FROM calls").fetchall()
-        assert len(chats) == 18  # 6 questions x 3 modes
-        assert len(rows) == len(chats) + len(embedded)
+        assert len(golden.chats) == 18  # 6 questions x 3 modes
+        assert len(rows) == len(golden.chats) + len(golden.embedded)
         legacy = tmp_path / "legacy"
         legacy.mkdir()
-        for key, payload in rows:
-            (legacy / f"{key}.json").write_text(payload, encoding="utf-8")
-        assert run("warm", legacy, dead_remote) == cold
+        for key, payload in rows:  # in the JSON form a legacy directory holds
+            (legacy / f"{key}.json").write_text(json_entry(payload), encoding="utf-8")
+        assert golden.run("warm", legacy, golden.dead) == cold
+        assert golden.requests == []
         assert len(list(legacy.glob("*.json"))) == len(rows)
+
+    def test_json_text_rows_replay_without_transport_and_stay_as_written(self, golden_dir, tmp_path):
+        """A store whose embedding rows hold JSON text, as older versions wrote them, replays a remote run.
+
+        No row is rewritten: a hit leaves its entry as it was stored.
+        """
+        golden = RemoteGolden(golden_dir, tmp_path)
+        cold = golden.run("cold", tmp_path / "cache", golden.transport)
+        with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
+            rows = conn.execute("SELECT key, payload FROM calls").fetchall()
+        assert sum(isinstance(payload, bytes) for _, payload in rows) == len(golden.embedded)
+        old = {key: json_entry(payload) for key, payload in rows}
+        (tmp_path / "old").mkdir()
+        with closing(sqlite3.connect(tmp_path / "old" / CACHE_FILE)) as conn:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("CREATE TABLE calls (key TEXT PRIMARY KEY, payload TEXT)")
+            conn.execute("PRAGMA user_version = 1")
+            conn.executemany("INSERT INTO calls (key, payload) VALUES (?, ?)", old.items())
+            conn.commit()
+        assert golden.run("warm", tmp_path / "old", golden.dead) == cold
+        assert golden.requests == []
+        with closing(sqlite3.connect(tmp_path / "old" / CACHE_FILE)) as conn:
+            assert dict(conn.execute("SELECT key, payload FROM calls")) == old
 
     @pytest.mark.parametrize("stage", [None, "plan", "answer"], ids=["run", "plan-alone", "answer-alone"])
     def test_short_query_entry_beside_8_dim_index_is_refetched(self, golden_dir, tmp_path, stage):
@@ -888,7 +881,7 @@ class TestCacheSoundness:
                 assert run_experiment(cfg, embedder=embedder).failed == 0
             else:
                 STAGES[stage](make_context(cfg, embedder=embedder))
-            assert {len(cache.get(embedder._key(t))["data"][0]["embedding"]) for t in short} == {8}
+            assert {len(stored_vector(cache.get(embedder._key(t)))) for t in short} == {8}
         finally:
             cache.close()
 
@@ -923,6 +916,52 @@ class TestCacheSoundness:
         cache.put(key, {"text": "stored", "created_at": "2024-01-01T00:00:00Z"})
         assert cache.get(key) == {"text": "stored", "created_at": "2024-01-01T00:00:00Z"}
         assert cache.get("0" * 64) is None
+
+
+class RemoteGolden:
+    """The golden config with mock-a and a 16-dim embedder remote, behind a fake service.
+
+    ``transport`` answers every request; ``dead`` records and refuses it.
+    """
+
+    def __init__(self, golden_dir: Path, tmp_path: Path):
+        text = (golden_dir / "config.ini").read_text().replace(
+            "[model.mock-a]\nkind = scripted\nbehavior = context_echo",
+            "[model.mock-a]\nkind = remote\nmodel_id = fake-remote",
+        )
+        self.config = tmp_path / "config.ini"
+        self.config.write_text(text)
+        for name in ("questions.jsonl", "vex_book.txt", "orm_book.txt"):
+            (tmp_path / name).write_bytes((golden_dir / name).read_bytes())
+        self.hasher = HashedEmbedder(dims=16)
+        self.embedded: set[str] = set()
+        self.chats: list[dict] = []
+        self.requests: list[str] = []
+
+    def transport(self, url, body, headers):
+        if url.endswith("/embeddings"):
+            self.embedded.update(body["input"])
+            rows = [self.hasher.embed_raw(t).tolist() for t in body["input"]]
+            return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
+        self.chats.append(body)
+        return {"choices": [{"message": {"content": f"Answer of {len(body['messages'][0]['content'])} chars."}}]}
+
+    def dead(self, url, body, headers):
+        self.requests.append(url)
+        raise AssertionError("network touched by a replay")
+
+    def run(self, out: str, cache_dir: Path, transport) -> bytes:
+        """The ``items.jsonl`` bytes of a run into ``out`` on the cache in ``cache_dir``."""
+        cfg = load_config(self.config)
+        cfg.output_dir, cfg.cache_dir = self.config.parent / out, cache_dir
+        cache = CallCache(cache_dir)
+        try:
+            embedder = RemoteEmbedder("emb", cache=cache, transport=transport, dims=16)
+            report = run_experiment(cfg, embedder=embedder, transports={"mock-a": transport})
+        finally:
+            cache.close()
+        assert report.failed == 0
+        return (cfg.output_dir / "items.jsonl").read_bytes()
 
 
 def assert_same_files(a: Path, b: Path) -> None:

@@ -9,6 +9,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 import requests
+from cache_entries import stored_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from text_reference import reference_context_sentences
@@ -67,6 +68,28 @@ def put_rounds(directory: str, writer: int, start) -> None:
         cache.close()
 
 
+def embed_rounds(directory: str, writer: int, start) -> None:
+    """Spawned writer: embeds its 100 of ``SHARED_TEXTS``, 10 per call, after every writer is up.
+
+    Neighbouring writers' texts overlap by 50, and odd writers go through
+    theirs backwards, so two writers reach the shared ones at about the
+    same time.
+    """
+    cache = CallCache(directory)
+    texts = SHARED_TEXTS[50 * writer:50 * writer + 100][::-1 if writer % 2 else 1]
+    start.wait(timeout=60)
+    try:
+        emb = remote(cache=cache, transport=EmbeddingServer())
+        for i in range(0, len(texts), 10):
+            emb.embed(texts[i:i + 10])
+    finally:
+        cache.close()
+
+
+EMBED_WRITERS = 3  # more than the cores of a small CI machine
+SHARED_TEXTS = [f"text number {i} of the shared pool" for i in range(50 * EMBED_WRITERS + 50)]
+
+
 class TestCallCache:
     def test_corrupt_entry_is_a_miss_and_put_overwrites_it(self, tmp_path):
         cache = CallCache(tmp_path)
@@ -114,6 +137,27 @@ class TestCallCache:
         final = cache.get(SHARED_KEY)
         cache.close()
         assert final["round"] == 49 and final["writer"] in (0, 1)
+        assert [p.name for p in tmp_path.iterdir()] == [providers.CACHE_FILE]
+
+    def test_concurrent_embeds_of_overlapping_batches(self, tmp_path):
+        spawn = multiprocessing.get_context("spawn")
+        start = spawn.Barrier(EMBED_WRITERS)
+        writers = [spawn.Process(target=embed_rounds, args=(str(tmp_path), i, start)) for i in range(EMBED_WRITERS)]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in writers)
+        assert [w.exitcode for w in writers] == [0] * EMBED_WRITERS
+        hasher = HashedEmbedder(dims=EMBED_DIMS)
+        cache = CallCache(tmp_path)
+        try:
+            stored = [stored_vector(cache.get(remote()._key(t))) for t in SHARED_TEXTS]
+        finally:
+            cache.close()
+        assert stored == [hasher.embed_raw(t).tolist() for t in SHARED_TEXTS]
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM calls").fetchone() == (len(SHARED_TEXTS),)
         assert [p.name for p in tmp_path.iterdir()] == [providers.CACHE_FILE]
 
     def test_legacy_entries_imported_once_and_left_in_place(self, tmp_path):
@@ -265,7 +309,15 @@ class TestMalformedCacheEntries:
     """A cache entry of the wrong shape is a miss: fetched once more, then overwritten."""
 
     @pytest.mark.parametrize(
-        "entry", [{"text": None}, {"text": None, "created_at": "2024-01-01T00:00:00Z"}, {"text": "x"}, {}, []]
+        "entry",
+        [
+            {"text": None},
+            {"text": None, "created_at": "2024-01-01T00:00:00Z"},
+            {"text": "x"},
+            {},
+            [],
+            pytest.param(json.dumps({"text": "x", "created_at": "2024-01-01T00:00:00Z"}).encode(), id="blob"),
+        ],
     )
     def test_chat_entry_refetched_and_overwritten(self, tmp_path, entry):
         cache = CallCache(tmp_path)
@@ -295,6 +347,12 @@ class TestMalformedCacheEntries:
             {"data": [{"embedding": [0.0] * 8}]},
             {"data": [{"embedding": [3.0, 4.0]}]},
             {"data": [{"embedding": [1.0] * 7 + [float("nan")]}]},
+            pytest.param(np.ones(8, dtype="<f4").tobytes(), id="blob-4x-dims-bytes"),
+            pytest.param(np.ones(8).tobytes() + b"\0", id="blob-8x-dims-plus-1-bytes"),
+            pytest.param(b"", id="blob-empty"),
+            pytest.param(np.array([1.0] * 7 + [float("nan")]).tobytes(), id="blob-nan"),
+            pytest.param(np.full(8, float("inf")).tobytes(), id="blob-inf"),
+            pytest.param(np.zeros(8).tobytes(), id="blob-zero"),
         ],
     )
     def test_embedding_entry_refetched_and_overwritten(self, tmp_path, entry):
@@ -305,7 +363,7 @@ class TestMalformedCacheEntries:
         want = HashedEmbedder(dims=8).embed(TEXTS[:1])
         np.testing.assert_array_equal(remote(cache=cache, transport=server).embed(TEXTS[:1]), want)
         assert server.inputs == [TEXTS[:1]]
-        assert cache.get(key) == {"data": [{"embedding": server.hasher.embed_raw(TEXTS[0]).tolist()}]}
+        assert stored_vector(cache.get(key)) == server.hasher.embed_raw(TEXTS[0]).tolist()
         warm = remote(cache=cache, transport=dead_transport)
         np.testing.assert_array_equal(warm.embed(TEXTS[:1]), want)
 
@@ -396,7 +454,7 @@ class TestEmbeddingBatches:
         emb = remote(cache=cache, transport=server)
         np.testing.assert_array_equal(emb.embed(TEXTS[:2]), HashedEmbedder(dims=8).embed(TEXTS[:2]))
         assert server.inputs == [TEXTS[:2]]
-        assert len(cache.get(key)["data"][0]["embedding"]) == 8
+        assert len(stored_vector(cache.get(key))) == 8
         cache.close()
 
     def test_of_cached_entries_of_two_lengths_only_the_off_one_is_refetched(self, tmp_path):
@@ -421,7 +479,7 @@ class TestEmbeddingBatches:
         assert emb.dims == 8
         np.testing.assert_array_equal(emb.embed(TEXTS[:1]), HashedEmbedder(dims=8).embed(TEXTS[:1]))
         assert server.inputs == [TEXTS[1:], TEXTS[:1]]
-        assert len(cache.get(key)["data"][0]["embedding"]) == 8
+        assert len(stored_vector(cache.get(key))) == 8
         cache.close()
 
     def test_reply_of_another_length_raises_and_caches_nothing(self, tmp_path):
@@ -433,6 +491,34 @@ class TestEmbeddingBatches:
             emb.embed(TEXTS[1:3])
         assert cache.get(emb._key(TEXTS[1])) is None and cache.get(emb._key(TEXTS[2])) is None
         np.testing.assert_array_equal(emb.embed(TEXTS[1:3]), HashedEmbedder(dims=8).embed(TEXTS[1:3]))
+        cache.close()
+
+    def test_rows_of_one_reply_are_stored_in_one_commit(self, tmp_path, monkeypatch):
+        """A reply whose second row fails to store leaves none of its rows behind."""
+        put = CallCache.put
+        puts = []
+
+        def put_failing_second(cache, key, payload):
+            puts.append(key)
+            if len(puts) == 2:
+                raise sqlite3.OperationalError("disk I/O error")
+            put(cache, key, payload)
+
+        monkeypatch.setattr(CallCache, "put", put_failing_second)
+        cache = CallCache(tmp_path)
+        server = EmbeddingServer()
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            remote(cache=cache, transport=server).embed(TEXTS[:3])
+        assert all(cache.get(remote()._key(t)) is None for t in TEXTS[:3])
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM calls").fetchone() == (0,)
+        monkeypatch.setattr(CallCache, "put", put)
+        emb = remote(cache=cache, transport=server)
+        np.testing.assert_array_equal(emb.embed(TEXTS[:3]), HashedEmbedder(dims=8).embed(TEXTS[:3]))
+        assert server.inputs == [TEXTS[:3], TEXTS[:3]]
+        assert [stored_vector(cache.get(emb._key(t))) for t in TEXTS[:3]] == [
+            server.hasher.embed_raw(t).tolist() for t in TEXTS[:3]
+        ]
         cache.close()
 
     def test_failed_call_remembers_nothing(self, tmp_path):
