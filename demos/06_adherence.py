@@ -26,7 +26,7 @@ SOURCE = (
 )
 
 embedder = HashedEmbedder(256)
-source = build_source_index([SOURCE], embedder)
+source = build_source_index(SOURCE, embedder)
 print(f"source clauses ({len(source)}):")
 for key, clause in zip(source.keys, source.clauses):
     print(f"  {key}: ({clause.subject} | {clause.predicate} | {clause.object})")
@@ -51,7 +51,7 @@ print(f"  adherence ratio {report2.factscore:.2f}, mean similarity "
       f"{report2.mean_similarity:.2f}, adherent clauses {report2.adherent_count}")
 
 mixed = clean + " " + unfaithful
-sims = [m.similarity for m in match_clauses(extract_clauses(mixed), source, embedder)]
+sims = [sim for _key, sim in match_clauses(extract_clauses(mixed), source, embedder)]
 print("\nthreshold sweep on the mixed explanation:")
 for t in [0.5, 0.6, 0.7, 0.8, 0.9]:
     score = AdherenceReport.from_similarities(sims, t, len(mixed.split())).factscore

@@ -12,7 +12,6 @@ the statistical protocol (:mod:`.stats`), and the experiment harness
 from .adherence import (
     AdherenceReport,
     Clause,
-    ClauseMatch,
     SourceClauseIndex,
     build_source_index,
     evaluate_text,
@@ -62,7 +61,6 @@ __all__ = [
     "CandidateQuestion",
     "Chunk",
     "Clause",
-    "ClauseMatch",
     "DECODING",
     "Document",
     "HashedEmbedder",

@@ -10,9 +10,9 @@ similarity, and an adherent-clause count.
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts;
 ``match_clauses`` scores every mode the same way: each distinct part text
-once per call, and all distinct tuples of part texts as one (tuples x
-source clauses) array, from which one ``VectorIndex.rank_many`` call
-picks every tuple's best source clause.
+once per call, and all clauses as one (clauses x source clauses) array,
+from which one ``VectorIndex.rank_many`` call picks every clause's best
+source clause.
 ``evaluate_text`` extracts and scores each distinct explanation
 sentence once per source index, and remembers the result on the index.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,28 +110,26 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-def extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
-    """Rule-based clause extraction.
+def extract_clauses(text: str) -> list[Clause]:
+    """Rule-based clause extraction, the one extractor that plans and scores use.
 
     Per sentence: find the first verb-like token (closed-class lexicon plus
     -s/-ed/-ing suffix heuristics) that has at least one token before it;
     the tokens before it become the subject, the maximal run of verb-like
     tokens the predicate, and the remainder the object. Sentences with no
     such token yield no clause. A clause's ``sentence_index`` is its
-    sentence's position in ``text`` plus ``sentence_offset``. An
-    LLM-backed extractor can replace this one anywhere a
-    ``clause_extractor`` callable is accepted; the output contract is the
-    same.
+    sentence's position in ``text``.
     """
-    return _clauses(split_sentences(text), sentence_offset)
+    return _clauses(text)
 
 
-def _clauses(sentences: list[str], offset: int) -> list[Clause]:
+def _clauses(text: str) -> list[Clause]:
+    # The source index's extractor; a wrapped ``extract_clauses`` sees only other calls.
     clauses = []
-    for si, sentence in enumerate(sentences):
+    for si, sentence in enumerate(split_sentences(text)):
         parts = _sentence_parts(sentence)
         if parts is not None:
-            clauses.append(Clause(*parts, sentence_index=offset + si))
+            clauses.append(Clause(*parts, sentence_index=si))
     return clauses
 
 
@@ -174,12 +172,13 @@ class SourceClauseIndex:
     Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: one
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
-    clauses and shares the first part's matrix. ``scored`` is
-    ``evaluate_text``'s memo: it maps each explanation sentence scored
-    against this index to its (best source key, clamped similarity), or
-    to None when the sentence has no clause, so each distinct sentence is
-    extracted and matched once per index however many explanations repeat
-    it. It lives as long as the index, typically one evaluate stage.
+    clauses by key (``src:<position>``), shares the first part's matrix and
+    holds no payloads. ``scored`` is ``evaluate_text``'s memo: it maps each
+    explanation sentence scored against this index to its ``match_clauses``
+    pair, or to None when the sentence has no clause, so each distinct
+    sentence is extracted and matched once per index however many
+    explanations repeat it. It lives as long as the index, typically one
+    evaluate stage.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -191,7 +190,7 @@ class SourceClauseIndex:
         self.keys = [f"src:{i}" for i in range(len(clauses))]
         self.parts = MATCHING_PARTS[mode]
         first, *rest = self.parts
-        self.index = VectorIndex(self.keys, embedder.embed([first(c) for c in clauses]), clauses)
+        self.index = VectorIndex(self.keys, embedder.embed([first(c) for c in clauses]))
         self.matrices = [self.index.vectors]
         for part in rest:
             texts = [part(c) for c in clauses]
@@ -207,26 +206,13 @@ class SourceClauseIndex:
         return len(self.clauses)
 
 
-def build_source_index(texts: Iterable[str], embedder, mode: str = "whole_clause") -> SourceClauseIndex:
-    """Extract and index clauses from source texts (typically one document)."""
-    clauses: list[Clause] = []
-    offset = 0
-    for text in texts:
-        sentences = split_sentences(text)
-        clauses.extend(_clauses(sentences, offset))
-        offset += len(sentences)
-    return SourceClauseIndex(clauses, embedder, mode)
+def build_source_index(text: str, embedder, mode: str = "whole_clause") -> SourceClauseIndex:
+    """Extract and index the clauses of one source text, typically a document."""
+    return SourceClauseIndex(_clauses(text), embedder, mode)
 
 
-@dataclass(frozen=True)
-class ClauseMatch:
-    ai_clause: Clause
-    best_source_clause_id: str
-    similarity: float  # max over the source index, clamped to [0, 1]
-
-
-def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list[ClauseMatch]:
-    """Best source-clause similarity for each AI clause.
+def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list[tuple[str, float]]:
+    """(best source key, clamped similarity) for each AI clause, in order.
 
     A clause's similarity to a source clause is the mean over the parts
     of ``source``'s matching mode of the per-part cosines, where an empty
@@ -235,36 +221,34 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     {predicate} {object}" renderings. Within one call, each distinct
     non-empty (part, text) is embedded, in order of first appearance, and
     scored against its part's matrix once, each score row the product
-    ``matrix @ v`` would give. The scores of all distinct tuples of part
-    texts form one (tuples x source clauses) array, summed part by part,
-    and one ``VectorIndex.rank_many`` call picks every tuple's best source
-    clause from it, a tie going to the smaller key. Nothing is kept
-    between calls: ``evaluate_text`` remembers each sentence's result.
+    ``matrix @ v`` would give, so repeated clauses get equal pairs. The
+    scores of all clauses form one (clauses x source clauses) array,
+    summed part by part, and one ``VectorIndex.rank_many`` call picks
+    every clause's best source clause from it, a tie going to the smaller
+    key. Nothing is kept between calls: ``evaluate_text`` remembers each
+    sentence's result.
     """
     if not ai:
         return []
-    keys = [tuple(part(c) for part in source.parts) for c in ai]
-    distinct = list(dict.fromkeys(keys))
+    texts = [tuple(part(c) for part in source.parts) for c in ai]
     # The first part is never empty, so the embedded batch is not either.
-    pairs = list(dict.fromkeys((p, t) for k in distinct for p, t in enumerate(k) if t.strip()))
+    pairs = list(dict.fromkeys((p, t) for k in texts for p, t in enumerate(k) if t.strip()))
     vectors = embedder.embed([t for _, t in pairs])
     for p, (matrix, empty) in enumerate(zip(source.matrices, source.empty)):
         rows = [i for i, (q, _) in enumerate(pairs) if q == p]
-        # One row per distinct text of the part, in the order of the tuples
-        # that first hold it: row j is tuple j's unless some tuples share a
-        # text or leave the part empty.
+        # One row per distinct text of the part, in the order of the clauses
+        # that first hold it: row j is clause j's unless some clauses share
+        # a text or leave the part empty.
         scores = row_scores(matrix, vectors[rows])
-        if len(rows) < len(distinct):
+        if len(rows) < len(ai):
             slot = {pairs[i][1]: j for j, i in enumerate(rows)}
-            scores = np.vstack([scores, empty])[[slot.get(k[p], len(rows)) for k in distinct]]
+            scores = np.vstack([scores, empty])[[slot.get(k[p], len(rows)) for k in texts]]
         if p == 0:
             sims = scores
         else:  # part by part, left to right: no BLAS reordering to flip a threshold
             sims += scores
     sims /= len(source.parts)
-    best = source.index.rank_many(sims, 1)
-    by_tuple = {k: (key, clamp01(score)) for k, [(key, score)] in zip(distinct, best)}
-    return [ClauseMatch(c, *by_tuple[k]) for c, k in zip(ai, keys)]
+    return [(key, clamp01(score)) for [(key, score)] in source.index.rank_many(sims, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +322,6 @@ def evaluate_text(
         else:
             unseen[sentence] = Clause(*parts, sentence_index=si)
     if unseen:
-        matches = match_clauses(list(unseen.values()), source, embedder)
-        for sentence, m in zip(unseen, matches, strict=True):
-            scored[sentence] = m.best_source_clause_id, m.similarity
+        scored.update(zip(unseen, match_clauses(list(unseen.values()), source, embedder)))
     sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
     return AdherenceReport.from_similarities(sims, t, len(text.split())) if sims else None

@@ -107,9 +107,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.modes:
             raise ValueError("modes must be non-empty")
-        for mode in self.modes:
+        for i, mode in enumerate(self.modes):
             if mode not in MODES:
                 raise ValueError(f"unknown mode: {mode}")
+            if mode in self.modes[:i]:
+                raise ValueError(f"repeated mode: {mode}")
         if self.matching not in MATCHING_PARTS:
             raise ValueError(f"unknown matching mode: {self.matching}")
         if not 0.0 <= self.threshold <= 1.0:

@@ -366,7 +366,7 @@ def stage_evaluate(ctx: StageContext) -> None:
     for spec in ctx.cfg.corpora:
         text = ctx.document(spec.tag).text
         try:
-            sources[spec.tag] = build_source_index([text], ctx.embedder, ctx.cfg.matching)
+            sources[spec.tag] = build_source_index(text, ctx.embedder, ctx.cfg.matching)
         except ProviderError as exc:
             raise ProviderError(
                 f"source index of corpus {spec.tag!r}: {exc}", attempts=exc.attempts

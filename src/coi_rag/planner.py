@@ -114,7 +114,6 @@ def plan(
     pool_size: int = 25,
     per_question_chunks: int = 10,
     keep: int = 5,
-    clause_extractor=None,
 ) -> IllocutionPlan:
     """Build the explanatory scaffold for one primary question.
 
@@ -147,7 +146,7 @@ def plan(
             vectors.append(bank.index.vector(qid))
 
     # Step 2: template questions augment the pool.
-    template_texts = template_questions(primary, clause_extractor)
+    template_texts = template_questions(primary)
     if template_texts:
         candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
         vectors.extend(embedder.embed(template_texts))

@@ -472,17 +472,16 @@ class GenerationResult:
 
     def __post_init__(self) -> None:
         # Replies, scripts and cache entries are all outside input.
+        if not isinstance(self.text, str):
+            raise ProviderError(f"completion text is not a string: {type(self.text).__name__}")
         if not self.text.strip():
             raise ProviderError("empty completion from generator")
 
 
 def _completion_payload(response: dict) -> dict:
-    """The cached part of a chat response: its text and the time it arrived."""
-    text = response["choices"][0]["message"]["content"]
-    if not text or not text.strip():
-        raise ProviderError("empty completion from generator")
+    """The cached part of a chat response, its text and arrival time, checked as a result."""
     created_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return {"text": text, "created_at": created_at}
+    return vars(GenerationResult(response["choices"][0]["message"]["content"], created_at))
 
 
 def _well_formed_completion(payload) -> bool:
@@ -605,17 +604,16 @@ SCRIPTED_BEHAVIORS: dict[str, Callable[[str], str]] = {
 class ScriptedGenerator:
     """Deterministic offline generator.
 
-    Responses come from an explicit request-hash -> text mapping, from a
-    named builtin behavior, or from a caller-supplied function of the
-    prompt text, checked in that order. Replies are not cached and carry
-    the fixed ``SCRIPTED_CREATED_AT`` stamp. An unknown ``behavior`` name
-    fails on construction.
+    Responses come from an explicit request-hash -> text mapping, else a
+    named builtin behavior, else ``ProviderError``. Replies are not cached
+    and carry the fixed ``SCRIPTED_CREATED_AT`` stamp. An unknown
+    ``behavior`` name fails on construction. Where a test needs other
+    replies, any object with ``complete(prompt)`` stands in for this one.
     """
 
     model_id: str = "scripted"
     script: dict[str, str] = field(default_factory=dict)
     behavior: str | None = None
-    fn: Callable[[str], str] | None = None
 
     def __post_init__(self) -> None:
         if self.behavior is not None and self.behavior not in SCRIPTED_BEHAVIORS:
@@ -628,8 +626,6 @@ class ScriptedGenerator:
             text = self.script[key]
         elif self.behavior is not None:
             text = SCRIPTED_BEHAVIORS[self.behavior](prompt)
-        elif self.fn is not None:
-            text = self.fn(prompt)
         else:
             key = self._key(prompt)
             raise ProviderError(f"scripted generator has no entry for request {key[:12]}")

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
-from .adherence import Clause, extract_clauses
+from .adherence import extract_clauses
 from .corpus import Chunk
 from .records import QuestionRecord, read_jsonl
 from .templates import QA_EXTRACTION_TEMPLATE, fill
@@ -91,28 +90,17 @@ def build_bank(chunks: list[Chunk], generator, tag: str = "") -> list[ImplicitQu
     ]
 
 
-def template_questions(
-    primary: QuestionRecord,
-    clause_extractor: Callable[[str], list[Clause]] | None = None,
-) -> list[str]:
+def template_questions(primary: QuestionRecord) -> list[str]:
     """Generate "What is {X}?" questions from the primary question's labels.
 
     X ranges over the distinct subject and object labels of the clauses
-    found in the question text, in order of first appearance, deduplicated
-    case-insensitively. Only the "what" archetype is generated; other
-    templates add too little to be worth their noise.
+    ``extract_clauses`` finds in the question text, in order of first
+    appearance, deduplicated case-insensitively. Only the "what" archetype
+    is generated; other templates add too little to be worth their noise.
     """
-    extractor = clause_extractor or extract_clauses
-    labels: list[str] = []
-    seen: set[str] = set()
-    for clause in extractor(primary.query_text()):
+    labels: dict[str, str] = {}  # lower-cased label -> its first spelling
+    for clause in extract_clauses(primary.query_text()):
         for label in (clause.subject, clause.object):
-            cleaned = label.strip().rstrip("?.!,;:")
-            if not cleaned:
-                continue
-            key = cleaned.lower()
-            if key in seen:
-                continue
-            seen.add(key)
-            labels.append(cleaned)
-    return [f"What is {label}?" for label in labels]
+            if cleaned := label.strip().rstrip("?.!,;:"):
+                labels.setdefault(cleaned.lower(), cleaned)
+    return [f"What is {label}?" for label in labels.values()]

@@ -163,7 +163,7 @@ SOURCE_TEXT = (
 
 def test_criterion_4_adherence_oracles():
     embedder = HashedEmbedder(256)
-    source = build_source_index([SOURCE_TEXT], embedder)
+    source = build_source_index(SOURCE_TEXT, embedder)
 
     copied = (
         "The parser reads one token at a time. "

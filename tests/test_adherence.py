@@ -13,7 +13,6 @@ from coi_rag.adherence import (
     _VERB_LEXICON,
     AdherenceReport,
     Clause,
-    ClauseMatch,
     build_source_index,
     evaluate_text,
     extract_clauses,
@@ -32,12 +31,15 @@ SOURCE_TEXT = (
     "Each module exports a single namespace."
 )
 OBJECTLESS_TEXT = "The parser runs. The stack grows."
+# Both texts as one source: SOURCE_TEXT ends a sentence, so OBJECTLESS_TEXT's
+# clauses keep their own sentences, numbered on from SOURCE_TEXT's.
+BOTH_TEXTS = SOURCE_TEXT + " " + OBJECTLESS_TEXT
 MODES = ("whole_clause", "component_weighted")
 
 
 @pytest.fixture
 def source(hashed256):
-    return build_source_index([SOURCE_TEXT], hashed256)
+    return build_source_index(SOURCE_TEXT, hashed256)
 
 
 # ASCII whitespace, then Unicode whitespace that str.split, str.strip and \s all take.
@@ -124,7 +126,7 @@ def _ref_strip_span(tokens) -> str:
     return _REF_EDGE_PUNCT.sub("", " ".join(tokens).strip()).strip()
 
 
-def reference_extract_clauses(text: str, sentence_offset: int = 0) -> list[Clause]:
+def reference_extract_clauses(text: str) -> list[Clause]:
     clauses = []
     for si, sentence in enumerate(split_sentences(text)):
         tokens = sentence.split()
@@ -138,7 +140,7 @@ def reference_extract_clauses(text: str, sentence_offset: int = 0) -> list[Claus
         predicate = _ref_strip_span(tokens[verb_at:verb_end])
         obj = _ref_strip_span(tokens[verb_end:])
         if subject and predicate:
-            clauses.append(Clause(subject, predicate, obj, sentence_offset + si))
+            clauses.append(Clause(subject, predicate, obj, si))
     return clauses
 
 
@@ -162,18 +164,18 @@ token_soups = st.lists(tokens, min_size=3, max_size=40).map(" ".join)
 class TestExtractClausesDifferential:
     """The string-strip extractor, directly and through ``evaluate_text``'s memo, equals the regex one."""
 
-    @given(token_soups, st.integers(0, 50))
+    @given(token_soups)
     @settings(max_examples=400, deadline=None)
-    def test_equals_regex_reference(self, text, offset):
-        want = reference_extract_clauses(text, offset)
-        assert extract_clauses(text, offset) == want
+    def test_equals_regex_reference(self, text):
+        want = reference_extract_clauses(text)
+        assert extract_clauses(text) == want
         embedder = HashedEmbedder(dims=32)
-        source = build_source_index([SOURCE_TEXT], embedder)
+        source = build_source_index(SOURCE_TEXT, embedder)
         sentences = split_sentences(text)
         first = evaluate_text(text, source, embedder)
         assert (first.clause_count if first else 0) == len(want)
         assert source.scored.keys() == set(sentences)
-        with_clause = {sentences[c.sentence_index - offset] for c in want}
+        with_clause = {sentences[c.sentence_index] for c in want}
         assert {s for s, hit in source.scored.items() if hit is not None} == with_clause
         assert evaluate_text(text, source, embedder) == first  # every sentence now a hit
 
@@ -181,11 +183,11 @@ class TestExtractClausesDifferential:
     @settings(max_examples=100, deadline=None)
     def test_memo_shared_across_texts(self, texts):
         embedder = HashedEmbedder(dims=32)
-        shared = build_source_index([SOURCE_TEXT], embedder)
+        shared = build_source_index(SOURCE_TEXT, embedder)
         for text in texts + texts[::-1]:
             report = evaluate_text(text, shared, embedder)
             assert (report.clause_count if report else 0) == len(reference_extract_clauses(text))
-            assert report == evaluate_text(text, build_source_index([SOURCE_TEXT], embedder), embedder)
+            assert report == evaluate_text(text, build_source_index(SOURCE_TEXT, embedder), embedder)
 
     def test_memo_holds_verbless_sentences_as_none(self, source, hashed256, monkeypatch):
         """A sentence with no clause is remembered as None and never reaches ``match_clauses``."""
@@ -220,14 +222,25 @@ class TestExtractClausesDifferential:
 
 
 class TestSourceClauseIndex:
+    def test_joined_texts_keep_each_texts_clauses_and_sentence_positions(self, hashed256):
+        """Joining two texts with a space, the first ending a sentence, extracts
+        the first text's clauses, then the second's with its sentence positions
+        counted on from the first's sentences."""
+        offset = len(split_sentences(SOURCE_TEXT))
+        want = extract_clauses(SOURCE_TEXT) + [
+            dataclasses.replace(c, sentence_index=offset + c.sentence_index)
+            for c in extract_clauses(OBJECTLESS_TEXT)
+        ]
+        assert extract_clauses(BOTH_TEXTS) == want
+        assert [c.sentence_index for c in want] == list(range(offset + 2))
+        assert build_source_index(BOTH_TEXTS, hashed256).clauses == want
+
     def test_whole_clause_embeds_only_renders(self, spy_embedder):
-        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], spy_embedder)
+        source = build_source_index(BOTH_TEXTS, spy_embedder)
         assert sorted(spy_embedder.texts) == sorted(c.render() for c in source.clauses)
 
     def test_component_weighted_embeds_only_parts(self, spy_embedder):
-        source = build_source_index(
-            [SOURCE_TEXT, OBJECTLESS_TEXT], spy_embedder, "component_weighted"
-        )
+        source = build_source_index(BOTH_TEXTS, spy_embedder, "component_weighted")
         clauses = source.clauses
         assert any(not c.object for c in clauses)
         expected = (
@@ -249,11 +262,11 @@ class TestSourceClauseIndex:
         batches = []
         embed = embedder.embed
         monkeypatch.setattr(embedder, "embed", lambda texts: batches.append(texts) or embed(texts))
-        source = build_source_index([OBJECTLESS_TEXT], embedder, "component_weighted")
+        source = build_source_index(OBJECTLESS_TEXT, embedder, "component_weighted")
         assert [c.object for c in source.clauses] == ["", ""]
-        m = match_clauses([source.clauses[0]], source, embedder)[0]
-        assert m.best_source_clause_id == "src:0"
-        assert m.similarity == pytest.approx(1.0, abs=1e-9)
+        [(key, similarity)] = match_clauses([source.clauses[0]], source, embedder)
+        assert key == "src:0"
+        assert similarity == pytest.approx(1.0, abs=1e-9)
         assert batches and all(len(b) > 0 for b in batches)  # RemoteEmbedder.embed([]) raises
 
 
@@ -261,19 +274,35 @@ class TestMatchClauses:
     def test_identical_clause_scores_one_both_modes(self, hashed256):
         ai = [Clause("The parser", "reads", "one token at a time", 0)]
         for mode in MODES:
-            source = build_source_index([SOURCE_TEXT], hashed256, mode)
-            m = match_clauses(ai, source, hashed256)
-            assert m[0].similarity == pytest.approx(1.0, abs=1e-9)
+            source = build_source_index(SOURCE_TEXT, hashed256, mode)
+            [(_, similarity)] = match_clauses(ai, source, hashed256)
+            assert similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_component_two_thirds(self, hashed256):
-        source = build_source_index([SOURCE_TEXT], hashed256, "component_weighted")
+        source = build_source_index(SOURCE_TEXT, hashed256, "component_weighted")
         ai = [Clause("The parser", "reads", "zebra xylophone", 0)]
-        m = match_clauses(ai, source, hashed256)
-        assert m[0].similarity == pytest.approx(2 / 3, abs=1e-9)
+        [(_, similarity)] = match_clauses(ai, source, hashed256)
+        assert similarity == pytest.approx(2 / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("mode, embedded", [
+        ("whole_clause", ["The parser runs", "The stack grows"]),
+        ("component_weighted", ["The parser", "runs", "The stack", "grows"]),
+    ])
+    def test_repeated_clause_embeds_each_part_text_once(self, mode, embedded, spy_embedder):
+        """Each distinct non-empty (part, text) of one call is embedded once, and
+        clauses that repeat each other get equal pairs."""
+        source = build_source_index(SOURCE_TEXT, spy_embedder, mode)
+        clauses = extract_clauses("The parser runs. The parser runs. The stack grows.")
+        assert clauses[0].render() == clauses[1].render() != clauses[2].render()
+        spy_embedder.texts.clear()
+        got = match_clauses(clauses, source, spy_embedder)
+        assert spy_embedder.texts == embedded
+        assert len(got) == 3 and got[0] == got[1]
+        assert got == reference_match_clauses(clauses, source, spy_embedder)
 
     def test_unknown_mode_rejected(self, hashed256):
         with pytest.raises(ValueError, match="fuzzy"):
-            build_source_index([SOURCE_TEXT], hashed256, "fuzzy")
+            build_source_index(SOURCE_TEXT, hashed256, "fuzzy")
 
     def test_tied_source_clauses_break_by_ascending_key(self, hashed256):
         # One sentence is both clause 2 and clause 10; "src:10" < "src:2".
@@ -286,12 +315,12 @@ class TestMatchClauses:
         sentences.insert(10, sentences[2])
         text = " ".join(s.rstrip(".") + "." for s in sentences)
         for mode in MODES:
-            source = build_source_index([text], hashed256, mode)
+            source = build_source_index(text, hashed256, mode)
             assert source.keys == [f"src:{i}" for i in range(11)]
             assert source.clauses[2].render() == source.clauses[10].render()
-            m = match_clauses([source.clauses[2]], source, hashed256)[0]
-            assert m.best_source_clause_id == "src:10"
-            assert m.similarity == pytest.approx(1.0, abs=1e-9)
+            [(key, similarity)] = match_clauses([source.clauses[2]], source, hashed256)
+            assert key == "src:10"
+            assert similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_whole_mode_matches_brute_force(self, source, hashed256):
         rng = np.random.default_rng(5)
@@ -300,15 +329,15 @@ class TestMatchClauses:
             subject = " ".join(rng.choice(words, 2))
             obj = " ".join(rng.choice(words, 3))
             ai = [Clause(subject, "holds", obj, 0)]
-            got = match_clauses(ai, source, hashed256)[0]
+            [(_, got)] = match_clauses(ai, source, hashed256)
             rendering = hashed256.embed([ai[0].render()])[0]
             best = max(
                 cosine(rendering, source.index.vector(k)) for k in source.keys
             )
-            assert got.similarity == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
+            assert got == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
 
     def test_component_mode_matches_brute_force(self, hashed256):
-        source = build_source_index([SOURCE_TEXT], hashed256, "component_weighted")
+        source = build_source_index(SOURCE_TEXT, hashed256, "component_weighted")
         rng = np.random.default_rng(6)
         words = SOURCE_TEXT.replace(".", "").split()
         for _ in range(15):
@@ -318,7 +347,7 @@ class TestMatchClauses:
                 " ".join(rng.choice(words, 2)),
                 0,
             )
-            got = match_clauses([ai_clause], source, hashed256)[0]
+            [(_, got)] = match_clauses([ai_clause], source, hashed256)
             best = -1.0
             for src_clause in source.clauses:
                 total = 0.0
@@ -332,7 +361,7 @@ class TestMatchClauses:
                     else:
                         total += cosine(*hashed256.embed([a_text, s_text]))
                 best = max(best, total / 3)
-            assert got.similarity == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
+            assert got == pytest.approx(min(1.0, max(0.0, best)), abs=1e-12)
 
 
 SUBJECTS = ("The parser", "A stack frame", "Each module", "The stack", "Purple quasars")
@@ -351,10 +380,9 @@ class TestClauseScoreMemo:
     def test_shared_index_equals_fresh_index_per_explanation(self, mode, texts):
         """One source index scoring many explanations equals a fresh index for each."""
         embedder = HashedEmbedder(dims=32)
-        source_texts = [SOURCE_TEXT, OBJECTLESS_TEXT]
-        shared = build_source_index(source_texts, embedder, mode)
+        shared = build_source_index(BOTH_TEXTS, embedder, mode)
         for text in texts + texts[::-1]:
-            fresh = build_source_index(source_texts, embedder, mode)
+            fresh = build_source_index(BOTH_TEXTS, embedder, mode)
             assert evaluate_text(text, shared, embedder) == evaluate_text(text, fresh, embedder)
         assert shared.scored.keys() == {s for t in texts for s in split_sentences(t)}
 
@@ -368,7 +396,7 @@ class TestClauseScoreMemo:
             adherence, "match_clauses", lambda ai, src, emb: calls.append(list(ai)) or match(ai, src, emb)
         )
         embedder = HashedEmbedder(dims=32)
-        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+        source = build_source_index(BOTH_TEXTS, embedder, mode)
         texts = [
             "The parser runs. The parser runs. The stack grows. Yes.",
             "The stack grows. The parser runs.",  # nothing new: no call
@@ -389,7 +417,7 @@ class TestClauseScoreMemo:
         ):
             clauses = extract_clauses(text)
             for mode in MODES:
-                source = build_source_index([SOURCE_TEXT], spy_embedder, mode)
+                source = build_source_index(SOURCE_TEXT, spy_embedder, mode)
                 state = dict(vars(source))
                 spy_embedder.texts.clear()
                 for _ in range(3):
@@ -420,7 +448,7 @@ class TestClauseScoreMemo:
                 return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
 
             embedder = RemoteEmbedder("m", transport=transport, dims=32)
-            source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+            source = build_source_index(BOTH_TEXTS, embedder, mode)
             inputs.clear()
             matches = [match(extract_clauses(t), source, embedder) for t in texts]
             return inputs, matches
@@ -432,20 +460,20 @@ class TestClauseScoreMemo:
         assert matches == want_matches
 
 
-def reference_match_clauses(ai: list[Clause], source, embedder) -> list[ClauseMatch]:
+def reference_match_clauses(ai: list[Clause], source, embedder) -> list[tuple[str, float]]:
     """Reference matcher: every clause scored on its own, part by part, from one embedding call."""
     if not ai:
         return []
     texts = [[part(c) for part in source.parts] for c in ai]
     vectors = iter(embedder.embed([t for k in texts for t in k if t.strip()]))
     matches = []
-    for clause, k in zip(ai, texts):
+    for k in texts:
         sims = sum(
             mat @ next(vectors) if text.strip() else empty
             for text, mat, empty in zip(k, source.matrices, source.empty)
         )
         key, score = source.index.rank_many((sims / len(k))[None], 1)[0][0]
-        matches.append(ClauseMatch(clause, key, clamp01(score)))
+        matches.append((key, clamp01(score)))
     return matches
 
 
@@ -468,7 +496,7 @@ class TestMatchClausesDifferential:
     @settings(max_examples=150, deadline=None)
     def test_equals_per_tuple_loop(self, mode, texts):
         embedder = HashedEmbedder(dims=32)
-        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+        source = build_source_index(BOTH_TEXTS, embedder, mode)
         for text in texts:
             clauses = extract_clauses(text)
             assert match_clauses(clauses, source, embedder) == reference_match_clauses(clauses, source, embedder)
@@ -541,7 +569,7 @@ class TestReportFromRun:
     @settings(max_examples=100, deadline=None)
     def test_equals_formula_over_scored_similarities(self, mode, t, texts):
         embedder = HashedEmbedder(dims=32)
-        source = build_source_index([SOURCE_TEXT, OBJECTLESS_TEXT], embedder, mode)
+        source = build_source_index(BOTH_TEXTS, embedder, mode)
         for text in texts:
             got = evaluate_text(text, source, embedder, t)
             hits = [source.scored[s] for s in split_sentences(text)]

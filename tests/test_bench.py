@@ -28,9 +28,10 @@ from coi_rag.bench.runner import (
     stage_build_bank, stage_evaluate, stage_ingest, stage_plan,
 )
 from coi_rag.corpus import chunks_from_jsonl, read_document
+from coi_rag.prompting import assemble_genai
 from coi_rag.providers import (
-    CACHE_FILE, SCRIPTED_BEHAVIORS, CallCache, HashedEmbedder, ProviderError, RemoteEmbedder,
-    ScriptedGenerator, request_hash,
+    CACHE_FILE, SCRIPTED_BEHAVIORS, CallCache, GenerationRequest, HashedEmbedder, ProviderError,
+    RemoteEmbedder, ScriptedGenerator, request_hash,
 )
 from coi_rag.records import read_jsonl
 
@@ -146,6 +147,13 @@ class TestConfig:
             golden_dir, tmp_path, "modes = genai, rag, rag_coi", "modes = psychic"
         )
         with pytest.raises(ValueError, match="psychic"):
+            load_config(p)
+
+    def test_repeated_mode_rejected(self, tmp_path, golden_dir):
+        p = edited_golden_config(
+            golden_dir, tmp_path, "modes = genai, rag, rag_coi", "modes = genai, rag, rag, rag_coi"
+        )
+        with pytest.raises(ValueError, match="^repeated mode: rag$"):
             load_config(p)
 
     @pytest.mark.parametrize(
@@ -425,6 +433,47 @@ class TestRunner:
         assert report.items == 6 * 3 * 3
         assert not report.ok
 
+
+    @pytest.mark.parametrize(
+        "content", [5, {"a": 1}, [{"type": "text", "text": "Hi."}]], ids=["int", "dict", "parts"]
+    )
+    def test_non_string_reply_fails_its_item_and_is_not_cached(self, golden_cfg, content):
+        prompts = []
+
+        def transport(url, body, headers):
+            prompts.append(body["messages"][0]["content"])
+            text = content if len(prompts) == 1 else "A plain reply."
+            return {"choices": [{"message": {"content": text}}]}
+
+        golden_cfg.models = list(golden_cfg.models) + [
+            ModelSpec(name="odd-remote", kind="remote", model_id="odd", backoff=0.0)
+        ]
+        golden_cfg.__post_init__()  # refresh the name registry
+        report = run_experiment(golden_cfg, transports={"odd-remote": transport})
+        assert (report.items, report.failed) == (6 * 3 * 3, 1)
+        items = read_jsonl(golden_cfg.output_dir / "items.jsonl")
+        [failed] = [item for item in items if "error" in item]
+        assert failed["model"] == "odd-remote"
+        assert failed["error"] == f"completion text is not a string: {type(content).__name__}"
+        with closing(CallCache(golden_cfg.cache_dir)) as cache:
+            assert cache.get(GenerationRequest("odd", prompts[0]).cache_key()) is None
+            assert cache.get(GenerationRequest("odd", prompts[1]).cache_key())["text"] == "A plain reply."
+
+    def test_non_string_script_value_fails_its_item(self, golden_cfg, tmp_path):
+        q = load_questions(golden_cfg.questions_path)[0]
+        key = GenerationRequest("mock-a", assemble_genai(q).text).cache_key()
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({key: ["Hi."]}))
+        golden_cfg.models = [
+            dataclasses.replace(m, script_path=script) if m.name == "mock-a" else m
+            for m in golden_cfg.models
+        ]
+        golden_cfg.__post_init__()  # refresh the name registry
+        report = run_experiment(golden_cfg)
+        assert (report.items, report.failed) == (6 * 3 * 2, 1)
+        [failed] = [i for i in read_jsonl(golden_cfg.output_dir / "items.jsonl") if "error" in i]
+        assert (failed["question_id"], failed["model"], failed["mode"]) == (q.id, "mock-a", "genai")
+        assert failed["error"] == "completion text is not a string: list"
 
     def test_embed_failure_while_scoring_fails_one_item(self, golden_cfg, tmp_path):
         run_experiment(golden_cfg)

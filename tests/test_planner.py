@@ -54,8 +54,7 @@ class TestPlanCases:
         chunks, cindex, bank = make_setup(
             ["alpha beta gamma"], ["What is alpha beta?"], hashed64
         )
-        p = plan(record("Tell me about alpha beta"), bank, cindex, hashed64,
-                 clause_extractor=lambda text: [])
+        p = plan(record("Tell me about alpha beta"), bank, cindex, hashed64)
         assert len(p.selected) == 1
         sel = p.selected[0]
         assert sel.question.text == "What is alpha beta?"
@@ -72,7 +71,7 @@ class TestPlanCases:
             hashed64,
         )
         p = plan(record("alpha beta together"), bank, cindex, hashed64,
-                 per_question_chunks=1, clause_extractor=lambda text: [])
+                 per_question_chunks=1)
         assert len(p.selected) == 1
         assert p.selected[0].question.text == "alpha beta?"
 
@@ -87,8 +86,7 @@ class TestPlanCases:
             chunk_texts.append(f"{t}one {t}two {extra}".strip())
             bank_texts.append(f"{t}one {t}two?")
         chunks, cindex, bank = make_setup(chunk_texts, bank_texts, hashed64)
-        p = plan(record(" ".join(topics)), bank, cindex, hashed64,
-                 clause_extractor=lambda text: [])
+        p = plan(record(" ".join(topics)), bank, cindex, hashed64)
         assert len(p.selected) == 5
         scores = [s.best_score for s in p.selected]
         assert scores == sorted(scores, reverse=True)
@@ -96,8 +94,9 @@ class TestPlanCases:
     def test_empty_bank_and_no_templates_degrades(self, hashed64):
         chunks, cindex, _ = make_setup(["alpha beta"], [], hashed64)
         bank = QuestionBank([], hashed64)
-        p = plan(record("anything at all"), bank, cindex, hashed64,
-                 clause_extractor=lambda text: [])
+        q = record("anything at all")
+        assert template_questions(q) == []
+        p = plan(q, bank, cindex, hashed64)
         assert p.selected == []
 
     def test_templates_join_the_pool(self, hashed64):
@@ -123,14 +122,14 @@ class TestPlanCases:
             hashed64,
         )
         p = plan(record("alpha beta"), bank, cindex, hashed64,
-                 per_question_chunks=1, clause_extractor=lambda text: [])
+                 per_question_chunks=1)
         assert sorted(p.chunk_ids()) == ["c0", "c1"]
         assert p.primary_overlap_ids == ["c0"]
 
     def test_plan_json_round_trippable(self, hashed64):
         chunks, cindex, bank = make_setup(["alpha beta"], ["alpha?"], hashed64)
         primary = record("alpha")
-        p = plan(primary, bank, cindex, hashed64, clause_extractor=lambda text: [])
+        p = plan(primary, bank, cindex, hashed64)
         blob = p.to_json()
         assert blob["primary_id"] == "p"
         assert blob["selected"][0]["chunks"][0]["id"] == "c0"

@@ -613,7 +613,7 @@ class TestEmbeddingBatches:
 
 class TestScripted:
     def test_fixed_created_at(self):
-        gen = ScriptedGenerator(model_id="m", fn=lambda prompt: "A reply.")
+        gen = ScriptedGenerator(model_id="m", script={CHAT_KEY: "A reply."})
         assert gen.complete(PROMPT).created_at == SCRIPTED_CREATED_AT == "1970-01-01T00:00:00Z"
 
     def test_unknown_behavior_fails_at_construction(self):

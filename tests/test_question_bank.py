@@ -7,9 +7,11 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coi_rag.adherence import Clause
+from coi_rag.adherence import extract_clauses
 from coi_rag.corpus import Chunk
-from coi_rag.providers import CallCache, ProviderError, RemoteGenerator, ScriptedGenerator
+from coi_rag.providers import (
+    SCRIPTED_CREATED_AT, CallCache, GenerationResult, ProviderError, RemoteGenerator,
+)
 from coi_rag.question_bank import (
     ImplicitQuestion,
     QuestionBank,
@@ -26,6 +28,16 @@ EXAMPLE_BLOCK = """- Who is Alice? An experienced hiker.
 - Despite what did Alice decide to explore the Rocky Mountains? Rain.
 - What did she pack? Gear.
 - When did she pack? Early in the morning."""
+
+
+class ReplyFn:
+    """A generator whose reply is a function of the prompt."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, prompt: str) -> GenerationResult:
+        return GenerationResult(text=self.reply(prompt), created_at=SCRIPTED_CREATED_AT)
 
 
 def make_chunk(i: int, text: str) -> Chunk:
@@ -72,7 +84,7 @@ class TestExtractQas:
             seen["prompt"] = prompt
             return EXAMPLE_BLOCK
 
-        gen = ScriptedGenerator(model_id="gen", fn=capture)
+        gen = ReplyFn(capture)
         pairs = extract_qas("Alice, an experienced hiker, explores.", gen)
         assert len(pairs) == 5
         expected = QA_EXTRACTION_TEMPLATE.replace(
@@ -81,21 +93,19 @@ class TestExtractQas:
         assert seen["prompt"] == expected
 
     def test_empty_paragraph_rejected(self):
-        gen = ScriptedGenerator(model_id="gen", fn=lambda p: "- Q? A.")
+        gen = ReplyFn(lambda p: "- Q? A.")
         with pytest.raises(ValueError):
             extract_qas("   ", gen)
 
 
 class TestBuildBank:
     def test_empty_chunks(self, hashed64):
-        gen = ScriptedGenerator(model_id="gen", fn=lambda p: "- What? That.")
+        gen = ReplyFn(lambda p: "- What? That.")
         assert build_bank([], gen) == []
         assert QuestionBank([], hashed64).index is None
 
     def test_two_qas_per_chunk_over_three_chunks(self):
-        gen = ScriptedGenerator(
-            model_id="gen", fn=lambda p: "- What is one? First.\n- What is two? Second."
-        )
+        gen = ReplyFn(lambda p: "- What is one? First.\n- What is two? Second.")
         chunks = [make_chunk(i, f"text number {i}") for i in range(3)]
         questions = build_bank(chunks, gen, tag="demo")
         assert len(questions) == 6
@@ -104,10 +114,7 @@ class TestBuildBank:
         assert {q.tag for q in questions} == {"demo"}
 
     def test_index_cardinality_and_self_similarity(self, hashed64):
-        gen = ScriptedGenerator(
-            model_id="gen",
-            fn=lambda p: f"- What is {p.splitlines()[-1].split()[0]} about? Something.",
-        )
+        gen = ReplyFn(lambda p: f"- What is {p.splitlines()[-1].split()[0]} about? Something.")
         chunks = [make_chunk(i, f"theme{i} words here") for i in range(4)]
         bank = QuestionBank(build_bank(chunks, gen), hashed64)
         assert len(bank.index) == len(bank)
@@ -177,41 +184,31 @@ class TestTemplateQuestions:
         )
 
     def test_object_labels_become_what_questions(self):
-        def extractor(text: str):
-            return [
-                Clause("I", "convert", "a String", 0),
-                Clause("I", "convert", "an int", 0),
-            ]
-
-        got = template_questions(
-            self.q("How do I convert a String to an int in Java?"), extractor
-        )
+        record = self.q("I converts a String. I converts an int.")
+        assert [(c.subject, c.object) for c in extract_clauses(record.query_text())] == [
+            ("I", "a String"), ("I", "an int"),
+        ]
+        got = template_questions(record)
         assert got == ["What is I?", "What is a String?", "What is an int?"]
 
     def test_no_clauses_no_templates(self):
-        got = template_questions(self.q("Sole-token-title?"), lambda text: [])
-        assert got == []
+        record = self.q("Sole-token-title?")
+        assert extract_clauses(record.query_text()) == []
+        assert template_questions(record) == []
 
     def test_case_insensitive_dedup_keeps_first_spelling(self):
-        def extractor(text: str):
-            return [
-                Clause("The Stack", "grows", "the stack", 0),
-                Clause("THE STACK", "shrinks", "", 1),
-            ]
-
-        got = template_questions(self.q("Anything?"), extractor)
-        assert got == ["What is The Stack?"]
+        record = self.q("The Stack grows the stack. THE STACK shrinks.")
+        assert [(c.subject, c.object) for c in extract_clauses(record.query_text())] == [
+            ("The Stack", "the stack"), ("THE STACK", ""),
+        ]
+        assert template_questions(record) == ["What is The Stack?"]
 
     def test_only_what_archetype(self):
-        got = template_questions(
-            self.q("Why is the sky blue at noon?"),
-            lambda text: [Clause("the sky", "is", "blue at noon", 0)],
-        )
+        got = template_questions(self.q("Why is the sky blue at noon?"))
+        assert got
         assert all(t.startswith("What is ") and t.endswith("?") for t in got)
 
     def test_default_extractor_agrees_with_its_own_labels(self):
-        from coi_rag.adherence import extract_clauses
-
         record = self.q("The parser rejects nested macros.", body="")
         expected = []
         for clause in extract_clauses(record.query_text()):
