@@ -13,14 +13,16 @@ It is fixed when the source index is built, which embeds only those parts;
 once per call, and all clauses as one (clauses x source clauses) array,
 from which one ``VectorIndex.rank_many`` call picks every clause's best
 source clause.
-``evaluate_text`` extracts and scores each distinct explanation
-sentence once per source index, and remembers the result on the index.
+``evaluate_text`` extracts, scores and counts the words of each distinct
+explanation sentence once per source index, and remembers the results on
+the index.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -68,6 +70,8 @@ def _clean(token: str) -> str:
     return token.lstrip(_LEAD_PUNCT).rstrip(_TRAIL_PUNCT)
 
 
+# Memoised: a run's sentences repeat a few hundred distinct tokens thousands of times.
+@lru_cache(maxsize=8192)
 def _is_verb_like(token: str) -> bool:
     word = _clean(token).lower()
     if not word or not word.isalpha():
@@ -173,12 +177,13 @@ class SourceClauseIndex:
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
     clauses by key (``src:<position>``), shares the first part's matrix and
-    holds no payloads. ``scored`` is ``evaluate_text``'s memo: it maps each
-    explanation sentence scored against this index to its ``match_clauses``
-    pair, or to None when the sentence has no clause, so each distinct
-    sentence is extracted and matched once per index however many
-    explanations repeat it. It lives as long as the index, typically one
-    evaluate stage.
+    holds no payloads. ``scored`` and ``word_counts`` are ``evaluate_text``'s
+    memos: ``scored`` maps each explanation sentence scored against this
+    index to its ``match_clauses`` pair, or to None when the sentence has
+    no clause, and ``word_counts`` maps it to its number of
+    whitespace-separated words. So each distinct sentence is extracted,
+    matched and split once per index however many explanations repeat it.
+    Both live as long as the index, typically one evaluate stage.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -201,6 +206,7 @@ class SourceClauseIndex:
             self.matrices.append(mat)
         self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
         self.scored: dict[str, tuple[str, float] | None] = {}
+        self.word_counts: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -308,14 +314,18 @@ def evaluate_text(
     references do not distort similarity. Each sentence ``source.scored``
     has not seen is extracted, and its clause, if any, matched in one
     ``match_clauses`` call; ``AdherenceReport.from_similarities`` scores
-    the similarities of the text's clause sentences, in order.
+    the similarities of the text's clause sentences, in order. The word
+    count is the sum of the sentences' counts in ``source.word_counts``,
+    which equals ``len(text.split())``: ``split_sentences`` cuts only at
+    whitespace runs, and drops only surrounding whitespace.
     """
     sentences = split_sentences(text)
-    scored = source.scored
+    scored, word_counts = source.scored, source.word_counts
     unseen: dict[str, Clause] = {}
     for si, sentence in enumerate(sentences):
         if sentence in scored or sentence in unseen:
             continue
+        word_counts[sentence] = len(sentence.split())
         parts = _sentence_parts(sentence)
         if parts is None:
             scored[sentence] = None
@@ -324,4 +334,6 @@ def evaluate_text(
     if unseen:
         scored.update(zip(unseen, match_clauses(list(unseen.values()), source, embedder)))
     sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
-    return AdherenceReport.from_similarities(sims, t, len(text.split())) if sims else None
+    if not sims:
+        return None
+    return AdherenceReport.from_similarities(sims, t, sum(map(word_counts.__getitem__, sentences)))

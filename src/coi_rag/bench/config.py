@@ -105,6 +105,8 @@ class ExperimentConfig:
     _model_by_name: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"[experiment] seed must be >= 0, got {self.seed}")
         if not self.modes:
             raise ValueError("modes must be non-empty")
         for i, mode in enumerate(self.modes):

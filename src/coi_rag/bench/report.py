@@ -151,7 +151,7 @@ def box_plot_svg(title: str, groups: list[tuple[str, list[float]]]) -> str:
 
     for gi, (label, values) in enumerate(groups):
         arr = np.asarray(values, dtype=float)
-        q1, med, q3 = (float(np.percentile(arr, p)) for p in (25, 50, 75))
+        q1, med, q3 = np.percentile(arr, [25, 50, 75]).tolist()  # one sort of the group
         vmin, vmax = float(arr.min()), float(arr.max())
         cx = left + gi * (box_w + gap) + box_w / 2
         x0 = cx - box_w / 2

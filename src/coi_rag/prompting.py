@@ -102,20 +102,22 @@ _SOURCE_WORDS = re.compile(r"\bpages?\b|\bpp?\.", re.IGNORECASE)
 _SPACE_RUN = re.compile(r" {2,}")
 _SPACE_BEFORE_PUNCT = re.compile(r" +([.,;:!?])")
 _TRAILING_SPACES = re.compile(r" +$", re.MULTILINE)
+# A space before a space, a mark or a line end: where any of the three passes matches.
+_UNTIDY = re.compile(r" [ .,;:!?]| $", re.MULTILINE)
 
 
 def _tidy_spaces(text: str) -> str:
     """Collapse space runs, drop spaces before punctuation and at line ends.
 
-    Each pass runs only when a substring test shows it has a match.
+    One ``_UNTIDY`` search decides whether the passes run: text it does not
+    match has nothing for any pass to change, and most explanations are
+    such text.
     """
-    if "  " in text:
-        text = _SPACE_RUN.sub(" ", text)
-    if any(" " + p in text for p in ".,;:!?"):
-        text = _SPACE_BEFORE_PUNCT.sub(r"\1", text)
-    if " \n" in text or text.endswith(" "):
-        text = _TRAILING_SPACES.sub("", text)
-    return text
+    if _UNTIDY.search(text) is None:
+        return text
+    text = _SPACE_RUN.sub(" ", text)
+    text = _SPACE_BEFORE_PUNCT.sub(r"\1", text)
+    return _TRAILING_SPACES.sub("", text)
 
 
 def strip_citations(text: str, textbook_title: str | None = None) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -19,8 +19,13 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def write_records(path: str | Path, records: Iterable) -> None:
-    """Write dataclass instances as JSON Lines, one row of their fields each."""
-    write_jsonl(path, map(asdict, records))
+    """Write dataclass instances as JSON Lines, one row of their fields each.
+
+    A row maps each field name to the instance's own value, uncopied: the
+    records written here hold strings, numbers and tuples of them, which
+    encode as ``dataclasses.asdict``'s deep copy would.
+    """
+    write_jsonl(path, ({f.name: getattr(r, f.name) for f in fields(r)} for r in records))
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -147,7 +147,8 @@ def reference_extract_clauses(text: str) -> list[Clause]:
 LEADS = ("",) * 6 + ('"', "'", "(", "[", '("', "'[", ")", ".")
 TRAILS = ("",) * 6 + ('"', "'", ")", "]", ",", ";", ":", ".", "!", "?", '."', ").", "?!", "...", "'s")
 WORDS = ("the", "parser", "a", "stack", "is", "has", "been", "reads", "walked", "running", "class",
-         "sings", "go", "X", "B.", "don't", "e.g.", "well-formed", "42", "\u00e9t\u00e9s", "I")
+         "sings", "go", "X", "B.", "don't", "e.g.", "well-formed", "42", "\u00e9t\u00e9s", "I",
+         "reads.The", "is?No", "go!it")  # marks with no whitespace after them
 word_tokens = st.builds(
     lambda a, w, b: a + w + b, st.sampled_from(LEADS), st.sampled_from(WORDS), st.sampled_from(TRAILS)
 )
@@ -158,7 +159,12 @@ tokens = st.one_of(
     st.builds(lambda a, b: a + b, st.sampled_from(LEADS), st.sampled_from(TRAILS)),  # punctuation-only
     st.text(alphabet=" \t\n.!?\"'()[],;:abIs", max_size=6),  # stray whitespace and edge runs
 )
-token_soups = st.lists(tokens, min_size=3, max_size=40).map(" ".join)
+# What follows each token: mostly a space, else whitespace that str.split and
+# split_sentences' \s+ both take, or nothing, which leaves a mark unfollowed.
+SEPARATORS = (" ",) * 8 + ("\t", "\n", "\xa0", "\x1c", "\x85", "\u2003", " \n ", "")
+token_soups = st.lists(st.tuples(tokens, st.sampled_from(SEPARATORS)), min_size=3, max_size=40).map(
+    lambda pieces: "".join(token + sep for token, sep in pieces)
+)
 
 
 class TestExtractClausesDifferential:
@@ -174,6 +180,7 @@ class TestExtractClausesDifferential:
         sentences = split_sentences(text)
         first = evaluate_text(text, source, embedder)
         assert (first.clause_count if first else 0) == len(want)
+        assert first is None or first.word_count == len(text.split())
         assert source.scored.keys() == set(sentences)
         with_clause = {sentences[c.sentence_index] for c in want}
         assert {s for s, hit in source.scored.items() if hit is not None} == with_clause
@@ -187,7 +194,10 @@ class TestExtractClausesDifferential:
         for text in texts + texts[::-1]:
             report = evaluate_text(text, shared, embedder)
             assert (report.clause_count if report else 0) == len(reference_extract_clauses(text))
-            assert report == evaluate_text(text, build_source_index(SOURCE_TEXT, embedder), embedder)
+            fresh = evaluate_text(text, build_source_index(SOURCE_TEXT, embedder), embedder)
+            assert report == fresh
+            if report is not None:  # the shared index's counts are memo hits after the first pass
+                assert report.word_count == fresh.word_count == len(text.split())
 
     def test_memo_holds_verbless_sentences_as_none(self, source, hashed256, monkeypatch):
         """A sentence with no clause is remembered as None and never reaches ``match_clauses``."""

@@ -185,6 +185,7 @@ class TestConfig:
             ("kind = scripted\nbehavior = qa_stub", "kind = scriptd\nbehavior = qa_stub", "scriptd"),
             ("kind = hashed", "kind = hashd", "hashd"),
             ("dims = 256", "dims = 0", "dims must be >= 1"),
+            ("seed = 7", "seed = -1", "[experiment] seed"),
         ],
     )
     def test_value_failing_after_provider_calls_rejected_on_load(
@@ -782,6 +783,34 @@ class TestGoldenDigest:
         assert run_experiment(cfg).failed == 0
         for name, digest in COMPONENT_WEIGHTED_DIGESTS.items():
             assert hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest() == digest, name
+
+    def test_memos_do_not_leak_between_runs(self, golden_dir, tmp_path):
+        """Seed 7, then seed 3 on four questions, one retitled with new words (a new
+        bootstrap draw and new tokens), then seed 7 again, all in one interpreter."""
+        questions = (golden_dir / "questions.jsonl").read_text().splitlines(keepends=True)
+        assert len(questions) == 6
+        retitled = json.loads(questions[0])
+        retitled["title"] = "Why would quixotic zephyrs unmarshal glyphs in vex?"
+        fewer = [json.dumps(retitled) + "\n"] + questions[1:2] + questions[3:5]
+        trees = []
+        for run, (seed, rows) in enumerate([(7, questions), (3, fewer), (7, questions)]):
+            run_dir = tmp_path / str(run)
+            run_dir.mkdir()
+            text = (golden_dir / "config.ini").read_text()
+            assert "seed = 7\n" in text
+            (run_dir / "config.ini").write_text(text.replace("seed = 7\n", f"seed = {seed}\n"))
+            (run_dir / "questions.jsonl").write_text("".join(rows))
+            for name in ("vex_book.txt", "orm_book.txt"):
+                (run_dir / name).write_bytes((golden_dir / name).read_bytes())
+            cfg = load_config(run_dir / "config.ini")
+            assert run_experiment(cfg).failed == 0
+            trees.append({p.name: p.read_bytes() for p in cfg.output_dir.iterdir()})
+        first, middle, third = trees
+        assert first == third
+        assert middle["report.csv"] != first["report.csv"]
+        assert b"zephyrs" in middle["explanations.jsonl"]
+        for name, digest in GOLDEN_DIGESTS.items():
+            assert hashlib.sha256(third[name]).hexdigest() == digest, name
 
 
 RUN_AND_LIST_MODULES = """

@@ -246,3 +246,24 @@ class TestStripCitations:
         reference = reference_strip_citations(text, "Book Title")
         if reference_strip_citations(reference, "Book Title") == reference:
             assert out == reference
+
+    # Marker-free text around a trigger, so the reference's one tidying is the
+    # whole job. A lone space is a trigger only at the end of the text.
+    @pytest.mark.parametrize("trigger", ["  ", " .", " ,", " ;", " :", " !", " ?", " \n", " "])
+    @given(head=st.text(alphabet="ab .,;:!?\n\t", max_size=12),
+           tail=st.text(alphabet="ab .,;:!?\n\t", max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_each_tidy_trigger_agrees_with_reference(self, trigger, head, tail):
+        for text in [head + trigger] + ([head + trigger + tail] if trigger != " " else []):
+            want = reference_strip_citations(text, "Book Title")
+            assert want != text  # the trigger is tidied away
+            assert strip_citations(text, "Book Title") == want
+
+    # Words that start with a letter, joined by single spaces: no space is
+    # doubled or comes before a mark or a line end.
+    @given(st.lists(st.builds(lambda first, rest: first + rest, st.sampled_from("abpx"),
+                              st.text(alphabet="ab.,;:!?\n\tp3()[]", max_size=6)),
+                    max_size=12).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_text_with_no_tidy_trigger_agrees_with_reference(self, text):
+        assert strip_citations(text, "Book Title") == reference_strip_citations(text, "Book Title")

@@ -522,6 +522,15 @@ class TestRequiredPairs:
             required_pairs(0.3, 0.05, 0.8, "three")
 
 
+def frozen_bootstrap_ci(x, statistic, n_boot, seed):
+    """``bootstrap_ci`` as it was before calls shared their draws: one generator per call."""
+    x = np.asarray(x, dtype=float)
+    idx = np.random.default_rng(seed).integers(0, x.size, size=(n_boot, x.size))
+    values = {"mean": np.mean, "median": np.median}[statistic](x[idx], axis=1)
+    lo, hi = np.percentile(values, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 class TestBootstrap:
     def test_constant_sample_degenerate_interval(self):
         assert bootstrap_ci([5.0] * 10, "mean", seed=1) == (5.0, 5.0)
@@ -540,6 +549,25 @@ class TestBootstrap:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], "mean")
+
+    def test_shared_draws_equal_one_generator_per_call(self):
+        """Bit-equal to drawing afresh on every call, across interleaved keys that evict the memo."""
+        triples = [(size, n_boot, seed) for size in (2, 7, 24) for n_boot in (1, 50) for seed in (0, 3)]
+        assert len(triples) > stats._resample_indices.cache_info().maxsize + 1
+        rng = np.random.default_rng(89)
+        order = [triples[i] for i in rng.permutation(3 * len(triples)) % len(triples)]
+        for size, n_boot, seed in order + order[::-1]:
+            x = rng.normal(size=size)
+            for statistic in ("mean", "median"):
+                want = frozen_bootstrap_ci(x, statistic, n_boot, seed)
+                assert bootstrap_ci(list(x), statistic, n_boot=n_boot, seed=seed) == want
+                assert bootstrap_ci(x, statistic, n_boot=n_boot, seed=seed) == want  # a memo hit
+
+    def test_cached_draws_refuse_writes(self):
+        idx = stats._resample_indices(10, 20, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
+        assert stats._resample_indices(10, 20, 5) is idx
 
 
 class TestSelectPairedTest:
