@@ -8,14 +8,15 @@ thresholded adherence ratio (the share that clear ``t``), a mean
 similarity, and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
-It is fixed when the source index is built, which embeds only those parts;
-``match_clauses`` scores every mode the same way: each distinct part text
-once per call, and all clauses as one (clauses x source clauses) array,
-from which one ``VectorIndex.rank_many`` call picks every clause's best
-source clause.
+It is fixed when the source index is built, which embeds only those parts,
+all in one call; ``match_clauses`` scores every mode the same way: each
+distinct part text once per call, and all clauses as one (clauses x source
+clauses) array, from which one ``VectorIndex.rank_many`` call picks every
+clause's best source clause.
 ``evaluate_text`` extracts, scores and counts the words of each distinct
 explanation sentence once per source index, and remembers the results on
-the index.
+the index; its two steps, ``extract_sentences`` and ``score_sentences``,
+let a stage embed the new clauses of many explanations in one call.
 """
 
 from __future__ import annotations
@@ -173,17 +174,20 @@ MATCHING_PARTS: dict[str, tuple[Callable[[Clause], str], ...]] = {
 class SourceClauseIndex:
     """Clauses of the evidence source, embedded for one matching mode.
 
-    Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: one
+    Only the parts ``MATCHING_PARTS[mode]`` compares are embedded, the
+    non-empty texts of all of them in one ``embedder.embed`` call: one
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
     clauses by key (``src:<position>``), shares the first part's matrix and
-    holds no payloads. ``scored`` and ``word_counts`` are ``evaluate_text``'s
-    memos: ``scored`` maps each explanation sentence scored against this
-    index to its ``match_clauses`` pair, or to None when the sentence has
-    no clause, and ``word_counts`` maps it to its number of
-    whitespace-separated words. So each distinct sentence is extracted,
+    holds no payloads. ``scored``, ``pending`` and ``word_counts`` are the
+    memos of ``extract_sentences`` and ``score_sentences``: ``word_counts``
+    maps each explanation sentence seen against this index to its number
+    of whitespace-separated words; ``pending`` maps a seen sentence that
+    has a clause to that clause until a ``match_clauses`` call scores it;
+    and ``scored`` maps a sentence to its ``match_clauses`` pair, or to
+    None when it has no clause. So each distinct sentence is extracted,
     matched and split once per index however many explanations repeat it.
-    Both live as long as the index, typically one evaluate stage.
+    They live as long as the index, typically one evaluate stage.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -194,18 +198,20 @@ class SourceClauseIndex:
         self.clauses = clauses
         self.keys = [f"src:{i}" for i in range(len(clauses))]
         self.parts = MATCHING_PARTS[mode]
-        first, *rest = self.parts
-        self.index = VectorIndex(self.keys, embedder.embed([first(c) for c in clauses]))
-        self.matrices = [self.index.vectors]
-        for part in rest:
-            texts = [part(c) for c in clauses]
-            mat = np.zeros((len(clauses), self.index.dims))
-            nonempty = [i for i, t in enumerate(texts) if t.strip()]
-            if nonempty:  # an embedder may reject an empty batch
-                mat[nonempty] = embedder.embed([texts[i] for i in nonempty])
+        columns = [[part(c) for c in clauses] for part in self.parts]
+        filled = [[i for i, t in enumerate(column) if t.strip()] for column in columns]
+        # One call for every part; the first part is never empty, so the batch is not either.
+        vectors = embedder.embed([column[i] for column, rows in zip(columns, filled) for i in rows])
+        self.matrices, start = [], 0
+        for rows in filled:
+            mat = np.zeros((len(clauses), vectors.shape[1]))
+            mat[rows] = vectors[start:start + len(rows)]
+            start += len(rows)
             self.matrices.append(mat)
-        self.empty = [np.array([float(not p(c).strip()) for c in clauses]) for p in self.parts]
+        self.index = VectorIndex(self.keys, self.matrices[0])
+        self.empty = [np.array([float(not t.strip()) for t in column]) for column in columns]
         self.scored: dict[str, tuple[str, float] | None] = {}
+        self.pending: dict[str, Clause] = {}
         self.word_counts: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -231,8 +237,10 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     scores of all clauses form one (clauses x source clauses) array,
     summed part by part, and one ``VectorIndex.rank_many`` call picks
     every clause's best source clause from it, a tie going to the smaller
-    key. Nothing is kept between calls: ``evaluate_text`` remembers each
-    sentence's result.
+    key. Nothing is kept between calls: ``score_sentences`` remembers each
+    sentence's result. ``embedder`` may serve rows that one stage-wide
+    call already fetched; each row depends on its text alone, so the
+    pairs are those a call of its own would give.
     """
     if not ai:
         return []
@@ -302,6 +310,62 @@ class AdherenceReport:
         )
 
 
+def extract_sentences(text: str, source: SourceClauseIndex) -> list[str]:
+    """The sentences of ``text``; each one ``source`` has not seen is counted and extracted.
+
+    A new sentence's word count goes to ``source.word_counts``; its clause
+    waits in ``source.pending``, and a sentence without one is scored None.
+    A stage extracts every explanation first, embeds ``pending_texts`` in
+    one call, and then scores each explanation with ``score_sentences``.
+    """
+    sentences = split_sentences(text)
+    scored, pending, word_counts = source.scored, source.pending, source.word_counts
+    for si, sentence in enumerate(sentences):
+        if sentence in word_counts:
+            continue
+        word_counts[sentence] = len(sentence.split())
+        parts = _sentence_parts(sentence)
+        if parts is None:
+            scored[sentence] = None
+        else:
+            pending[sentence] = Clause(*parts, sentence_index=si)
+    return sentences
+
+
+def pending_texts(source: SourceClauseIndex) -> list[str]:
+    """The distinct non-empty part texts of the clauses in ``source.pending``, first seen first."""
+    texts = (part(c) for c in source.pending.values() for part in source.parts)
+    return list(dict.fromkeys(t for t in texts if t.strip()))
+
+
+def score_sentences(
+    sentences: list[str], source: SourceClauseIndex, embedder, t: float = 0.7
+) -> AdherenceReport | None:
+    """Score one explanation's sentences from ``extract_sentences``; None when unevaluable.
+
+    The sentences still in ``source.pending`` are matched in one
+    ``match_clauses`` call, in order of first appearance, and move to
+    ``source.scored``; if the call raises, they stay pending, so the next
+    explanation that holds one matches it again.
+    ``AdherenceReport.from_similarities`` scores the similarities of the
+    clause sentences, in order. The word count is the sum of the
+    sentences' counts in ``source.word_counts``, which equals
+    ``len(text.split())``: ``split_sentences`` cuts only at whitespace
+    runs, and drops only surrounding whitespace.
+    """
+    scored, pending = source.scored, source.pending
+    unseen = [s for s in dict.fromkeys(sentences) if s in pending]
+    if unseen:
+        scored.update(zip(unseen, match_clauses([pending[s] for s in unseen], source, embedder)))
+        for sentence in unseen:
+            del pending[sentence]
+    sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
+    if not sims:
+        return None
+    words = sum(map(source.word_counts.__getitem__, sentences))
+    return AdherenceReport.from_similarities(sims, t, words)
+
+
 def evaluate_text(
     text: str,
     source: SourceClauseIndex,
@@ -311,29 +375,10 @@ def evaluate_text(
     """Score one explanation against a source; None when unevaluable.
 
     The caller is expected to strip citation markers first so page
-    references do not distort similarity. Each sentence ``source.scored``
-    has not seen is extracted, and its clause, if any, matched in one
-    ``match_clauses`` call; ``AdherenceReport.from_similarities`` scores
-    the similarities of the text's clause sentences, in order. The word
-    count is the sum of the sentences' counts in ``source.word_counts``,
-    which equals ``len(text.split())``: ``split_sentences`` cuts only at
-    whitespace runs, and drops only surrounding whitespace.
+    references do not distort similarity. ``extract_sentences`` then
+    ``score_sentences``: the sentences no earlier text scored against
+    ``source`` have their clauses matched in one ``match_clauses`` call
+    through ``embedder``. The evaluate stage runs the two steps apart, so
+    that one ``embed`` call serves every explanation of a corpus.
     """
-    sentences = split_sentences(text)
-    scored, word_counts = source.scored, source.word_counts
-    unseen: dict[str, Clause] = {}
-    for si, sentence in enumerate(sentences):
-        if sentence in scored or sentence in unseen:
-            continue
-        word_counts[sentence] = len(sentence.split())
-        parts = _sentence_parts(sentence)
-        if parts is None:
-            scored[sentence] = None
-        else:
-            unseen[sentence] = Clause(*parts, sentence_index=si)
-    if unseen:
-        scored.update(zip(unseen, match_clauses(list(unseen.values()), source, embedder)))
-    sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
-    if not sims:
-        return None
-    return AdherenceReport.from_similarities(sims, t, sum(map(word_counts.__getitem__, sentences)))
+    return score_sentences(extract_sentences(text, source), source, embedder, t)

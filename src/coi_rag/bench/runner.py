@@ -17,6 +17,14 @@ Each stage decides from the configured modes whether it has work to do:
 writes an empty ``plans.jsonl``. A stage reads the files its modes need
 strictly: ``answer`` with ``rag_coi`` fails before any generator call when
 ``plans.jsonl``, or the plan of any question, is missing.
+
+A stage that embeds item by item makes one stage-wide ``embed`` call, one
+per corpus in ``evaluate``, and its per-item code reads its rows from that
+call's result (``StageRows``): ``plan`` embeds every question's query text
+and template questions at once, ``answer`` every query text, and
+``evaluate`` the new clause parts of all of a corpus's explanations. If
+that call fails, each item embeds its own texts as if there were no
+stage-wide call, so one bad input still fails only its own items.
 """
 
 from __future__ import annotations
@@ -28,16 +36,20 @@ import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .. import planner as planner_mod
-from ..adherence import AdherenceReport, build_source_index, evaluate_text
+from ..adherence import (
+    AdherenceReport, build_source_index, extract_sentences, pending_texts, score_sentences,
+)
 from ..corpus import Chunk, Document, chunk, chunks_from_jsonl, read_document
 from ..planner import IllocutionPlan
 from ..prompting import assemble_genai, assemble_rag, assemble_rag_coi, generate, strip_citations
 from ..providers import DECODING, CallCache, ProviderError
-from ..question_bank import QuestionBank, build_bank
+from ..question_bank import QuestionBank, build_bank, template_questions
 from ..records import QuestionRecord, json_line, read_jsonl, write_jsonl, write_records
 from ..vector_index import VectorIndex, build_index
-from .config import ExperimentConfig
+from .config import CorpusSpec, ExperimentConfig
 from .report import write_analysis, write_csv_and_plots
 
 
@@ -187,6 +199,37 @@ def make_context(
     )
 
 
+class StageRows:
+    """The rows of one ``embed`` call over ``texts``, served by text to per-item code.
+
+    ``embed`` stacks the stored rows and calls no provider.
+    """
+
+    def __init__(self, texts: list[str], embedder):
+        texts = list(dict.fromkeys(texts))
+        self.rows = dict(zip(texts, embedder.embed(texts))) if texts else {}
+
+    def embed(self, texts: list[str]):
+        # Each row depends on its text alone, so it is bit-identical to what a
+        # call over any other batch returns: HashedEmbedder divides exact integer
+        # counts by the square root of their exact integer sum, and
+        # RemoteEmbedder normalizes each row by its own np.linalg.norm(axis=1).
+        return np.stack([self.rows[t] for t in texts])
+
+
+def _stage_rows(texts: list[str], embedder):
+    """``StageRows`` of ``texts``, or ``embedder`` itself when that call raises ``ProviderError``.
+
+    Per-item code then embeds each item's texts on its own, so a failure
+    fails only the items whose texts cause it, at the cost of the failed
+    call's retries.
+    """
+    try:
+        return StageRows(texts, embedder)
+    except ProviderError:
+        return embedder
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -235,6 +278,9 @@ def stage_plan(ctx: StageContext) -> None:
     questions = ctx.questions()
     indexes = {tag: ctx.chunk_index(tag) for tag in sorted(ctx.cfg.tags)}
     banks = {tag: ctx.bank(tag) for tag in sorted(ctx.cfg.tags)}
+    embedder = _stage_rows(
+        [t for q in questions for t in (q.query_text(), *template_questions(q))], ctx.embedder
+    )
     plans = []
     for q in questions:
         try:
@@ -242,7 +288,7 @@ def stage_plan(ctx: StageContext) -> None:
                 q,
                 banks[q.tag],
                 indexes[q.tag],
-                ctx.embedder,
+                embedder,
                 pool_size=ctx.cfg.pool_size,
                 per_question_chunks=ctx.cfg.per_question_chunks,
                 keep=ctx.cfg.keep_questions,
@@ -279,6 +325,7 @@ def stage_answer(ctx: StageContext) -> None:
     if ctx.needs_retrieval():
         for tag in sorted(ctx.cfg.tags):
             indexes[tag] = ctx.chunk_index(tag)
+        embedder = _stage_rows([q.query_text() for q in questions], ctx.embedder)
 
     generators = {m.name: ctx.generator(m.name) for m in ctx.cfg.answer_models}
 
@@ -289,7 +336,7 @@ def stage_answer(ctx: StageContext) -> None:
         if indexes:
             index = indexes[q.tag]
             try:
-                vec = ctx.embedder.embed([q.query_text()])[0]
+                vec = embedder.embed([q.query_text()])[0]
             except ProviderError as exc:
                 embed_error = f"embed: {exc}"
             else:
@@ -357,40 +404,22 @@ ITEM_CSV_FIELDS = (
 def stage_evaluate(ctx: StageContext) -> None:
     """Score every explanation against its corpus; one item row each.
 
-    A provider failure while scoring one explanation fails that item: its
-    ``error`` starts with ``embed:``. A failure while indexing a corpus
+    Corpus by corpus: index the source, extract every explanation's new
+    sentences in one pass, embed all their clause parts in one call, then
+    score each explanation's new clauses in a ``match_clauses`` call of its
+    own. A provider failure while scoring one explanation fails that item:
+    its ``error`` starts with ``embed:``. A failure while indexing a corpus
     fails the run, naming the corpus.
     """
-    sources = {}
-    titles = {}
+    records = ctx.artifact("explanations.jsonl")
+    items = list(records)
+    # The positions of each corpus's explanations; a tag with no corpus raises KeyError.
+    by_tag = {spec.tag: [] for spec in ctx.cfg.corpora}
+    for i, rec in enumerate(records):
+        if "error" not in rec:
+            by_tag[rec["tag"]].append(i)
     for spec in ctx.cfg.corpora:
-        text = ctx.document(spec.tag).text
-        try:
-            sources[spec.tag] = build_source_index(text, ctx.embedder, ctx.cfg.matching)
-        except ProviderError as exc:
-            raise ProviderError(
-                f"source index of corpus {spec.tag!r}: {exc}", attempts=exc.attempts
-            ) from exc
-        titles[spec.tag] = spec.title
-
-    items: list[dict] = []
-    for rec in ctx.artifact("explanations.jsonl"):
-        if "error" in rec:
-            items.append(rec)
-            continue
-        stripped = strip_citations(rec["text"], titles[rec["tag"]])
-        item = dict(rec)
-        try:
-            report = evaluate_text(stripped, sources[rec["tag"]], ctx.embedder, t=ctx.cfg.threshold)
-        except ProviderError as exc:
-            item["error"] = f"embed: {exc}"
-            items.append(item)
-            continue
-        if report is None:
-            item["unevaluable"] = True
-        else:
-            item.update(vars(report), matching=ctx.cfg.matching)
-        items.append(item)
+        _score_corpus(ctx, spec, records, by_tag[spec.tag], items)
 
     ctx.keep("items.jsonl", items)
     with open(ctx.out / "items.csv", "w", encoding="utf-8", newline="") as dst:
@@ -399,6 +428,42 @@ def stage_evaluate(ctx: StageContext) -> None:
         )
         writer.writeheader()
         writer.writerows(i for i in items if "factscore" in i)
+
+
+def _score_corpus(
+    ctx: StageContext,
+    spec: CorpusSpec,
+    records: list[dict],
+    positions: list[int],
+    items: list[dict],
+) -> None:
+    """Score the explanations at ``positions`` in ``records`` against ``spec``, into ``items``.
+
+    The corpus's source index and rows die when this returns, before the
+    next corpus is indexed.
+    """
+    try:
+        source = build_source_index(ctx.document(spec.tag).text, ctx.embedder, ctx.cfg.matching)
+    except ProviderError as exc:
+        raise ProviderError(
+            f"source index of corpus {spec.tag!r}: {exc}", attempts=exc.attempts
+        ) from exc
+    sentences = {
+        i: extract_sentences(strip_citations(records[i]["text"], spec.title), source)
+        for i in positions
+    }
+    embedder = _stage_rows(pending_texts(source), ctx.embedder)
+    for i, explanation in sentences.items():
+        item = items[i] = dict(records[i])
+        try:
+            report = score_sentences(explanation, source, embedder, t=ctx.cfg.threshold)
+        except ProviderError as exc:
+            item["error"] = f"embed: {exc}"
+            continue
+        if report is None:
+            item["unevaluable"] = True
+        else:
+            item.update(vars(report), matching=ctx.cfg.matching)
 
 
 def stage_analyze(ctx: StageContext) -> dict:

@@ -4,10 +4,11 @@ Given a primary question, the planner over-generates a candidate pool of
 implicit questions (bank retrieval plus "What is {X}?" templates), fetches
 supporting chunks for each, deduplicates chunks so each belongs to exactly
 one candidate, and keeps the best few candidates as the explanatory
-scaffold for prompt assembly. One embedding of the primary query serves
-the bank search and the primary question's own chunk retrieval, whose
-overlap with the scaffold the plan records; that retrieval and every
-candidate's are one batched search. ``IllocutionPlan.to_json``/
+scaffold for prompt assembly. One embedding call covers the primary query
+and its template questions. The query's row serves the bank search and
+the primary question's own chunk retrieval, whose overlap with the
+scaffold the plan records; that retrieval and every candidate's are one
+batched search. ``IllocutionPlan.to_json``/
 ``from_json`` own the plan format that ``plans.jsonl`` stores.
 """
 
@@ -128,13 +129,19 @@ def plan(
 
     With an empty bank and no template labels the plan is empty and
     downstream generation degrades to plain retrieval.
+
+    The query text and the template questions are embedded in one
+    ``embedder.embed`` call. The plan stage embeds those of every question
+    at once and passes, as ``embedder``, the rows of that call looked up
+    by text, so planning a question then sends no request.
     """
     if keep > pool_size:
         raise ValueError("keep must be <= pool_size")
     if len(chunk_index) == 0:
         raise ValueError("chunk index is empty")
 
-    query_vec = embedder.embed([primary.query_text()])[0]
+    template_texts = template_questions(primary)
+    query_vec, *template_vecs = embedder.embed([primary.query_text(), *template_texts])
 
     # Step 1: candidate pool from the bank; vectors[i] embeds candidates[i].
     candidates: list[CandidateQuestion] = []
@@ -146,10 +153,8 @@ def plan(
             vectors.append(bank.index.vector(qid))
 
     # Step 2: template questions augment the pool.
-    template_texts = template_questions(primary)
-    if template_texts:
-        candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
-        vectors.extend(embedder.embed(template_texts))
+    candidates += [CandidateQuestion(text=t, origin="template") for t in template_texts]
+    vectors += template_vecs
 
     # Step 3: per-candidate chunk retrieval, in one search that the primary
     # query's own retrieval leads.

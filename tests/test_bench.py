@@ -18,6 +18,7 @@ import requests
 from cache_entries import json_entry, stored_vector
 
 import coi_rag
+from coi_rag.adherence import AdherenceReport, build_source_index, evaluate_text
 from coi_rag.bench.cli import STAGES
 from coi_rag.bench.cli import main as cli_main
 from coi_rag.bench.config import (
@@ -28,12 +29,15 @@ from coi_rag.bench.runner import (
     stage_build_bank, stage_evaluate, stage_ingest, stage_plan,
 )
 from coi_rag.corpus import chunks_from_jsonl, read_document
-from coi_rag.prompting import assemble_genai
+from coi_rag.planner import plan
+from coi_rag.prompting import assemble_genai, strip_citations
 from coi_rag.providers import (
-    CACHE_FILE, SCRIPTED_BEHAVIORS, CallCache, GenerationRequest, HashedEmbedder, ProviderError,
-    RemoteEmbedder, ScriptedGenerator, request_hash,
+    CACHE_FILE, DEFAULT_ENDPOINT, SCRIPTED_BEHAVIORS, CallCache, GenerationRequest, HashedEmbedder,
+    ProviderError, RemoteEmbedder, ScriptedGenerator, request_hash,
 )
-from coi_rag.records import read_jsonl
+from coi_rag.question_bank import QuestionBank
+from coi_rag.records import json_line, read_jsonl
+from coi_rag.vector_index import build_index
 
 
 def write_questions(path: Path, rows) -> Path:
@@ -480,8 +484,9 @@ class TestRunner:
         run_experiment(golden_cfg)
         healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
         golden_cfg.output_dir = tmp_path / "faulty"
-        # Only explanations hold the scripted preamble; the first one scored fails.
-        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), "Here follows an explanation")
+        # Only explanations hold the scripted preamble: the first corpus's stage
+        # batch fails, and then the first of its explanations scored.
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), "Here follows an explanation")
         report = run_experiment(golden_cfg, embedder=embedder)
         assert report.failed == 1
         faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
@@ -498,9 +503,9 @@ class TestRunner:
         healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
         golden_cfg.output_dir = tmp_path / "faulty"
         # Only the question's query text holds its title: the answer stage's
-        # retrieval for that question is the batch that fails.
+        # batch fails, and then that question's own retrieval.
         failing = load_questions(golden_cfg.questions_path)[1]
-        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), failing.title)
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), failing.title)
         report = run_experiment(golden_cfg, embedder=embedder)
         assert report.failed == 2  # its rag item for each of the two models
         faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
@@ -517,9 +522,10 @@ class TestRunner:
         run_experiment(golden_cfg)
         healthy = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
         golden_cfg.output_dir = tmp_path / "faulty"
-        # The plan stage embeds the query first; the answer stage's embedding succeeds.
+        # The plan stage embeds the query first: its batch fails, and then that
+        # question's own plan; the answer stage's embedding succeeds.
         failing = load_questions(golden_cfg.questions_path)[1]
-        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), failing.title)
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), failing.title)
         report = run_experiment(golden_cfg, embedder=embedder)
         assert report.failed == 2  # its rag_coi item for each of the two models
         faulty = (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
@@ -558,8 +564,8 @@ class TestRunner:
         from coi_rag.bench import runner
 
         embedder = golden_cfg.build_embedder()
-        if marker is not None:  # the first explanation scored fails, as an error row
-            embedder = FailOnceEmbedder(embedder, marker)
+        if marker is not None:  # a stage batch and the first explanation scored fail
+            embedder = FailingEmbedder(embedder, marker)
         reads = Counter()
         for name in ("read_document", "load_questions"):
             def counting(path, *args, _read=getattr(runner, name), **kwargs):
@@ -625,21 +631,99 @@ class TestRunner:
 
     def test_embed_failure_while_indexing_names_the_corpus(self, golden_cfg):
         golden_cfg.modes = ["genai"]  # the source index is then the first embedding
-        embedder = FailOnceEmbedder(golden_cfg.build_embedder(), "")  # "" is in every text
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), "", times=1)  # "" is in every text
         with pytest.raises(ProviderError, match=f"corpus {golden_cfg.corpora[0].tag!r}: embedding"):
             run_experiment(golden_cfg, embedder=embedder)
 
+    @pytest.mark.parametrize("stage, modes", [
+        ("plan", ["genai", "rag", "rag_coi"]),
+        ("answer", ["genai", "rag"]),
+        ("evaluate", ["genai", "rag", "rag_coi"]),
+    ])
+    def test_failed_stage_batch_alone_fails_no_item(self, golden_cfg, tmp_path, stage, modes):
+        """The stage-wide batch fails once; every item then embeds its own texts and succeeds."""
+        golden_cfg.modes = modes
+        run_experiment(golden_cfg)
+        healthy = (golden_cfg.output_dir / "items.jsonl").read_bytes()
+        golden_cfg.output_dir = tmp_path / "faulty"
+        # A question's title is first embedded in the plan stage's batch when
+        # rag_coi runs, else in the answer stage's; the preamble, in the first
+        # corpus's evaluate batch.
+        marker = load_questions(golden_cfg.questions_path)[1].title
+        if stage == "evaluate":
+            marker = "Here follows an explanation"
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), marker, times=1)
+        assert run_experiment(golden_cfg, embedder=embedder).failed == 0
+        assert embedder.times == 0
+        assert (golden_cfg.output_dir / "items.jsonl").read_bytes() == healthy
 
-class FailOnceEmbedder:
-    """Wraps an embedder; the first batch with a text containing ``marker`` fails."""
+    def test_persistent_fault_retries_the_stage_batch_and_the_items_own_call_once(
+        self, golden_cfg, tmp_path
+    ):
+        """A service that fails every batch holding one explanation's sentence fails that item only.
 
-    def __init__(self, inner, marker: str):
+        With 3 tries per call, the failed corpus batch costs 3 requests and
+        the item's own call 3 more; each other explanation of that corpus
+        sends one request of its own in place of the batch.
+        """
+        golden_cfg.modes = ["genai"]  # each explanation ends in a sentence naming its question
+        golden_cfg.models = [m for m in golden_cfg.models if m.name != "mock-b"]  # one item each
+        golden_cfg.__post_init__()  # refresh the name registry
+        questions = load_questions(golden_cfg.questions_path)
+        failing = questions[1]
+        marker = f"given for {failing.title.rstrip('?')}"
+        healthy_transport = hashed_transport(golden_cfg.embedder_dims)
+
+        def run(out: str, faulty: bool) -> tuple[list[bool], list[str]]:
+            calls = []  # per request, whether it failed
+
+            def transport(url, body, headers):
+                calls.append(faulty and any(marker in t for t in body["input"]))
+                if calls[-1]:
+                    response = requests.Response()
+                    response.status_code = 500
+                    raise requests.HTTPError("500 from server", response=response)
+                return healthy_transport(url, body, headers)
+
+            golden_cfg.output_dir = tmp_path / out
+            embedder = RemoteEmbedder(
+                "emb", transport=transport, dims=golden_cfg.embedder_dims, retries=3, backoff=0.0
+            )
+            run_experiment(golden_cfg, embedder=embedder)
+            return calls, (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
+
+        healthy_calls, healthy = run("healthy", faulty=False)
+        calls, faulty = run("faulty", faulty=True)
+        assert not any(healthy_calls)
+        assert calls.count(True) == 3 + 3
+        others = sum(q.tag == failing.tag for q in questions) - 1
+        assert calls.count(False) == len(healthy_calls) - 1 + others
+        assert len(faulty) == len(healthy)
+        for before, after in zip(healthy, faulty):
+            item = json.loads(after)
+            if item["question_id"] == failing.id:
+                assert item["error"].startswith("embed: request to ")
+                assert item["error"].endswith("/embeddings failed: 500 from server")
+                assert "factscore" not in item
+            else:
+                assert after == before
+
+
+class FailingEmbedder:
+    """Wraps an embedder; the first ``times`` batches with a text containing ``marker`` fail.
+
+    Two failures reach an item: the first fails the stage-wide batch that
+    holds every item's texts, the second the item's own call that follows.
+    """
+
+    def __init__(self, inner, marker: str, times: int = 2):
         self.inner = inner
         self.marker = marker
+        self.times = times
 
     def embed(self, texts):
-        if self.marker is not None and any(self.marker in t for t in texts):
-            self.marker = None
+        if self.times and any(self.marker in t for t in texts):
+            self.times -= 1
             raise ProviderError("embedding service unavailable")
         return self.inner.embed(texts)
 
@@ -1040,6 +1124,115 @@ class RemoteGolden:
             cache.close()
         assert report.failed == 0
         return (cfg.output_dir / "items.jsonl").read_bytes()
+
+
+def hashed_transport(dims: int, urls: list | None = None):
+    """A fake embeddings service answering hashed count vectors; each URL goes to ``urls``."""
+    hasher = HashedEmbedder(dims=dims)
+
+    def transport(url, body, headers):
+        if urls is not None:
+            urls.append(url)
+        rows = [hasher.embed_raw(t).tolist() for t in body["input"]]
+        return {"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}
+
+    return transport
+
+
+class TestStageBatches:
+    """Each stage that embeds item by item makes one ``embed`` call per corpus."""
+
+    @pytest.mark.parametrize("modes, expected", [
+        (["genai", "rag", "rag_coi"], {"ingest": 2, "plan: bank index": 2, "plan": 1}),
+        (["genai", "rag"], {"ingest": 2, "answer": 1}),
+    ], ids=["all-modes", "genai-rag"])
+    def test_embeddings_requests_per_stage(self, golden_cfg, monkeypatch, modes, expected):
+        """Through a remote ``component_weighted`` embedder: at most one request per
+        stage and corpus, none in answer once plan has run, and none on a warm cache."""
+        from coi_rag.bench import runner
+
+        golden_cfg.modes, golden_cfg.matching = modes, "component_weighted"
+        phase, urls = [""], []
+        requested = Counter()
+        transport = hashed_transport(golden_cfg.embedder_dims, urls)
+
+        def counting(url, body, headers):
+            requested[phase[0]] += 1
+            return transport(url, body, headers)
+
+        def within(label, fn):
+            def wrapped(*args, **kwargs):
+                outer = phase[0]
+                phase[0] = f"{outer}: {label}"
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = outer
+            return wrapped
+
+        build, bank = runner.build_source_index, runner.StageContext.bank
+        monkeypatch.setattr(runner, "build_source_index", within("source index", build))
+        monkeypatch.setattr(runner.StageContext, "bank", within("bank index", bank))
+        cache = CallCache(golden_cfg.cache_dir)
+        try:
+            for run in ("cold", "warm"):
+                golden_cfg.output_dir = golden_cfg.cache_dir.parent / run
+                embedder = RemoteEmbedder(
+                    "emb", cache=cache, transport=counting, dims=golden_cfg.embedder_dims
+                )
+                ctx = make_context(golden_cfg, embedder=embedder)
+                try:
+                    for name, stage in STAGES.items():
+                        phase[0] = name if run == "cold" else "warm"
+                        stage(ctx)
+                finally:
+                    ctx.cache.close()
+        finally:
+            cache.close()
+        assert set(urls) == {f"{DEFAULT_ENDPOINT}/embeddings"}
+        assert requested == Counter({**expected, "evaluate: source index": 2, "evaluate": 2})
+        warm, cold = (golden_cfg.cache_dir.parent / run / "items.jsonl" for run in ("warm", "cold"))
+        assert warm.read_bytes() == cold.read_bytes()
+
+    @pytest.mark.parametrize("matching", ["whole_clause", "component_weighted"])
+    @pytest.mark.parametrize("remote", [False, True], ids=["hashed", "remote"])
+    def test_stage_batches_equal_per_item_calls(self, golden_cfg, matching, remote):
+        """Plans and reports equal those of one ``plan`` and one ``evaluate_text`` per item.
+
+        The per-item reference has an embedder of its own, and scores each
+        explanation on a fresh source index, so it shares no memo with the stages.
+        """
+        golden_cfg.matching = matching
+        dims = golden_cfg.embedder_dims
+
+        def embedder():
+            if remote:
+                return RemoteEmbedder("emb", transport=hashed_transport(dims), dims=dims)
+            return HashedEmbedder(dims=dims)
+
+        assert run_experiment(golden_cfg, embedder=embedder()).failed == 0
+        out, reference = golden_cfg.output_dir, embedder()
+        questions = load_questions(golden_cfg.questions_path)
+        plans = read_jsonl(out / "plans.jsonl")
+        assert [p["primary_id"] for p in plans] == [q.id for q in questions]
+        for q, row in zip(questions, plans):
+            chunks = chunks_from_jsonl(out / f"chunks.{q.tag}.jsonl")
+            index = build_index([(c.id, c.text, c) for c in chunks], reference)
+            bank = QuestionBank.load(out / f"bank.{q.tag}.jsonl", reference)
+            want = plan(
+                q, bank, index, reference, pool_size=golden_cfg.pool_size,
+                per_question_chunks=golden_cfg.per_question_chunks, keep=golden_cfg.keep_questions,
+            )
+            assert row == json.loads(json_line(want.to_json())), q.id
+        scored = [i for i in read_jsonl(out / "items.jsonl") if "factscore" in i]
+        assert len(scored) == 36
+        report_fields = [f.name for f in dataclasses.fields(AdherenceReport)]
+        for item in scored:
+            spec = golden_cfg.corpus(item["tag"])
+            source = build_source_index(read_document(spec.path).text, reference, matching)
+            text = strip_citations(item["text"], spec.title)
+            want = evaluate_text(text, source, reference, t=golden_cfg.threshold)
+            assert AdherenceReport(**{f: item[f] for f in report_fields}) == want
 
 
 def assert_same_files(a: Path, b: Path) -> None:
