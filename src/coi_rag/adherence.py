@@ -14,9 +14,10 @@ distinct part text once per call, and all clauses as one (clauses x source
 clauses) array, from which one ``VectorIndex.rank_many`` call picks every
 clause's best source clause.
 ``evaluate_text`` extracts, scores and counts the words of each distinct
-explanation sentence once per source index, and remembers the results on
-the index; its two steps, ``extract_sentences`` and ``score_sentences``,
-let a stage embed the new clauses of many explanations in one call.
+explanation sentence once per source index, and remembers the results,
+and the error of a scoring call that failed, on the index; its two steps,
+``extract_sentences`` and ``score_sentences``, let a stage embed the new
+clauses of many explanations in one call.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .providers import ProviderError
 from .vector_index import VectorIndex, clamp01, row_scores
 
 # ---------------------------------------------------------------------------
@@ -179,14 +181,17 @@ class SourceClauseIndex:
     matrix per part with one row per clause, where an empty part is the
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
     clauses by key (``src:<position>``), shares the first part's matrix and
-    holds no payloads. ``scored``, ``pending`` and ``word_counts`` are the
-    memos of ``extract_sentences`` and ``score_sentences``: ``word_counts``
-    maps each explanation sentence seen against this index to its number
-    of whitespace-separated words; ``pending`` maps a seen sentence that
-    has a clause to that clause until a ``match_clauses`` call scores it;
-    and ``scored`` maps a sentence to its ``match_clauses`` pair, or to
-    None when it has no clause. So each distinct sentence is extracted,
-    matched and split once per index however many explanations repeat it.
+    holds no payloads. ``scored``, ``pending``, ``failed`` and
+    ``word_counts`` are the memos of ``extract_sentences`` and
+    ``score_sentences``: ``word_counts`` maps each explanation sentence
+    seen against this index to its number of whitespace-separated words;
+    ``pending`` maps a seen sentence that has a clause to that clause until
+    a ``match_clauses`` call scores it; ``scored`` maps a sentence to its
+    ``match_clauses`` pair, or to None when it has no clause; and
+    ``failed`` maps the tuple of sentences of a ``match_clauses`` call that
+    raised ``ProviderError`` to that error. So each distinct sentence is
+    extracted, matched and split once per index however many explanations
+    repeat it, and a failed call is not sent again for the same sentences.
     They live as long as the index, typically one evaluate stage.
     """
 
@@ -212,6 +217,7 @@ class SourceClauseIndex:
         self.empty = [np.array([float(not t.strip()) for t in column]) for column in columns]
         self.scored: dict[str, tuple[str, float] | None] = {}
         self.pending: dict[str, Clause] = {}
+        self.failed: dict[tuple[str, ...], ProviderError] = {}
         self.word_counts: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -345,8 +351,10 @@ def score_sentences(
 
     The sentences still in ``source.pending`` are matched in one
     ``match_clauses`` call, in order of first appearance, and move to
-    ``source.scored``; if the call raises, they stay pending, so the next
-    explanation that holds one matches it again.
+    ``source.scored``. If the call raises ``ProviderError``, they stay
+    pending and the error is kept in ``source.failed`` under their tuple:
+    a later explanation with exactly those pending sentences raises it
+    again without a call, and one with any other set matches them again.
     ``AdherenceReport.from_similarities`` scores the similarities of the
     clause sentences, in order. The word count is the sum of the
     sentences' counts in ``source.word_counts``, which equals
@@ -354,9 +362,16 @@ def score_sentences(
     runs, and drops only surrounding whitespace.
     """
     scored, pending = source.scored, source.pending
-    unseen = [s for s in dict.fromkeys(sentences) if s in pending]
+    unseen = tuple(s for s in dict.fromkeys(sentences) if s in pending)
     if unseen:
-        scored.update(zip(unseen, match_clauses([pending[s] for s in unseen], source, embedder)))
+        if unseen in source.failed:
+            raise source.failed[unseen]
+        try:
+            pairs = match_clauses([pending[s] for s in unseen], source, embedder)
+        except ProviderError as exc:
+            source.failed[unseen] = exc
+            raise
+        scored.update(zip(unseen, pairs))
         for sentence in unseen:
             del pending[sentence]
     sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]

@@ -213,7 +213,8 @@ class StageRows:
         # Each row depends on its text alone, so it is bit-identical to what a
         # call over any other batch returns: HashedEmbedder divides exact integer
         # counts by the square root of their exact integer sum, and
-        # RemoteEmbedder normalizes each row by its own np.linalg.norm(axis=1).
+        # RemoteEmbedder remembers each row divided by its own
+        # np.linalg.norm(axis=1), whichever call first read or fetched it.
         return np.stack([self.rows[t] for t in texts])
 
 

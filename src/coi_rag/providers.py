@@ -6,8 +6,9 @@ scripted generators) that keeps tests and demos fully offline. Remote
 chat calls are cached per request and remote embeddings per text, as
 rows of one sqlite file per cache directory: a chat reply as JSON text,
 an embedding as the raw little-endian float64 bytes of its vector. Each
-``embed`` call's uncached texts are sent in as few requests as the batch
-cap allows, and the rows of one embeddings reply are stored in one
+``embed`` call reads the entries of its new texts in one query per
+``GET_MANY_CHUNK`` keys, sends its uncached texts in as few requests as
+the batch cap allows, and stores the rows of one embeddings reply in one
 commit; hermetic calls are cheap and deterministic, so they are not
 cached and never open the cache file.
 """
@@ -22,6 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable
 
@@ -43,6 +45,10 @@ WAL_SWITCH_ATTEMPTS = 100
 
 # Inputs per embeddings request: the OpenAI API's per-request limit.
 EMBED_BATCH = 2048
+
+# Keys per ``SELECT`` of ``CallCache.get_many``: well under sqlite's
+# smallest limit on bound parameters (999 before sqlite 3.32).
+GET_MANY_CHUNK = 500
 
 # (temperature, top_p) of every chat request: explanations and bank extraction.
 DECODING = (0.5, 0.0)
@@ -68,20 +74,22 @@ class CallCache:
     Entries are rows of ``calls.sqlite3`` in ``directory``. A dict payload
     is stored as its ``json.dumps(sort_keys=True, ensure_ascii=False)``
     text and read back parsed; a bytes payload is stored as a BLOB and read
-    back as the same bytes. The file runs in WAL mode with one commit per
-    ``put``, or per ``put_many`` for a group of entries, so an interrupted
-    run keeps every reply already stored and concurrent writers of one key
-    cannot tear it; WAL needs the directory on a local file system.
-    ``sqlite3`` is imported and the file opened on the first ``get`` or
-    ``put``, and a ``get`` with nothing stored yet is a miss that creates
-    nothing. The open that creates the table imports every ``<key>.json``
-    entry of the older one-file-per-entry layout, leaving the files in
-    place. A text row or an old entry that does not parse is a miss, and
-    the next ``put`` overwrites it. Hits return the stored payload. A
-    store file that is not a sqlite database raises instead of being
-    replaced, since it may hold paid replies. A ``CallCache`` is used from
-    the thread that opened it; threads or processes that share a directory
-    each make their own.
+    back as the same bytes. ``get_many`` reads many keys in one query per
+    ``GET_MANY_CHUNK`` of them, and ``get`` is its one-key case, so every
+    row is decoded by one rule. The file runs in WAL mode with one commit
+    per ``put``, or per ``put_many`` for a group of entries, so an
+    interrupted run keeps every reply already stored and concurrent
+    writers of one key cannot tear it; WAL needs the directory on a local
+    file system. ``sqlite3`` is imported and the file opened on the first
+    read or ``put``, and a read with nothing stored yet is a miss that
+    creates nothing. The open that creates the table imports every
+    ``<key>.json`` entry of the older one-file-per-entry layout, leaving
+    the files in place. A text row or an old entry that does not parse is
+    a miss, and the next ``put`` overwrites it. Hits return the stored
+    payload. A store file that is not a sqlite database raises instead of
+    being replaced, since it may hold paid replies. A ``CallCache`` is used
+    from the thread that opened it; threads or processes that share a
+    directory each make their own.
     """
 
     def __init__(self, directory: str | Path):
@@ -99,18 +107,26 @@ class CallCache:
         return self._conn
 
     def get(self, key: str) -> dict | bytes | None:
-        conn = self._store(create=False)
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: list[str]) -> dict[str, dict | bytes]:
+        """The payload of each of ``keys`` that is stored and well formed, by key."""
+        conn = self._store(create=False) if keys else None
         if conn is None:
-            return None
-        row = conn.execute("SELECT payload FROM calls WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        if isinstance(row[0], bytes):
-            return row[0]
-        try:
-            return json.loads(row[0])
-        except (TypeError, ValueError):
-            return None
+            return {}
+        found = {}
+        for start in range(0, len(keys), GET_MANY_CHUNK):
+            chunk = keys[start:start + GET_MANY_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            for key, payload in conn.execute(f"SELECT key, payload FROM calls WHERE key IN ({marks})", chunk):
+                if isinstance(payload, bytes):
+                    found[key] = payload
+                    continue
+                try:
+                    found[key] = json.loads(payload)
+                except (TypeError, ValueError):
+                    pass
+        return found
 
     def put(self, key: str, payload: dict | bytes) -> None:
         if not isinstance(payload, bytes):
@@ -354,40 +370,39 @@ def _real_vector(row, dims: int) -> np.ndarray | None:
 
 
 def _cached_vector(payload, dims: int) -> np.ndarray | None:
-    """The vector of an embedding cache entry; None for a missing or malformed one.
+    """The vector of a JSON embedding cache entry; None for a malformed one.
 
-    Well formed is ``dims`` finite numbers, not all zero, stored either as
-    exactly ``8 * dims`` little-endian float64 bytes or, as entries written
-    before the bytes form and imported ``<key>.json`` files hold them, as
-    ``{"data": [{"embedding": [number, ...]}]}``. Anything else counts as a
+    Entries written before the bytes form, and imported ``<key>.json``
+    files, hold ``{"data": [{"embedding": [number, ...]}]}``; well formed
+    is ``dims`` finite numbers, not all zero. Anything else counts as a
     miss, so the text is fetched again and its entry overwritten.
     """
-    if isinstance(payload, bytes):
-        if len(payload) != 8 * dims:
-            return None
-        vector = np.frombuffer(payload, dtype="<f8")
-        if not np.isfinite(vector).all():
-            return None
-    else:
-        try:
-            vector = _real_vector(payload["data"][0]["embedding"], dims)
-        except (KeyError, IndexError, TypeError):
-            return None
+    try:
+        vector = _real_vector(payload["data"][0]["embedding"], dims)
+    except (KeyError, IndexError, TypeError):
+        return None
     return vector if vector is not None and vector.any() else None
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` each divided by its own norm; a row's result does not depend on the others."""
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 class RemoteEmbedder(RemoteProvider):
     """OpenAI-compatible embeddings client, cached per text.
 
-    Each ``embed`` call sends its distinct uncached texts in one request
-    per ``EMBED_BATCH`` of them. Every text keeps its own cache entry,
-    keyed as a one-input request, and its vector is remembered by the
-    instance once a call returns it, so a text is read from the cache or
-    the network at most once per embedder. Every vector has length
-    ``dims``, the model's length as the experiment states it. An entry is
-    stored as the ``8 * dims`` little-endian float64 bytes of its vector,
-    and the entries of one reply are stored in one commit; a hit is never
-    rewritten.
+    Each ``embed`` call reads the cache entries of its distinct new texts
+    with one ``CallCache.get_many`` and checks their bytes as one array,
+    then sends the texts still missing in one request per ``EMBED_BATCH``
+    of them. Every text keeps its own cache entry, keyed as a one-input
+    request, and its unit row is remembered by the instance once a call
+    returns it, so a text is read from the cache or the network at most
+    once per embedder and a call only stacks remembered rows. Every
+    vector has length ``dims``, the model's length as the experiment
+    states it. An entry is stored as the ``8 * dims`` little-endian
+    float64 bytes of its vector, and the entries of one reply are stored
+    in one commit; a hit is never rewritten.
     """
 
     def __init__(self, *args, dims: int, **kwargs):
@@ -395,10 +410,50 @@ class RemoteEmbedder(RemoteProvider):
             raise ValueError("dims must be positive")
         super().__init__(*args, **kwargs)
         self.dims = dims
-        self._vectors: dict[str, np.ndarray] = {}
+        self._vectors: dict[str, np.ndarray] = {}  # unit rows
+
+    def _keys(self, texts: list[str]) -> list[str]:
+        """Each text's cache key: ``request_hash`` of its one-input embeddings request.
+
+        The canonical JSON of that request is the JSON string of the text
+        between a prefix and a suffix that hold the sorted other keys.
+        ``encode_basestring`` is the string encoder ``json.dumps`` uses with
+        ``ensure_ascii=False``, so the bytes hashed are the same.
+        """
+        prefix = '{"endpoint":"embeddings","input":['
+        suffix = '],"model":' + encode_basestring(self.model_id) + "}"
+        return [
+            hashlib.sha256(f"{prefix}{encode_basestring(t)}{suffix}".encode("utf-8")).hexdigest()
+            for t in texts
+        ]
 
     def _key(self, text: str) -> str:
-        return request_hash({"endpoint": "embeddings", "model": self.model_id, "input": [text]})
+        return self._keys([text])[0]
+
+    def _cached_rows(self, texts: list[str], keys: list[str]) -> dict[str, np.ndarray]:
+        """The unit row of each text whose cache entry is well formed, by text.
+
+        Bytes entries of the right length and the vectors of JSON entries
+        are checked as one ``(n, dims)`` array: each row all finite and not
+        all zero.
+        """
+        entries = self.cache.get_many(keys)
+        size = 8 * self.dims
+        blob_texts, blobs, json_texts, json_rows = [], [], [], []
+        for text, key in zip(texts, keys):
+            payload = entries.get(key)
+            if isinstance(payload, bytes):
+                if len(payload) == size:
+                    blob_texts.append(text)
+                    blobs.append(payload)
+            elif payload is not None and (vector := _cached_vector(payload, self.dims)) is not None:
+                json_texts.append(text)
+                json_rows.append(vector)
+        rows = np.frombuffer(b"".join(blobs), dtype="<f8").reshape(len(blobs), self.dims)
+        if json_rows:
+            rows = np.vstack([rows, *json_rows])
+        good = np.isfinite(rows).all(axis=1) & rows.any(axis=1)
+        return dict(zip(itertools.compress(blob_texts + json_texts, good), _unit_rows(rows[good])))
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """One unit-length row per text, in order.
@@ -414,17 +469,11 @@ class RemoteEmbedder(RemoteProvider):
         for i, t in enumerate(texts):
             if not t.strip():
                 raise ValueError(f"cannot embed empty text at position {i}")
-        found: dict[str, np.ndarray] = {}  # remembered only if this call returns
-        missing = []  # (text, its cache key)
-        for text in dict.fromkeys(texts):
-            if text in self._vectors:
-                continue
-            key = self._key(text) if self.cache else None
-            vector = _cached_vector(self.cache.get(key), self.dims) if self.cache else None
-            if vector is None:
-                missing.append((text, key))
-            else:
-                found[text] = vector
+        new = [t for t in dict.fromkeys(texts) if t not in self._vectors]
+        keys = self._keys(new) if self.cache else [None] * len(new)
+        # Remembered only if this call returns.
+        found = self._cached_rows(new, keys) if self.cache and new else {}
+        missing = [(text, key) for text, key in zip(new, keys) if text not in found]
         while missing:
             batch, missing = missing[:EMBED_BATCH], missing[EMBED_BATCH:]
             rows = self._post(
@@ -435,10 +484,9 @@ class RemoteEmbedder(RemoteProvider):
                 self.cache.put_many(
                     (key, vector.astype("<f8").tobytes()) for (_, key), vector in zip(batch, rows)
                 )
-            found.update((text, vector) for (text, _), vector in zip(batch, rows))
-        arr = np.stack([found[t] if t in found else self._vectors[t] for t in texts])
+            found.update(zip((text for text, _ in batch), _unit_rows(np.stack(rows))))
         self._vectors.update(found)
-        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+        return np.stack([self._vectors[t] for t in texts])
 
 
 # ---------------------------------------------------------------------------

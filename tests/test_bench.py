@@ -671,29 +671,8 @@ class TestRunner:
         golden_cfg.__post_init__()  # refresh the name registry
         questions = load_questions(golden_cfg.questions_path)
         failing = questions[1]
-        marker = f"given for {failing.title.rstrip('?')}"
-        healthy_transport = hashed_transport(golden_cfg.embedder_dims)
-
-        def run(out: str, faulty: bool) -> tuple[list[bool], list[str]]:
-            calls = []  # per request, whether it failed
-
-            def transport(url, body, headers):
-                calls.append(faulty and any(marker in t for t in body["input"]))
-                if calls[-1]:
-                    response = requests.Response()
-                    response.status_code = 500
-                    raise requests.HTTPError("500 from server", response=response)
-                return healthy_transport(url, body, headers)
-
-            golden_cfg.output_dir = tmp_path / out
-            embedder = RemoteEmbedder(
-                "emb", transport=transport, dims=golden_cfg.embedder_dims, retries=3, backoff=0.0
-            )
-            run_experiment(golden_cfg, embedder=embedder)
-            return calls, (golden_cfg.output_dir / "items.jsonl").read_text().splitlines()
-
-        healthy_calls, healthy = run("healthy", faulty=False)
-        calls, faulty = run("faulty", faulty=True)
+        healthy_calls, healthy = run_behind_failing_service(golden_cfg, tmp_path / "healthy", None)
+        calls, faulty = run_behind_failing_service(golden_cfg, tmp_path / "faulty", failing.title)
         assert not any(healthy_calls)
         assert calls.count(True) == 3 + 3
         others = sum(q.tag == failing.tag for q in questions) - 1
@@ -707,6 +686,59 @@ class TestRunner:
                 assert "factscore" not in item
             else:
                 assert after == before
+
+    def test_failed_scoring_call_is_not_sent_again_for_the_same_sentences(self, golden_cfg, tmp_path):
+        """Two explanations with the same unseen sentences share one failed call and its error.
+
+        In ``genai`` mode mock-a and mock-b explain a question with the same
+        text. The corpus batch fails 3 times and mock-a's own call 3 more;
+        mock-b's item then fails with mock-a's error and sends nothing.
+        """
+        golden_cfg.modes = ["genai"]
+        questions = load_questions(golden_cfg.questions_path)
+        failing = questions[1]
+        healthy_calls, healthy = run_behind_failing_service(golden_cfg, tmp_path / "healthy", None)
+        calls, faulty = run_behind_failing_service(golden_cfg, tmp_path / "faulty", failing.title)
+        assert not any(healthy_calls)
+        assert calls.count(True) == 3 + 3
+        assert len(faulty) == len(healthy)
+        errors = []
+        for before, after in zip(healthy, faulty):
+            item = json.loads(after)
+            if item["question_id"] == failing.id:
+                assert "factscore" not in item
+                errors.append(item["error"])
+            else:
+                assert after == before
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert errors[0].startswith("embed: request to ")
+        assert errors[0].endswith("/embeddings failed: 500 from server")
+
+
+def run_behind_failing_service(cfg, out: Path, title: str | None) -> tuple[list[bool], list[str]]:
+    """Run ``cfg`` into ``out`` behind a remote embedder with 3 tries per call.
+
+    The service answers HTTP 500 to every batch holding the sentence that
+    names the question ``title``, the last of a ``genai`` explanation, and
+    hashed count vectors to the rest; with no ``title`` it fails nothing.
+    Returns, per request, whether it failed, and the ``items.jsonl`` lines.
+    """
+    marker = None if title is None else f"given for {title.rstrip('?')}"
+    healthy_transport = hashed_transport(cfg.embedder_dims)
+    calls = []
+
+    def transport(url, body, headers):
+        calls.append(marker is not None and any(marker in t for t in body["input"]))
+        if calls[-1]:
+            response = requests.Response()
+            response.status_code = 500
+            raise requests.HTTPError("500 from server", response=response)
+        return healthy_transport(url, body, headers)
+
+    cfg.output_dir = out
+    embedder = RemoteEmbedder("emb", transport=transport, dims=cfg.embedder_dims, retries=3, backoff=0.0)
+    run_experiment(cfg, embedder=embedder)
+    return calls, (out / "items.jsonl").read_text().splitlines()
 
 
 class FailingEmbedder:

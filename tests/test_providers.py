@@ -217,6 +217,93 @@ class TestCallCache:
         assert (tmp_path / providers.CACHE_FILE).read_bytes() == blob
 
 
+class TestGetMany:
+    """``CallCache.get_many`` returns what ``get`` returns, key by key, leaving out the misses."""
+
+    @staticmethod
+    def agrees_with_get(cache: CallCache, keys: list[str]) -> dict:
+        found = cache.get_many(keys)
+        assert found == {k: v for k in keys if (v := cache.get(k)) is not None}
+        return found
+
+    def test_every_entry_kind(self, tmp_path):
+        cache = CallCache(tmp_path)
+        blob, text = request_hash({"kind": "bytes"}), request_hash({"kind": "text"})
+        broken, unknown = request_hash({"kind": "broken"}), request_hash({"kind": "unknown"})
+        cache.put(blob, np.arange(1.0, 9.0).tobytes())
+        cache.put(text, {"text": "caf\u00e9", "created_at": "2024-01-01T00:00:00Z"})
+        cache.put(broken, {"text": "placeholder"})
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            conn.execute("UPDATE calls SET payload = ? WHERE key = ?", ('{"text": "trunc', broken))
+            conn.commit()
+        found = self.agrees_with_get(cache, [unknown, blob, text, broken, blob, text])
+        assert found == {blob: np.arange(1.0, 9.0).tobytes(), text: {"text": "caf\u00e9", "created_at": "2024-01-01T00:00:00Z"}}
+        assert self.agrees_with_get(cache, []) == {}
+        assert self.agrees_with_get(cache, [unknown]) == {}
+        cache.close()
+
+    def test_keys_beyond_one_statement(self, tmp_path):
+        cache = CallCache(tmp_path)
+        keys = [request_hash({"n": i}) for i in range(1200)]
+        cache.put_many((k, np.full(2, float(i + 1)).tobytes()) for i, k in enumerate(keys) if i % 3)
+        assert 1200 > 2 * providers.GET_MANY_CHUNK
+        found = self.agrees_with_get(cache, keys[::-1] + keys[:10])
+        assert sorted(found) == sorted(k for i, k in enumerate(keys) if i % 3)
+        cache.close()
+
+    def test_fresh_directory_gets_no_store(self, tmp_path):
+        cache = CallCache(tmp_path / "cache")
+        assert cache.get_many([request_hash({"any": "payload"})]) == {}
+        assert cache.get_many([]) == {}
+        cache.close()
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_legacy_entries_hit_on_the_first_open(self, tmp_path):
+        key = GenerationRequest("m", "Old question?").cache_key()
+        entry = {"created_at": "2024-01-01T00:00:00Z", "text": "old answer"}
+        (tmp_path / f"{key}.json").write_text(json.dumps(entry), encoding="utf-8")
+        cache = CallCache(tmp_path)
+        assert cache.get_many([key, CHAT_KEY]) == {key: entry}
+        cache.close()
+
+    @pytest.mark.parametrize("model_id", ["emb", "mod\u00e8le-\u5d4c\u5165"])
+    def test_key_builder_equals_request_hash(self, model_id):
+        texts = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "na\u00efve \u2014 \U0001f600",
+                 "line\u2028separator\u2029", "plain"]
+        emb = RemoteEmbedder(model_id, dims=EMBED_DIMS)
+        want = [request_hash({"endpoint": "embeddings", "model": model_id, "input": [t]}) for t in texts]
+        assert emb._keys(texts) == want
+        assert [emb._key(t) for t in texts] == want
+
+    def test_one_select_per_embed_call_of_up_to_500_new_texts(self, tmp_path):
+        texts = [f"text {i} of many" for i in range(providers.GET_MANY_CHUNK + 1)]
+        cache = CallCache(tmp_path)
+        cache.put(request_hash({"open": "the store"}), {"text": "x"})
+        statements = []
+        cache._conn.set_trace_callback(statements.append)
+
+        def selects() -> int:
+            count = sum(s.lstrip().upper().startswith("SELECT") for s in statements)
+            statements.clear()
+            return count
+
+        try:
+            cold = remote(cache=cache, transport=EmbeddingServer())
+            cold.embed(texts[:500])
+            assert selects() == 1
+            cold.embed(texts)  # one new text
+            assert selects() == 1
+            warm = remote(cache=cache, transport=dead_transport)
+            warm.embed(texts[:500])
+            assert selects() == 1
+            warm.embed(texts[:500])  # remembered: no read
+            assert selects() == 0
+            assert remote(cache=cache, transport=dead_transport).embed(texts).shape == (501, EMBED_DIMS)
+            assert selects() == 2
+        finally:
+            cache.close()
+
+
 class TestRetries:
     def fail_with(self, monkeypatch, status: int, retries: int = 3):
         sleeps = []
@@ -366,6 +453,30 @@ class TestMalformedCacheEntries:
         assert stored_vector(cache.get(key)) == server.hasher.embed_raw(TEXTS[0]).tolist()
         warm = remote(cache=cache, transport=dead_transport)
         np.testing.assert_array_equal(warm.embed(TEXTS[:1]), want)
+
+    def test_mixed_batch_refetches_exactly_the_bad_entries(self, tmp_path):
+        """Good, short, NaN, all-zero and unparsable entries in one call: only the bad ones are sent."""
+        texts = TEXTS + ["a sixth text kept as json"]
+        hasher = HashedEmbedder(dims=EMBED_DIMS)
+        raw = {t: hasher.embed_raw(t) for t in texts}
+        cache = CallCache(tmp_path)
+        emb = remote(cache=cache, transport=EmbeddingServer())
+        cache.put(emb._key(texts[0]), raw[texts[0]].tobytes())
+        cache.put(emb._key(texts[1]), raw[texts[1]][:4].tobytes())
+        cache.put(emb._key(texts[2]), np.array([1.0] * 7 + [float("nan")]).tobytes())
+        cache.put(emb._key(texts[3]), np.zeros(EMBED_DIMS).tobytes())
+        cache.put(emb._key(texts[4]), {"text": "placeholder"})
+        cache.put(emb._key(texts[5]), {"data": [{"embedding": raw[texts[5]].tolist()}]})
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            conn.execute("UPDATE calls SET payload = ? WHERE key = ?", ('{"data": [', emb._key(texts[4])))
+            conn.commit()
+        out = emb.embed(texts)
+        assert emb.transport.inputs == [texts[1:5]]
+        np.testing.assert_array_equal(out, remote(transport=EmbeddingServer()).embed(texts))
+        np.testing.assert_array_equal(out, hasher.embed(texts))
+        stored = cache.get_many([emb._key(t) for t in texts[:5]])
+        assert [stored_vector(stored[emb._key(t)]) for t in texts[:5]] == [raw[t].tolist() for t in texts[:5]]
+        cache.close()
 
 
 EMBED_DIMS = 8  # the length of every row ``EmbeddingServer`` sends
@@ -550,26 +661,31 @@ class TestEmbeddingBatches:
         np.testing.assert_array_equal(out, HashedEmbedder(dims=8).embed(TEXTS))
 
     def test_each_text_read_from_cache_once(self, tmp_path, monkeypatch):
+        """Each call reads its new texts' entries in one ``get_many``; remembered texts are not read."""
         reads = []
-        get = CallCache.get
-        monkeypatch.setattr(CallCache, "get", lambda self, key: reads.append(key) or get(self, key))
+        get_many = CallCache.get_many
+        monkeypatch.setattr(CallCache, "get_many", lambda self, keys: reads.append(list(keys)) or get_many(self, keys))
+        monkeypatch.setattr(CallCache, "get", lambda self, key: pytest.fail("per-key read"))
         emb = remote(cache=CallCache(tmp_path), transport=EmbeddingServer())
         emb.embed(TEXTS[:3])
         emb.embed(TEXTS[1:] + TEXTS[1:])
         emb.embed(TEXTS)
-        assert sorted(reads) == sorted(emb._key(t) for t in TEXTS)
+        assert reads == [[emb._key(t) for t in TEXTS[:3]], [emb._key(t) for t in TEXTS[3:]]]
+        emb.cache.close()
 
     def test_each_cache_key_computed_once_on_a_cold_embed(self, tmp_path, monkeypatch):
+        """One key builder call per ``embed`` call, over its distinct new texts."""
         keyed = []
-        key = RemoteEmbedder._key
-        monkeypatch.setattr(RemoteEmbedder, "_key", lambda self, text: keyed.append(text) or key(self, text))
+        keys = RemoteEmbedder._keys
+        monkeypatch.setattr(RemoteEmbedder, "_keys", lambda self, texts: keyed.append(list(texts)) or keys(self, texts))
         cache = CallCache(tmp_path)
         try:
             remote(cache=cache, transport=EmbeddingServer()).embed(TEXTS + TEXTS[:2])
-            assert sorted(keyed) == sorted(TEXTS)
+            assert keyed == [TEXTS]
             warm = remote(cache=cache, transport=dead_transport).embed(TEXTS)
         finally:
             cache.close()
+        assert keyed == [TEXTS, TEXTS]
         np.testing.assert_array_equal(warm, HashedEmbedder(dims=EMBED_DIMS).embed(TEXTS))
 
     def test_fresh_embedder_on_warm_cache_sends_nothing(self, tmp_path):
@@ -605,6 +721,7 @@ class TestEmbeddingBatches:
 
     def test_empty_batch_raises_before_cache_or_network(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CallCache, "get", lambda self, key: pytest.fail("cache read"))
+        monkeypatch.setattr(CallCache, "get_many", lambda self, keys: pytest.fail("cache read"))
         emb = remote(cache=CallCache(tmp_path), transport=dead_transport)
         with pytest.raises(ValueError, match="empty batch"):
             emb.embed([])
