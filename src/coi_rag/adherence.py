@@ -9,15 +9,17 @@ similarity, and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
 It is fixed when the source index is built, which embeds only those parts,
-all in one call; ``match_clauses`` scores every mode the same way: each
-distinct part text once per call, and all clauses as one (clauses x source
-clauses) array, from which one ``VectorIndex.rank_many`` call picks every
-clause's best source clause.
+all in one call; ``match_clauses`` scores every mode the same way: it
+embeds each distinct part text once per call, and scores the clauses in
+blocks of bounded size, each block one (clauses x source clauses) array
+from which one ``VectorIndex.rank_many`` call picks every clause's best
+source clause.
 ``evaluate_text`` extracts, scores and counts the words of each distinct
 explanation sentence once per source index, and remembers the results,
-and the error of a scoring call that failed, on the index; its two steps,
-``extract_sentences`` and ``score_sentences``, let a stage embed the new
-clauses of many explanations in one call.
+and the error of a scoring call that failed, on the index. Its two steps,
+``extract_sentences`` and ``score_sentences``, let a stage extract many
+explanations first and match all their new clauses in one
+``match_pending`` call before it scores each explanation.
 """
 
 from __future__ import annotations
@@ -182,14 +184,16 @@ class SourceClauseIndex:
     zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
     clauses by key (``src:<position>``), shares the first part's matrix and
     holds no payloads. ``scored``, ``pending``, ``failed`` and
-    ``word_counts`` are the memos of ``extract_sentences`` and
-    ``score_sentences``: ``word_counts`` maps each explanation sentence
-    seen against this index to its number of whitespace-separated words;
-    ``pending`` maps a seen sentence that has a clause to that clause until
-    a ``match_clauses`` call scores it; ``scored`` maps a sentence to its
-    ``match_clauses`` pair, or to None when it has no clause; and
-    ``failed`` maps the tuple of sentences of a ``match_clauses`` call that
-    raised ``ProviderError`` to that error. So each distinct sentence is
+    ``word_counts`` are the memos of ``extract_sentences``,
+    ``match_pending`` and ``score_sentences``: ``word_counts`` maps each
+    explanation sentence seen against this index to its number of
+    whitespace-separated words; ``pending`` maps a seen sentence that has a
+    clause to that clause until a ``match_pending`` call scores it;
+    ``scored`` maps a sentence to its ``match_clauses`` pair, or to None
+    when it has no clause; and ``failed`` maps the tuple of sentences of a
+    ``score_sentences`` match that raised ``ProviderError`` to that error;
+    a failed match of all pending sentences at once is not kept there, so
+    each explanation then tries its own. So each distinct sentence is
     extracted, matched and split once per index however many explanations
     repeat it, and a failed call is not sent again for the same sentences.
     They live as long as the index, typically one evaluate stage.
@@ -229,6 +233,12 @@ def build_source_index(text: str, embedder, mode: str = "whole_clause") -> Sourc
     return SourceClauseIndex(_clauses(text), embedder, mode)
 
 
+# Score cells (clauses x source clauses) of one block of ``match_clauses``:
+# only one block's score arrays are alive at a time, however many
+# explanations share the call and however long the source is.
+MATCH_BLOCK_CELLS = 1 << 18
+
+
 def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list[tuple[str, float]]:
     """(best source key, clamped similarity) for each AI clause, in order.
 
@@ -237,16 +247,16 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     part matches an empty part with 1.0 and anything else with 0.0. For
     ``whole_clause`` that is the cosine between full "{subject}
     {predicate} {object}" renderings. Within one call, each distinct
-    non-empty (part, text) is embedded, in order of first appearance, and
-    scored against its part's matrix once, each score row the product
-    ``matrix @ v`` would give, so repeated clauses get equal pairs. The
-    scores of all clauses form one (clauses x source clauses) array,
-    summed part by part, and one ``VectorIndex.rank_many`` call picks
-    every clause's best source clause from it, a tie going to the smaller
-    key. Nothing is kept between calls: ``score_sentences`` remembers each
-    sentence's result. ``embedder`` may serve rows that one stage-wide
-    call already fetched; each row depends on its text alone, so the
-    pairs are those a call of its own would give.
+    non-empty (part, text) is embedded once, in order of first appearance.
+    The clauses are scored in blocks of ``MATCH_BLOCK_CELLS // len(source)``
+    of them: within a block, each distinct (part, text) is scored against
+    its part's matrix once, each score row the product ``matrix @ v``
+    would give, so repeated clauses get equal pairs. The scores of a
+    block's clauses form one (clauses x source clauses) array, summed part
+    by part, and one ``VectorIndex.rank_many`` call picks each clause's
+    best source clause from it, a tie going to the smaller key. No pair
+    depends on the other clauses of its block or call. Nothing is kept
+    between calls: ``match_pending`` remembers each sentence's result.
     """
     if not ai:
         return []
@@ -254,21 +264,30 @@ def match_clauses(ai: list[Clause], source: SourceClauseIndex, embedder) -> list
     # The first part is never empty, so the embedded batch is not either.
     pairs = list(dict.fromkeys((p, t) for k in texts for p, t in enumerate(k) if t.strip()))
     vectors = embedder.embed([t for _, t in pairs])
-    for p, (matrix, empty) in enumerate(zip(source.matrices, source.empty)):
-        rows = [i for i, (q, _) in enumerate(pairs) if q == p]
-        # One row per distinct text of the part, in the order of the clauses
-        # that first hold it: row j is clause j's unless some clauses share
-        # a text or leave the part empty.
-        scores = row_scores(matrix, vectors[rows])
-        if len(rows) < len(ai):
-            slot = {pairs[i][1]: j for j, i in enumerate(rows)}
-            scores = np.vstack([scores, empty])[[slot.get(k[p], len(rows)) for k in texts]]
-        if p == 0:
-            sims = scores
-        else:  # part by part, left to right: no BLAS reordering to flip a threshold
-            sims += scores
-    sims /= len(source.parts)
-    return [(key, clamp01(score)) for [(key, score)] in source.index.rank_many(sims, 1)]
+    row_of = {pair: i for i, pair in enumerate(pairs)}
+    matches = []
+    size = max(1, MATCH_BLOCK_CELLS // len(source))
+    for start in range(0, len(texts), size):
+        block = texts[start:start + size]
+        for p, (matrix, empty) in enumerate(zip(source.matrices, source.empty)):
+            # One row per distinct text of the part, in the order of the block's
+            # clauses that first hold it: row j is clause j's unless some
+            # clauses share a text or leave the part empty.
+            slot = {t: j for j, t in enumerate(dict.fromkeys(k[p] for k in block if k[p].strip()))}
+            rows = [row_of[p, t] for t in slot]
+            first = rows[0] if rows else 0
+            # Consecutive rows, as when every clause has a text of its own, are read in place.
+            in_place = rows == list(range(first, first + len(rows)))
+            scores = row_scores(matrix, vectors[first:first + len(rows)] if in_place else vectors[rows])
+            if len(slot) < len(block):
+                scores = np.vstack([scores, empty])[[slot.get(k[p], len(slot)) for k in block]]
+            if p == 0:
+                sims = scores
+            else:  # part by part, left to right: no BLAS reordering to flip a threshold
+                sims += scores
+        sims /= len(source.parts)
+        matches += [(key, clamp01(score)) for [(key, score)] in source.index.rank_many(sims, 1)]
+    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +340,9 @@ def extract_sentences(text: str, source: SourceClauseIndex) -> list[str]:
 
     A new sentence's word count goes to ``source.word_counts``; its clause
     waits in ``source.pending``, and a sentence without one is scored None.
-    A stage extracts every explanation first, embeds ``pending_texts`` in
-    one call, and then scores each explanation with ``score_sentences``.
+    A stage extracts every explanation first, matches every pending clause
+    with one ``match_pending`` call, and then scores each explanation with
+    ``score_sentences``.
     """
     sentences = split_sentences(text)
     scored, pending, word_counts = source.scored, source.pending, source.word_counts
@@ -338,10 +358,27 @@ def extract_sentences(text: str, source: SourceClauseIndex) -> list[str]:
     return sentences
 
 
-def pending_texts(source: SourceClauseIndex) -> list[str]:
-    """The distinct non-empty part texts of the clauses in ``source.pending``, first seen first."""
-    texts = (part(c) for c in source.pending.values() for part in source.parts)
-    return list(dict.fromkeys(t for t in texts if t.strip()))
+def match_pending(source: SourceClauseIndex, embedder, sentences: tuple[str, ...] | None = None) -> None:
+    """Match ``sentences``, or every sentence in ``source.pending``, in one ``match_clauses`` call.
+
+    Every sentence must be pending. Their clauses are matched in order and
+    their pairs move from ``source.pending`` to ``source.scored``; if the
+    call raises, nothing moves. A pair does not depend on which other
+    clauses share its call: ``match_clauses`` scores each clause with its
+    own matrix-vector product per part (``row_scores``), sums the parts of
+    one clause left to right and ranks each score row on its own
+    (``rank_many``), and each embedded row depends on its text alone. So
+    the evaluate stage may match all of a corpus's explanations at once.
+    """
+    pending = source.pending
+    if sentences is None:
+        sentences = tuple(pending)
+    if not sentences:
+        return
+    pairs = match_clauses([pending[s] for s in sentences], source, embedder)
+    source.scored.update(zip(sentences, pairs))
+    for sentence in sentences:
+        del pending[sentence]
 
 
 def score_sentences(
@@ -349,31 +386,27 @@ def score_sentences(
 ) -> AdherenceReport | None:
     """Score one explanation's sentences from ``extract_sentences``; None when unevaluable.
 
-    The sentences still in ``source.pending`` are matched in one
-    ``match_clauses`` call, in order of first appearance, and move to
-    ``source.scored``. If the call raises ``ProviderError``, they stay
-    pending and the error is kept in ``source.failed`` under their tuple:
-    a later explanation with exactly those pending sentences raises it
-    again without a call, and one with any other set matches them again.
-    ``AdherenceReport.from_similarities`` scores the similarities of the
-    clause sentences, in order. The word count is the sum of the
-    sentences' counts in ``source.word_counts``, which equals
-    ``len(text.split())``: ``split_sentences`` cuts only at whitespace
-    runs, and drops only surrounding whitespace.
+    The sentences still in ``source.pending`` are matched by one
+    ``match_pending`` call, in order of first appearance. If it raises
+    ``ProviderError``, they stay pending and the error is kept in
+    ``source.failed`` under their tuple: a later explanation with exactly
+    those pending sentences raises it again without a call, and one with
+    any other set matches them again. ``AdherenceReport.from_similarities``
+    scores the similarities of the clause sentences, in order. The word
+    count is the sum of the sentences' counts in ``source.word_counts``,
+    which equals ``len(text.split())``: ``split_sentences`` cuts only at
+    whitespace runs, and drops only surrounding whitespace.
     """
-    scored, pending = source.scored, source.pending
-    unseen = tuple(s for s in dict.fromkeys(sentences) if s in pending)
+    unseen = tuple(s for s in dict.fromkeys(sentences) if s in source.pending)
     if unseen:
         if unseen in source.failed:
             raise source.failed[unseen]
         try:
-            pairs = match_clauses([pending[s] for s in unseen], source, embedder)
+            match_pending(source, embedder, unseen)
         except ProviderError as exc:
             source.failed[unseen] = exc
             raise
-        scored.update(zip(unseen, pairs))
-        for sentence in unseen:
-            del pending[sentence]
+    scored = source.scored
     sims = [hit[1] for s in sentences if (hit := scored[s]) is not None]
     if not sims:
         return None
@@ -394,6 +427,6 @@ def evaluate_text(
     ``score_sentences``: the sentences no earlier text scored against
     ``source`` have their clauses matched in one ``match_clauses`` call
     through ``embedder``. The evaluate stage runs the two steps apart, so
-    that one ``embed`` call serves every explanation of a corpus.
+    that one ``match_clauses`` call serves every explanation of a corpus.
     """
     return score_sentences(extract_sentences(text, source), source, embedder, t)

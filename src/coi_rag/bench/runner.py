@@ -18,12 +18,14 @@ writes an empty ``plans.jsonl``. A stage reads the files its modes need
 strictly: ``answer`` with ``rag_coi`` fails before any generator call when
 ``plans.jsonl``, or the plan of any question, is missing.
 
-A stage that embeds item by item makes one stage-wide ``embed`` call, one
-per corpus in ``evaluate``, and its per-item code reads its rows from that
-call's result (``StageRows``): ``plan`` embeds every question's query text
-and template questions at once, ``answer`` every query text, and
-``evaluate`` the new clause parts of all of a corpus's explanations. If
-that call fails, each item embeds its own texts as if there were no
+A stage that embeds item by item makes one stage-wide call, and its
+per-item code reads its results from that call: ``plan`` embeds every
+question's query text and template questions in one ``embed`` call, and
+``answer`` every query text, each item reading its rows from the call's
+result (``StageRows``); ``evaluate`` matches the new clauses of all of a
+corpus's explanations in one ``match_clauses`` call, one per corpus, and
+reads each explanation's pairs from the source index's memo. If that call
+fails, each item embeds or matches its own texts as if there were no
 stage-wide call, so one bad input still fails only its own items.
 """
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .. import planner as planner_mod
 from ..adherence import (
-    AdherenceReport, build_source_index, extract_sentences, pending_texts, score_sentences,
+    AdherenceReport, build_source_index, extract_sentences, match_pending, score_sentences,
 )
 from ..corpus import Chunk, Document, chunk, chunks_from_jsonl, read_document
 from ..planner import IllocutionPlan
@@ -202,7 +204,8 @@ def make_context(
 class StageRows:
     """The rows of one ``embed`` call over ``texts``, served by text to per-item code.
 
-    ``embed`` stacks the stored rows and calls no provider.
+    ``embed`` copies the stored rows into one array and calls no provider;
+    the plan and answer stages read their per-item rows from it.
     """
 
     def __init__(self, texts: list[str], embedder):
@@ -215,7 +218,8 @@ class StageRows:
         # counts by the square root of their exact integer sum, and
         # RemoteEmbedder remembers each row divided by its own
         # np.linalg.norm(axis=1), whichever call first read or fetched it.
-        return np.stack([self.rows[t] for t in texts])
+        # np.array copies the equal-length rows once, as np.stack would.
+        return np.array([self.rows[t] for t in texts])
 
 
 def _stage_rows(texts: list[str], embedder):
@@ -406,11 +410,12 @@ def stage_evaluate(ctx: StageContext) -> None:
     """Score every explanation against its corpus; one item row each.
 
     Corpus by corpus: index the source, extract every explanation's new
-    sentences in one pass, embed all their clause parts in one call, then
-    score each explanation's new clauses in a ``match_clauses`` call of its
-    own. A provider failure while scoring one explanation fails that item:
-    its ``error`` starts with ``embed:``. A failure while indexing a corpus
-    fails the run, naming the corpus.
+    sentences in one pass, match all their clauses in one ``match_clauses``
+    call, then read each explanation's report from the source index's memo.
+    If that call fails, each explanation matches its own new clauses, and a
+    provider failure there fails that item: its ``error`` starts with
+    ``embed:``. A failure while indexing a corpus fails the run, naming the
+    corpus.
     """
     records = ctx.artifact("explanations.jsonl")
     items = list(records)
@@ -440,8 +445,13 @@ def _score_corpus(
 ) -> None:
     """Score the explanations at ``positions`` in ``records`` against ``spec``, into ``items``.
 
-    The corpus's source index and rows die when this returns, before the
-    next corpus is indexed.
+    One ``match_pending`` call matches the new clauses of every
+    explanation through ``ctx.embedder``; each pair is the one a call per
+    explanation would give (see ``match_pending``). When it raises
+    ``ProviderError``, ``score_sentences`` matches each explanation's own
+    unseen sentences, so one bad input fails only its own items. The
+    corpus's source index dies when this returns, before the next corpus
+    is indexed.
     """
     try:
         source = build_source_index(ctx.document(spec.tag).text, ctx.embedder, ctx.cfg.matching)
@@ -453,11 +463,14 @@ def _score_corpus(
         i: extract_sentences(strip_citations(records[i]["text"], spec.title), source)
         for i in positions
     }
-    embedder = _stage_rows(pending_texts(source), ctx.embedder)
+    try:
+        match_pending(source, ctx.embedder)
+    except ProviderError:
+        pass  # each explanation below matches its own sentences
     for i, explanation in sentences.items():
         item = items[i] = dict(records[i])
         try:
-            report = score_sentences(explanation, source, embedder, t=ctx.cfg.threshold)
+            report = score_sentences(explanation, source, ctx.embedder, t=ctx.cfg.threshold)
         except ProviderError as exc:
             item["error"] = f"embed: {exc}"
             continue

@@ -76,7 +76,8 @@ class CallCache:
     text and read back parsed; a bytes payload is stored as a BLOB and read
     back as the same bytes. ``get_many`` reads many keys in one query per
     ``GET_MANY_CHUNK`` of them, and ``get`` is its one-key case, so every
-    row is decoded by one rule. The file runs in WAL mode with one commit
+    row is decoded by one rule, and ``put_many`` writes a group of entries
+    with one ``executemany``. The file runs in WAL mode with one commit
     per ``put``, or per ``put_many`` for a group of entries, so an
     interrupted run keeps every reply already stored and concurrent
     writers of one key cannot tear it; WAL needs the directory on a local
@@ -129,19 +130,17 @@ class CallCache:
         return found
 
     def put(self, key: str, payload: dict | bytes) -> None:
-        if not isinstance(payload, bytes):
-            payload = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-        self._store(create=True).execute(
-            "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)", (key, payload)
-        )
+        self._store(create=True).execute(_PUT, (key, _encoded(payload)))
 
     def put_many(self, entries) -> None:
-        """``put`` each (key, payload) of ``entries`` in one commit; if one fails, none is stored."""
+        """``put`` each (key, payload) of ``entries`` with one ``executemany`` in one commit.
+
+        If one entry fails, none is stored.
+        """
         conn = self._store(create=True)
         conn.execute("BEGIN IMMEDIATE")
         try:
-            for key, payload in entries:
-                self.put(key, payload)
+            conn.executemany(_PUT, ((key, _encoded(payload)) for key, payload in entries))
             conn.execute("COMMIT")
         except BaseException:
             if conn.in_transaction:
@@ -153,6 +152,16 @@ class CallCache:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+
+
+_PUT = "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)"
+
+
+def _encoded(payload: dict | bytes) -> str | bytes:
+    """A payload as stored: bytes as they are, a dict as its sorted JSON text."""
+    if isinstance(payload, bytes):
+        return payload
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
 def _open_store(path: Path):
@@ -398,11 +407,11 @@ class RemoteEmbedder(RemoteProvider):
     of them. Every text keeps its own cache entry, keyed as a one-input
     request, and its unit row is remembered by the instance once a call
     returns it, so a text is read from the cache or the network at most
-    once per embedder and a call only stacks remembered rows. Every
-    vector has length ``dims``, the model's length as the experiment
-    states it. An entry is stored as the ``8 * dims`` little-endian
-    float64 bytes of its vector, and the entries of one reply are stored
-    in one commit; a hit is never rewritten.
+    once per embedder and a call only copies remembered rows into one
+    array. Every vector has length ``dims``, the model's length as the
+    experiment states it. An entry is stored as the ``8 * dims``
+    little-endian float64 bytes of its vector, and the entries of one reply
+    are stored in one commit; a hit is never rewritten.
     """
 
     def __init__(self, *args, dims: int, **kwargs):
@@ -486,7 +495,7 @@ class RemoteEmbedder(RemoteProvider):
                 )
             found.update(zip((text for text, _ in batch), _unit_rows(np.stack(rows))))
         self._vectors.update(found)
-        return np.stack([self._vectors[t] for t in texts])
+        return np.array([self._vectors[t] for t in texts])  # one copy of the rows, as np.stack
 
 
 # ---------------------------------------------------------------------------

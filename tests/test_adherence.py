@@ -310,6 +310,27 @@ class TestMatchClauses:
         assert len(got) == 3 and got[0] == got[1]
         assert got == reference_match_clauses(clauses, source, spy_embedder)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_change_no_pair_and_embed_once(self, mode, block, spy_embedder, monkeypatch):
+        """Scored in blocks of ``block`` clauses, every pair equals the per-clause
+        loop's, and each distinct (part, text) is still embedded once per call."""
+        from coi_rag import adherence
+
+        source = build_source_index(BOTH_TEXTS, spy_embedder, mode)
+        monkeypatch.setattr(adherence, "MATCH_BLOCK_CELLS", block * len(source) + len(source) - 1)
+        # In blocks of 3, the second block's texts were first seen at positions 0, 3, 2.
+        clauses = extract_clauses(
+            "The parser runs. The stack grows. Each module exports a single namespace. "
+            "The parser runs. A stack frame holds The parser. Each module exports a single namespace. "
+            "The stack grows. The parser stops."
+        )
+        spy_embedder.texts.clear()
+        got = match_clauses(clauses, source, spy_embedder)
+        distinct = {(i, part(c)) for c in clauses for i, part in enumerate(source.parts) if part(c)}
+        assert sorted(spy_embedder.texts) == sorted(text for _, text in distinct)
+        assert got == reference_match_clauses(clauses, source, spy_embedder)
+
     def test_unknown_mode_rejected(self, hashed256):
         with pytest.raises(ValueError, match="fuzzy"):
             build_source_index(SOURCE_TEXT, hashed256, "fuzzy")

@@ -1267,6 +1267,106 @@ class TestStageBatches:
             assert AdherenceReport(**{f: item[f] for f in report_fields}) == want
 
 
+class TestCorpusMatch:
+    """The evaluate stage matches each corpus's new clauses in one ``match_clauses`` call."""
+
+    @staticmethod
+    def record_matches(monkeypatch) -> list[tuple[object, list[str]]]:
+        """(source index, clause renderings) of every ``match_clauses`` call, raising or not."""
+        from coi_rag import adherence
+
+        calls, match = [], adherence.match_clauses
+
+        def recorded(ai, source, embedder):
+            calls.append((source, [c.render() for c in ai]))
+            return match(ai, source, embedder)
+
+        monkeypatch.setattr(adherence, "match_clauses", recorded)
+        return calls
+
+    @pytest.mark.parametrize("matching", ["whole_clause", "component_weighted"])
+    @pytest.mark.parametrize("remote", [False, True], ids=["hashed", "remote"])
+    def test_one_call_per_corpus(self, golden_cfg, monkeypatch, matching, remote):
+        golden_cfg.matching = matching
+        dims = golden_cfg.embedder_dims
+        embedder = (
+            RemoteEmbedder("emb", transport=hashed_transport(dims), dims=dims) if remote
+            else HashedEmbedder(dims=dims)
+        )
+        calls = self.record_matches(monkeypatch)
+        assert run_experiment(golden_cfg, embedder=embedder).failed == 0
+        assert len(calls) == len(golden_cfg.corpora) == len({id(source) for source, _ in calls})
+
+    def test_failed_corpus_call_leaves_each_explanation_its_own(self, golden_cfg, monkeypatch):
+        """After the first corpus's call fails, each of its explanations with new
+        sentences matches exactly those, in one call of its own; the other corpus
+        still makes one call."""
+        calls = self.record_matches(monkeypatch)
+        run_experiment(golden_cfg)
+        healthy = (golden_cfg.output_dir / "items.jsonl").read_bytes()
+        healthy_calls = [clauses for _, clauses in calls]
+        calls.clear()
+        golden_cfg.output_dir = golden_cfg.output_dir.parent / "faulty"
+        # Only explanations hold the scripted preamble: the first corpus's call fails once.
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), "Here follows an explanation", times=1)
+        assert run_experiment(golden_cfg, embedder=embedder).failed == 0
+        assert (golden_cfg.output_dir / "items.jsonl").read_bytes() == healthy
+        first, *own, last = calls
+        assert [clauses for _, clauses in (first, last)] == healthy_calls
+        assert len(own) > 1 and all(source is first[0] for source, _ in own)
+        # Each explanation's new sentences are the next run of the corpus's pending ones.
+        assert [c for _, clauses in own for c in clauses] == first[1]
+        explanations = [
+            r for r in read_jsonl(golden_cfg.output_dir / "explanations.jsonl")
+            if "error" not in r and r["tag"] == golden_cfg.corpora[0].tag
+        ]
+        assert len(own) < len(explanations)  # some repeat only earlier sentences
+
+    def test_lone_explanation_resends_the_failed_corpus_call(self, golden_cfg, tmp_path, monkeypatch):
+        """With one explanation per corpus, its own call holds exactly the sentences
+        of the failed corpus call, and it is still sent, not failed from a memo."""
+        calls = self.record_matches(monkeypatch)
+        golden_cfg.modes = ["genai"]
+        golden_cfg.models = [m for m in golden_cfg.models if m.name != "mock-b"]
+        golden_cfg.__post_init__()  # refresh the name registry
+        rows = read_jsonl(golden_cfg.questions_path)
+        first = {row["tag"]: row for row in reversed(rows)}
+        golden_cfg.questions_path = write_questions(tmp_path / "questions.jsonl", first.values())
+        embedder = FailingEmbedder(golden_cfg.build_embedder(), "Here follows an explanation", times=1)
+        assert run_experiment(golden_cfg, embedder=embedder).failed == 0
+        assert embedder.times == 0
+        failed, own, *_ = calls
+        assert own == failed and len(calls) == 1 + len(golden_cfg.corpora)
+
+    @pytest.mark.parametrize("texts", [["one text"], ["b", "a", "b", "a", "a"], ["cached", "new", "cached 2"]],
+                             ids=["one", "repeated", "mixed"])
+    def test_rows_are_assembled_as_np_stack_would(self, tmp_path, texts):
+        """``RemoteEmbedder.embed`` and ``StageRows.embed`` return the bits, dtype,
+        shape and C order of ``np.stack`` over the same rows."""
+        import numpy as np
+
+        from coi_rag.bench.runner import StageRows
+
+        def assert_stacked(out, rows):
+            want = np.stack(rows)
+            assert (out.dtype, out.shape, out.flags.c_contiguous) == (want.dtype, want.shape, True)
+            assert out.tobytes() == want.tobytes()
+
+        cache = CallCache(tmp_path)
+        try:
+            # Warm the cache with every text named "cached...": the "mixed" call reads
+            # those rows and fetches the rest.
+            RemoteEmbedder("emb", cache=cache, transport=hashed_transport(16), dims=16).embed(
+                [t for t in texts if t.startswith("cached")] or ["unused"]
+            )
+            embedder = RemoteEmbedder("emb", cache=cache, transport=hashed_transport(16), dims=16)
+            assert_stacked(embedder.embed(texts), [embedder._vectors[t] for t in texts])
+        finally:
+            cache.close()
+        stage = StageRows(texts + ["another"], HashedEmbedder(dims=16))
+        assert_stacked(stage.embed(texts), [stage.rows[t] for t in texts])
+
+
 def assert_same_files(a: Path, b: Path) -> None:
     """Both directory trees hold the same files with the same bytes."""
     names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())

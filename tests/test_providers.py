@@ -482,6 +482,57 @@ class TestMalformedCacheEntries:
 EMBED_DIMS = 8  # the length of every row ``EmbeddingServer`` sends
 
 
+class ConnectionRecorder:
+    """Forwards to a sqlite connection, recording each ``execute`` and ``executemany`` call."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.calls: list[tuple[str, str]] = []  # (method, SQL)
+
+    def __getattr__(self, name):
+        attr = getattr(self.conn, name)
+        if name not in ("execute", "executemany"):
+            return attr
+
+        def recorded(sql, *args):
+            self.calls.append((name, sql))
+            return attr(sql, *args)
+
+        return recorded
+
+
+class TestPutMany:
+    def test_one_executemany_in_one_commit_storing_what_put_stores(self, tmp_path):
+        cache = CallCache(tmp_path)
+        opened = request_hash({"open": "the store"})
+        cache.put(opened, {"text": "x"})
+        recorder = cache._conn = ConnectionRecorder(cache._conn)
+        entries = {
+            request_hash({"n": i}): np.full(2, float(i)).tobytes() if i % 2 else
+            {"text": f"caf\u00e9 {i}", "data": [1.5, -0.0, None], "a": {"z": 1, "y": True}}
+            for i in range(600)
+        }
+        cache.put_many(iter(entries.items()))
+        insert = "INSERT OR REPLACE INTO calls (key, payload) VALUES (?, ?)"
+        assert recorder.calls == [
+            ("execute", "BEGIN IMMEDIATE"), ("executemany", insert), ("execute", "COMMIT"),
+        ]
+        recorder.calls.clear()
+        emb = remote(cache=cache, transport=EmbeddingServer())
+        emb.embed(TEXTS)
+        assert [method for method, _ in recorder.calls] == ["execute", "execute", "executemany", "execute"]
+        cache.close()
+        with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
+            stored = dict(conn.execute("SELECT key, payload FROM calls"))
+        put_cache = CallCache(tmp_path / "put")
+        for key, payload in entries.items():
+            put_cache.put(key, payload)
+        put_cache.close()
+        with closing(sqlite3.connect(tmp_path / "put" / providers.CACHE_FILE)) as conn:
+            assert {k: stored[k] for k in entries} == dict(conn.execute("SELECT key, payload FROM calls"))
+        assert len(stored) == 1 + len(entries) + len(TEXTS)
+
+
 def remote(**kw) -> RemoteEmbedder:
     """The embedder under test, at ``EmbeddingServer``'s length."""
     return RemoteEmbedder("emb", dims=EMBED_DIMS, **kw)
@@ -605,17 +656,21 @@ class TestEmbeddingBatches:
         cache.close()
 
     def test_rows_of_one_reply_are_stored_in_one_commit(self, tmp_path, monkeypatch):
-        """A reply whose second row fails to store leaves none of its rows behind."""
-        put = CallCache.put
-        puts = []
+        """A reply whose second row fails to store leaves none of its rows behind.
 
-        def put_failing_second(cache, key, payload):
-            puts.append(key)
-            if len(puts) == 2:
+        The failure comes while ``executemany`` steps through the rows, after
+        the first one was inserted.
+        """
+        encoded = providers._encoded
+        rows = []
+
+        def encoded_failing_second(payload):
+            rows.append(payload)
+            if len(rows) == 2:
                 raise sqlite3.OperationalError("disk I/O error")
-            put(cache, key, payload)
+            return encoded(payload)
 
-        monkeypatch.setattr(CallCache, "put", put_failing_second)
+        monkeypatch.setattr(providers, "_encoded", encoded_failing_second)
         cache = CallCache(tmp_path)
         server = EmbeddingServer()
         with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
@@ -623,7 +678,7 @@ class TestEmbeddingBatches:
         assert all(cache.get(remote()._key(t)) is None for t in TEXTS[:3])
         with closing(sqlite3.connect(tmp_path / providers.CACHE_FILE)) as conn:
             assert conn.execute("SELECT COUNT(*) FROM calls").fetchone() == (0,)
-        monkeypatch.setattr(CallCache, "put", put)
+        monkeypatch.setattr(providers, "_encoded", encoded)
         emb = remote(cache=cache, transport=server)
         np.testing.assert_array_equal(emb.embed(TEXTS[:3]), HashedEmbedder(dims=8).embed(TEXTS[:3]))
         assert server.inputs == [TEXTS[:3], TEXTS[:3]]
