@@ -60,7 +60,9 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
 
     Required fields per line: id, tag, title, body, accepted_answer,
     views. Records come back ordered by (tag, views descending, id) so
-    every run sees the same sequence.
+    every run sees the same sequence; a line whose views is a bool or has
+    a fractional part fails, naming its ``path:line``, rather than being
+    truncated into another place in that order.
     """
     required = ("id", "tag", "title", "body", "accepted_answer", "views")
     records: list[QuestionRecord] = []
@@ -81,7 +83,7 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
             try:
                 record = QuestionRecord(
                     id=str(rec["id"]), tag=rec["tag"], title=rec["title"], body=rec["body"],
-                    accepted_answer=rec["accepted_answer"], views=int(rec["views"]),
+                    accepted_answer=rec["accepted_answer"], views=_view_count(rec["views"]),
                 )
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: invalid question record ({exc})") from exc
@@ -93,6 +95,16 @@ def load_questions(path: str | Path, allowed_tags: set[str] | None = None) -> li
             records.append(record)
     records.sort(key=lambda q: (q.tag, -q.views, q.id))
     return records
+
+
+def _view_count(value) -> int:
+    """A record's ``views`` as an int: ``12``, ``12.0`` and ``"12"`` are 12.
+
+    A bool, or a number with a fractional part, raises ``ValueError``.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"views must be a whole number, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

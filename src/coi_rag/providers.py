@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -576,34 +576,53 @@ _BLOCK_HEADER_RE = re.compile(
     r"^(Page \d+-\d+:|Context:|Text chunks:|Implicit question \d+: .*|Question:|#.*)$"
 )
 
+# Evidence line -> its sentences as the keys of a dict, in order.
+LineMemo = dict[str, dict[str, None]]
 
-def _context_sentences(prompt: str) -> list[str]:
+
+def _context_sentences(prompt: str, memo: LineMemo | None = None) -> list[str]:
     """Complete sentences from the evidence blocks of a prompt.
 
     Everything before the first ``Text chunks:`` marker (the instructions
-    and the question) is discarded, as are block-header lines; what remains
-    is scanned for capitalized sentences ending in terminal punctuation.
-    Order of first appearance is kept; duplicates are dropped.
-
-    A sentence never crosses a line, since ``_SENTENCE_RE`` cannot match a
-    newline, so each line is scanned on its own. A sentence's whitespace is
-    collapsed only on a line with a double space or a character that is not
-    printable: U+0020 is the only printable whitespace character, so on any
-    other line the sentences are already in normal form.
+    and the question) is discarded; each line after it is looked up in
+    ``memo``, and scanned by ``_line_sentences`` only the first time
+    ``memo`` sees it. Order of first appearance is kept; duplicates are
+    dropped. Without a ``memo`` every line is scanned, through a fresh one.
+    A line's sentences depend on that line alone, so a memo shared by many
+    prompts changes no result.
     """
     marker = "Text chunks:"
     idx = prompt.find(marker)
     if idx < 0:
         return []
+    if memo is None:
+        memo = {}
     sentences: dict[str, None] = {}
     for line in prompt[idx + len(marker):].splitlines():
-        found = _SENTENCE_RE.findall(line)
-        if not found or _BLOCK_HEADER_RE.match(line.strip()):
-            continue
-        if "  " in line or not line.isprintable():
-            found = [" ".join(s.split()) for s in found]
-        sentences.update(dict.fromkeys(found))
+        found = memo.get(line)
+        if found is None:
+            found = memo[line] = _line_sentences(line)
+        sentences.update(found)
     return list(sentences)
+
+
+def _line_sentences(line: str) -> dict[str, None]:
+    """The sentences of one evidence line, in order, as the keys of a dict.
+
+    A block-header line, or a line with no capitalized sentence ending in
+    terminal punctuation, has none. A sentence never crosses a line, since
+    ``_SENTENCE_RE`` cannot match a newline, so each line is scanned on its
+    own. A sentence's whitespace is collapsed only on a line with a double
+    space or a character that is not printable: U+0020 is the only
+    printable whitespace character, so on any other line the sentences are
+    already in normal form.
+    """
+    found = _SENTENCE_RE.findall(line)
+    if not found or _BLOCK_HEADER_RE.match(line.strip()):
+        return {}
+    if "  " in line or not line.isprintable():
+        found = [" ".join(s.split()) for s in found]
+    return dict.fromkeys(found)
 
 
 _ECHO_PREAMBLE = (
@@ -614,9 +633,13 @@ _ECHO_PREAMBLE = (
 )
 
 
-def _behavior_context_echo(prompt: str) -> str:
-    """Answer by restating every complete sentence found in the context."""
-    sentences = _context_sentences(prompt)
+def _behavior_context_echo(prompt: str, memo: LineMemo | None = None) -> str:
+    """Answer by restating every complete sentence found in the context.
+
+    The evidence lines are looked up in ``memo``, the calling generator's
+    memo of each line's sentences; without one, every line is scanned.
+    """
+    sentences = _context_sentences(prompt, memo)
     if not sentences:
         first_line = next(
             (ln for ln in prompt.splitlines() if ln.startswith("#")), "#the question"
@@ -625,16 +648,22 @@ def _behavior_context_echo(prompt: str) -> str:
     return " ".join([_ECHO_PREAMBLE] + sentences)
 
 
-def _behavior_context_echo_short(prompt: str) -> str:
-    """Like ``context_echo`` but keeps every other context sentence."""
-    sentences = _context_sentences(prompt)
+def _behavior_context_echo_short(prompt: str, memo: LineMemo | None = None) -> str:
+    """Like ``context_echo`` but keeps every other context sentence.
+
+    ``memo`` is used as ``context_echo`` uses it.
+    """
+    sentences = _context_sentences(prompt, memo)
     if not sentences:
-        return _behavior_context_echo(prompt)
+        return _behavior_context_echo(prompt, memo)
     return " ".join([_ECHO_PREAMBLE] + sentences[::2])
 
 
-def _behavior_qa_stub(prompt: str) -> str:
-    """Emit deterministic dash-list Q&As for a question-extraction prompt."""
+def _behavior_qa_stub(prompt: str, memo: LineMemo | None = None) -> str:
+    """Emit deterministic dash-list Q&As for a question-extraction prompt.
+
+    It reads no evidence lines, so ``memo`` is unused.
+    """
     marker = "Paragraph for Analysis:"
     idx = prompt.find(marker)
     paragraph = prompt[idx + len(marker):].strip() if idx >= 0 else prompt
@@ -650,7 +679,13 @@ def _behavior_qa_stub(prompt: str) -> str:
     return "\n".join(lines) if lines else "- What is this passage? A short fragment."
 
 
-SCRIPTED_BEHAVIORS: dict[str, Callable[[str], str]] = {
+class ScriptedBehavior(Protocol):
+    """A builtin reply rule: the reply to ``prompt``, with evidence lines looked up in ``memo``."""
+
+    def __call__(self, prompt: str, memo: LineMemo | None = None) -> str: ...
+
+
+SCRIPTED_BEHAVIORS: dict[str, ScriptedBehavior] = {
     "context_echo": _behavior_context_echo,
     "context_echo_short": _behavior_context_echo_short,
     "qa_stub": _behavior_qa_stub,
@@ -666,11 +701,18 @@ class ScriptedGenerator:
     and carry the fixed ``SCRIPTED_CREATED_AT`` stamp. An unknown
     ``behavior`` name fails on construction. Where a test needs other
     replies, any object with ``complete(prompt)`` stands in for this one.
+
+    The instance remembers the sentences of each evidence line its
+    behavior has scanned, so a line that recurs across prompts, such as a
+    textbook chunk cited by both a question's rag and rag_coi prompts, is
+    scanned once per instance. The memo lives as long as the generator
+    (one stage) and takes no part in construction, ``==`` or ``repr``.
     """
 
     model_id: str = "scripted"
     script: dict[str, str] = field(default_factory=dict)
     behavior: str | None = None
+    _lines: LineMemo = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.behavior is not None and self.behavior not in SCRIPTED_BEHAVIORS:
@@ -682,7 +724,7 @@ class ScriptedGenerator:
         if self.script and (key := self._key(prompt)) in self.script:
             text = self.script[key]
         elif self.behavior is not None:
-            text = SCRIPTED_BEHAVIORS[self.behavior](prompt)
+            text = SCRIPTED_BEHAVIORS[self.behavior](prompt, self._lines)
         else:
             key = self._key(prompt)
             raise ProviderError(f"scripted generator has no entry for request {key[:12]}")

@@ -83,11 +83,25 @@ class TestLoadQuestions:
             json.dumps(dict(GOOD_ROW, id="a2", title="  ")),
             json.dumps(dict(GOOD_ROW, id="a2", title=7)),
             json.dumps(dict(GOOD_ROW, id="a2", views=None)),
+            json.dumps(dict(GOOD_ROW, id="a2", views=3.7)),
+            json.dumps(dict(GOOD_ROW, id="a2", views=-0.5)),
+            json.dumps(dict(GOOD_ROW, id="a2", views=True)),
+            json.dumps(dict(GOOD_ROW, id="a2", views=False)),
+            json.dumps(dict(GOOD_ROW, id="a2", views="3.7")),
+            json.dumps(dict(GOOD_ROW, id="a2", views=float("nan"))),
+            json.dumps(dict(GOOD_ROW, id="a2", views=float("inf"))),
         ]
         for line in bad_lines:
             path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
                 load_questions(path)
+
+    def test_integral_views_kept(self, tmp_path):
+        rows = [dict(GOOD_ROW, id="a", views=12), dict(GOOD_ROW, id="b", views=12.0),
+                dict(GOOD_ROW, id="c", views="12"), dict(GOOD_ROW, id="d", views=13)]
+        records = load_questions(write_questions(tmp_path / "q.jsonl", rows))
+        assert [(q.id, q.views) for q in records] == [("d", 13), ("a", 12), ("b", 12), ("c", 12)]
+        assert all(type(q.views) is int for q in records)
 
     @pytest.mark.parametrize("field", ["tag", "title", "body", "accepted_answer"])
     def test_non_string_text_field_reports_line_number(self, tmp_path, field):

@@ -840,3 +840,102 @@ class TestContextSentences:
         assert evidence and len(evidence) < len(prompts)
         for prompt in prompts:
             assert providers._context_sentences(prompt) == reference_context_sentences(prompt)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_memo_across_prompts_matches_reference(self, data):
+        # Prompts are drawn from a small pool of fragments, so that lines
+        # recur across prompts and later prompts hit lines the memo holds.
+        fragment = st.lists(st.sampled_from(PROMPT_PIECES), max_size=12).map("".join)
+        pool = data.draw(st.lists(fragment, min_size=1, max_size=6))
+        prompt = st.builds(
+            lambda before, marked, after: before + ("\nText chunks:" if marked else "") + "\n".join(after),
+            st.sampled_from(pool), st.booleans(), st.lists(st.sampled_from(pool), max_size=10),
+        )
+        prompts = data.draw(st.lists(prompt, min_size=1, max_size=6))
+        for behavior in ECHO_BEHAVIORS:
+            gen = ScriptedGenerator(model_id="m", behavior=behavior)
+            replies = [gen.complete(p).text for p in prompts]
+            assert replies == [reference_echo_reply(behavior, p) for p in prompts]
+            fresh = [ScriptedGenerator(model_id="m", behavior=behavior).complete(p).text for p in prompts]
+            assert fresh == replies
+
+    def test_each_answer_generator_scans_each_evidence_line_once(self, golden_dir, tmp_path, monkeypatch):
+        scanned: list[str] = []
+        calls: list[tuple[ScriptedGenerator, str, list[str]]] = []
+        sentence_re = providers._SENTENCE_RE
+        complete = ScriptedGenerator.complete
+
+        class CountingPattern:
+            def findall(self, line):
+                scanned.append(line)
+                return sentence_re.findall(line)
+
+            def __getattr__(self, name):
+                return getattr(sentence_re, name)
+
+        def recording(self, prompt):
+            start = len(scanned)
+            result = complete(self, prompt)
+            calls.append((self, prompt, scanned[start:]))
+            return result
+
+        monkeypatch.setattr(providers, "_SENTENCE_RE", CountingPattern())
+        monkeypatch.setattr(ScriptedGenerator, "complete", recording)
+        cfg = load_config(golden_dir / "config.ini")
+        cfg.output_dir = tmp_path / "out"
+        cfg.cache_dir = tmp_path / "cache"
+        run_experiment(cfg)
+
+        assert all(not lines for _, prompt, lines in calls if "Text chunks:" not in prompt)
+        answer_gens = {id(gen): gen for gen, _, _ in calls if gen.behavior in ECHO_BEHAVIORS}
+        assert len(answer_gens) == 2
+        all_lines = set()
+        for gen in answer_gens.values():
+            prompts = [prompt for g, prompt, _ in calls if g is gen]
+            lines = [line for p in prompts for line in evidence_lines(p)]
+            distinct = list(dict.fromkeys(lines))
+            assert len(distinct) < len(lines)
+            assert [line for g, _, ls in calls if g is gen for line in ls] == distinct
+            all_lines.update(distinct)
+
+            # The memo belongs to the instance: a twin scans every line again,
+            # and still equals the generator that has answered.
+            twin = ScriptedGenerator(model_id=gen.model_id, script=gen.script, behavior=gen.behavior)
+            assert twin == gen and repr(twin) == repr(gen)
+            start = len(scanned)
+            for prompt in prompts:
+                twin.complete(prompt)
+            assert scanned[start:] == distinct
+            assert twin == gen == ScriptedGenerator(
+                model_id=gen.model_id, script=gen.script, behavior=gen.behavior
+            )
+
+        # No module-level memo outlives the stage.
+        monkeypatch.undo()
+        for name, value in vars(providers).items():
+            if isinstance(value, (dict, list, set, frozenset, tuple)):
+                assert not any(isinstance(v, str) and v in all_lines for v in value), name
+            if hasattr(value, "cache_info"):
+                assert value.cache_info().currsize == 0, name
+
+
+ECHO_BEHAVIORS = ("context_echo", "context_echo_short")
+
+
+def evidence_lines(prompt: str) -> list[str]:
+    """The lines after a prompt's first ``Text chunks:`` marker; none without one."""
+    marker = "Text chunks:"
+    idx = prompt.find(marker)
+    return prompt[idx + len(marker):].splitlines() if idx >= 0 else []
+
+
+def reference_echo_reply(behavior: str, prompt: str) -> str:
+    """An echo behavior's reply, built from ``reference_context_sentences``."""
+    sentences = reference_context_sentences(prompt)
+    if behavior == "context_echo_short":
+        sentences = sentences[::2]
+    if not sentences:
+        first_line = next((ln for ln in prompt.splitlines() if ln.startswith("#")), "#the question")
+        return f"{providers._ECHO_PREAMBLE} No reference material was given for {first_line.lstrip('#')}"
+    return " ".join([providers._ECHO_PREAMBLE] + sentences)

@@ -5,7 +5,10 @@ and normalizes every sentence; ``reference_strip_citations`` runs its three
 whitespace passes unconditionally, once, after the marker loop;
 ``reference_split_sentences`` splits on a look-behind for the sentence mark.
 Tests hold ``providers._context_sentences``, ``prompting.strip_citations``
-and ``adherence.split_sentences`` to them.
+and ``adherence.split_sentences`` to them. ``reference_context_sentences``
+is also the oracle for the memoized scan: it keeps no memo, so replies of
+a ``ScriptedGenerator`` that has seen a prompt's lines before are checked
+against a scan from scratch.
 """
 
 from __future__ import annotations
