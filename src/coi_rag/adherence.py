@@ -8,14 +8,15 @@ thresholded adherence ratio (the share that clear ``t``), a mean
 similarity, and an adherent-clause count.
 
 A matching mode is the list of clause parts it compares (``MATCHING_PARTS``).
-It is fixed when the source index is built, which embeds only those parts,
-all in one call; ``match_clauses`` scores every mode the same way: it
-embeds each distinct part text once per call, and scores the clauses in
-blocks of bounded size, each block one (clauses x source clauses) array
-from which one ``VectorIndex.rank_many`` call picks every clause's best
-source clause.
+It is fixed when the source index is built, which embeds each distinct
+text of only those parts once, all in one call; ``match_clauses`` scores
+every mode the same way: it embeds each distinct part text once per call,
+and scores the clauses in blocks of bounded size, each block one (clauses
+x source clauses) array from which one ``VectorIndex.rank_many`` call
+picks every clause's best source clause.
 ``evaluate_text`` extracts, scores and counts the words of each distinct
-explanation sentence once per source index, and remembers the results,
+explanation sentence once per source index, taking a sentence the source
+text holds from the index's own extraction, and remembers the results,
 and the error of a scoring call that failed, on the index. Its two steps,
 ``extract_sentences`` and ``score_sentences``, let a stage extract many
 explanations first and match all their new clauses in one
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -129,17 +130,12 @@ def extract_clauses(text: str) -> list[Clause]:
     such token yield no clause. A clause's ``sentence_index`` is its
     sentence's position in ``text``.
     """
-    return _clauses(text)
+    return _clauses(map(_sentence_parts, split_sentences(text)))
 
 
-def _clauses(text: str) -> list[Clause]:
-    # The source index's extractor; a wrapped ``extract_clauses`` sees only other calls.
-    clauses = []
-    for si, sentence in enumerate(split_sentences(text)):
-        parts = _sentence_parts(sentence)
-        if parts is not None:
-            clauses.append(Clause(*parts, sentence_index=si))
-    return clauses
+def _clauses(parts: Iterable[tuple[str, str, str] | None]) -> list[Clause]:
+    """A clause for each sentence of a text that has one, from each sentence's ``_sentence_parts``."""
+    return [Clause(*p, sentence_index=si) for si, p in enumerate(parts) if p is not None]
 
 
 def _sentence_parts(sentence: str) -> tuple[str, str, str] | None:
@@ -178,13 +174,14 @@ MATCHING_PARTS: dict[str, tuple[Callable[[Clause], str], ...]] = {
 class SourceClauseIndex:
     """Clauses of the evidence source, embedded for one matching mode.
 
-    Only the parts ``MATCHING_PARTS[mode]`` compares are embedded, the
-    non-empty texts of all of them in one ``embedder.embed`` call: one
-    matrix per part with one row per clause, where an empty part is the
-    zero vector and is 1.0 in that part's empty mask. ``index`` ranks the
-    clauses by key (``src:<position>``), shares the first part's matrix and
-    holds no payloads. ``scored``, ``pending``, ``failed`` and
-    ``word_counts`` are the memos of ``extract_sentences``,
+    Only the parts ``MATCHING_PARTS[mode]`` compares are embedded: each
+    distinct non-empty text of any of them once, in one ``embedder.embed``
+    call, in the order the part columns first hold it. Each part has one
+    matrix with one row per clause, gathered from those rows, where an
+    empty part is the zero vector and is 1.0 in that part's empty mask.
+    ``index`` ranks the clauses by key (``src:<position>``), shares the
+    first part's matrix and holds no payloads. ``scored``, ``pending``,
+    ``failed`` and ``word_counts`` are the memos of ``extract_sentences``,
     ``match_pending`` and ``score_sentences``: ``word_counts`` maps each
     explanation sentence seen against this index to its number of
     whitespace-separated words; ``pending`` maps a seen sentence that has a
@@ -197,6 +194,10 @@ class SourceClauseIndex:
     extracted, matched and split once per index however many explanations
     repeat it, and a failed call is not sent again for the same sentences.
     They live as long as the index, typically one evaluate stage.
+    ``sentence_parts``, which ``build_source_index`` fills, maps each
+    sentence of the source text to its ``_sentence_parts``, or None, so
+    ``extract_sentences`` extracts only the explanation sentences that the
+    source lacks.
     """
 
     def __init__(self, clauses: list[Clause], embedder, mode: str = "whole_clause"):
@@ -208,29 +209,37 @@ class SourceClauseIndex:
         self.keys = [f"src:{i}" for i in range(len(clauses))]
         self.parts = MATCHING_PARTS[mode]
         columns = [[part(c) for c in clauses] for part in self.parts]
-        filled = [[i for i, t in enumerate(column) if t.strip()] for column in columns]
         # One call for every part; the first part is never empty, so the batch is not either.
-        vectors = embedder.embed([column[i] for column, rows in zip(columns, filled) for i in rows])
-        self.matrices, start = [], 0
-        for rows in filled:
-            mat = np.zeros((len(clauses), vectors.shape[1]))
-            mat[rows] = vectors[start:start + len(rows)]
-            start += len(rows)
-            self.matrices.append(mat)
+        texts = list(dict.fromkeys(t for column in columns for t in column if t.strip()))
+        vectors = embedder.embed(texts)
+        # An empty part reads the zero row appended after the embedded ones.
+        padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])
+        row_of = {t: i for i, t in enumerate(texts)}
+        self.matrices = [padded[[row_of.get(t, len(texts)) for t in column]] for column in columns]
         self.index = VectorIndex(self.keys, self.matrices[0])
         self.empty = [np.array([float(not t.strip()) for t in column]) for column in columns]
         self.scored: dict[str, tuple[str, float] | None] = {}
         self.pending: dict[str, Clause] = {}
         self.failed: dict[tuple[str, ...], ProviderError] = {}
         self.word_counts: dict[str, int] = {}
+        self.sentence_parts: dict[str, tuple[str, str, str] | None] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
 
 
 def build_source_index(text: str, embedder, mode: str = "whole_clause") -> SourceClauseIndex:
-    """Extract and index the clauses of one source text, typically a document."""
-    return SourceClauseIndex(_clauses(text), embedder, mode)
+    """Extract and index the clauses of one source text, typically a document.
+
+    Each distinct sentence of ``text`` is extracted once, and its parts are
+    kept in the index's ``sentence_parts``.
+    """
+    # Not through ``extract_clauses``: a wrapped one sees only other calls.
+    sentences = split_sentences(text)
+    parts = {s: _sentence_parts(s) for s in dict.fromkeys(sentences)}
+    source = SourceClauseIndex(_clauses(map(parts.__getitem__, sentences)), embedder, mode)
+    source.sentence_parts = parts
+    return source
 
 
 # Score cells (clauses x source clauses) of one block of ``match_clauses``:
@@ -338,19 +347,22 @@ class AdherenceReport:
 def extract_sentences(text: str, source: SourceClauseIndex) -> list[str]:
     """The sentences of ``text``; each one ``source`` has not seen is counted and extracted.
 
-    A new sentence's word count goes to ``source.word_counts``; its clause
-    waits in ``source.pending``, and a sentence without one is scored None.
+    A new sentence's parts come from ``source.sentence_parts`` when the
+    source text holds it, from ``_sentence_parts`` otherwise. Its word
+    count goes to ``source.word_counts``; its clause waits in
+    ``source.pending``, and a sentence without one is scored None.
     A stage extracts every explanation first, matches every pending clause
     with one ``match_pending`` call, and then scores each explanation with
     ``score_sentences``.
     """
     sentences = split_sentences(text)
     scored, pending, word_counts = source.scored, source.pending, source.word_counts
+    known = source.sentence_parts
     for si, sentence in enumerate(sentences):
         if sentence in word_counts:
             continue
         word_counts[sentence] = len(sentence.split())
-        parts = _sentence_parts(sentence)
+        parts = known[sentence] if sentence in known else _sentence_parts(sentence)
         if parts is None:
             scored[sentence] = None
         else:

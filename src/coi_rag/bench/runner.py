@@ -617,8 +617,11 @@ def run_experiment(
 
     A provider failure while planning, answering or scoring one item does
     not abort the run; the affected items carry an error record and the
-    report flags the run as partial. Only a failure to index a corpus for
-    scoring does.
+    report flags the run as partial. A failure of a call made for a whole
+    corpus or chunk does abort it, in four stages: embedding a corpus's
+    chunks (ingest), generating one chunk's implicit questions
+    (build-bank), embedding a corpus's bank to index it (plan), and
+    embedding a corpus's source clauses (evaluate).
     The call cache the run opened is closed when it ends.
     """
     ctx = make_context(cfg, embedder=embedder, transports=transports)

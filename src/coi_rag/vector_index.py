@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .records import read_jsonl, write_jsonl
+from .records import json_line, read_jsonl
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -116,13 +117,23 @@ class VectorIndex:
         return np.lexsort((np.broadcast_to(self._key_rank, scores.shape), -scores), axis=-1)
 
     def save(self, path: str | Path) -> None:
-        write_jsonl(
-            path,
-            (
-                {"key": key, "payload": payload, "vector": vec.tolist()}
-                for key, vec, payload in zip(self.keys, self.vectors, self.payloads)
-            ),
-        )
+        """One ``json_line`` of key, payload and vector per row, each distinct float formatted once.
+
+        Chunk vectors repeat a few values per row, so the distinct values,
+        told apart by bit pattern (``-0.0`` is not ``0.0``), are encoded by
+        one ``json.dumps`` and each row's list is joined from their reprs;
+        the bytes equal ``json_line`` of each row's dict.
+        """
+        vectors = np.ascontiguousarray(self.vectors)
+        values, inverse = np.unique(vectors.view(np.int64).ravel(), return_inverse=True)
+        reprs = np.array(json.dumps(values.view(float).tolist())[1:-1].split(", "), dtype=object)
+        rows = reprs[inverse.reshape(vectors.shape)].tolist()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(
+                # Keys sort as key, payload, vector: the vector closes the line.
+                json_line({"key": key, "payload": payload})[:-2] + ', "vector": [' + ", ".join(row) + "]}\n"
+                for key, payload, row in zip(self.keys, self.payloads, rows)
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scoring_reference import ReferenceSource, reference_best_match, reference_score
 from text_reference import reference_split_sentences
 
 from coi_rag.adherence import (
     _VERB_LEXICON,
     AdherenceReport,
     Clause,
+    SourceClauseIndex,
     build_source_index,
     evaluate_text,
     extract_clauses,
@@ -217,18 +219,48 @@ class TestExtractClausesDifferential:
         assert source.scored["No."] is None
         assert len(matched) == 1
 
-    def test_evaluate_text_extracts_each_distinct_sentence_once(self, source, hashed256, monkeypatch):
+    def test_evaluate_text_extracts_each_distinct_sentence_once(self, hashed256, monkeypatch):
+        """From before the index is built, each distinct source or explanation
+        sentence reaches ``_sentence_parts`` at most once, and every sentence an
+        explanation adds to the source's exactly once."""
         from coi_rag import adherence
 
         seen = []
         parts = adherence._sentence_parts
         monkeypatch.setattr(adherence, "_sentence_parts", lambda s: seen.append(s) or parts(s))
-        text = "The parser reads one token at a time. Yes. A stack frame holds the local bindings."
+        source = build_source_index(SOURCE_TEXT + " " + SOURCE_TEXT + " Yes.", hashed256)  # sentences repeat
+        source_sentences = split_sentences(SOURCE_TEXT) + ["Yes."]
+        assert seen == source_sentences
+        text = (
+            "The parser reads one token at a time. Yes. The lexer emits tokens. No. The lexer emits tokens."
+        )
         first = evaluate_text(text, source, hashed256)
-        again = evaluate_text(text + " Yes.", source, hashed256)
-        assert again == dataclasses.replace(first, word_count=first.word_count + 1)
-        assert sorted(seen) == sorted(split_sentences(text))
-        assert source.scored.keys() == set(seen)
+        again = evaluate_text(text + " Yes. No.", source, hashed256)
+        assert again == dataclasses.replace(first, word_count=first.word_count + 2)
+        assert first.clause_count == 3
+        assert seen == source_sentences + ["The lexer emits tokens.", "No."]
+        assert source.scored.keys() == set(split_sentences(text))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_source_sentences_are_not_extracted_again(self, mode, hashed256, monkeypatch):
+        """An explanation made only of source sentences reaches ``_sentence_parts``
+        zero times and scores as against an index that extracts it afresh."""
+        from coi_rag import adherence
+
+        text_of_source = BOTH_TEXTS + " Yes."
+        sentences = split_sentences(text_of_source)
+        text = " ".join(sentences[::-1] + sentences[:3])
+        source = build_source_index(text_of_source, hashed256, mode)
+        fresh = SourceClauseIndex(extract_clauses(text_of_source), hashed256, mode)
+        assert source.sentence_parts.keys() == set(sentences) and not fresh.sentence_parts
+        want = evaluate_text(text, fresh, hashed256)
+        seen = []
+        parts = adherence._sentence_parts
+        monkeypatch.setattr(adherence, "_sentence_parts", lambda s: seen.append(s) or parts(s))
+        assert evaluate_text(text, source, hashed256) == want
+        assert seen == []
+        assert source.scored == fresh.scored and source.scored["Yes."] is None
+        assert want.clause_count == len(sentences) - 1 + 3
 
 
 class TestSourceClauseIndex:
@@ -250,6 +282,9 @@ class TestSourceClauseIndex:
         assert sorted(spy_embedder.texts) == sorted(c.render() for c in source.clauses)
 
     def test_component_weighted_embeds_only_parts(self, spy_embedder):
+        """Each distinct non-empty part text is embedded exactly once, in the order
+        the part columns first hold it, none is missing, and no render is embedded;
+        each matrix row is its clause's part embedded alone, or zero when empty."""
         source = build_source_index(BOTH_TEXTS, spy_embedder, "component_weighted")
         clauses = source.clauses
         assert any(not c.object for c in clauses)
@@ -258,8 +293,14 @@ class TestSourceClauseIndex:
             + [c.predicate for c in clauses]
             + [c.object for c in clauses if c.object]
         )
-        assert sorted(spy_embedder.texts) == sorted(expected)
+        assert len(set(expected)) < len(expected)  # "The parser" is two clauses' subject
+        assert spy_embedder.texts == list(dict.fromkeys(expected))
         assert not {c.render() for c in clauses} & set(spy_embedder.texts)
+        alone = HashedEmbedder(dims=spy_embedder.dims)
+        for part, matrix, empty in zip(source.parts, source.matrices, source.empty):
+            for c, row, blank in zip(clauses, matrix, empty):
+                want = alone.embed([part(c)])[0] if part(c) else np.zeros(spy_embedder.dims)
+                assert row.tobytes() == want.tobytes() and blank == float(not part(c))
 
     def test_objectless_source_through_remote_embedder(self, monkeypatch):
         hasher = HashedEmbedder(dims=64)
@@ -608,6 +649,46 @@ class TestReportFromRun:
             assert (got is None) == (not extract_clauses(text)) == (not sims)
             if sims:
                 assert got == AdherenceReport.from_similarities(sims, t, len(text.split()))
+
+
+# A source of 14 clauses whose first six repeat: exact ties, one side of them
+# at a two-digit key, which sorts before "src:2".
+TIED_SOURCE = SOURCE_TEXT + " " + BOTH_TEXTS + " Yes."
+book_sentences = st.sampled_from(split_sentences(TIED_SOURCE))
+
+
+class TestScoringReference:
+    """A shared source index scores as the frozen plain scorer of ``scoring_reference``."""
+
+    @given(
+        st.sampled_from(MODES),
+        st.lists(
+            st.lists(st.one_of(book_sentences, sentences, clause_free_sentences), max_size=8).map(" ".join),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_index_equals_plain_scorer(self, mode, texts):
+        embedder = HashedEmbedder(dims=32)
+        source = build_source_index(TIED_SOURCE, embedder, mode)
+        reference = ReferenceSource(TIED_SOURCE, embedder, mode)
+        for text in texts + texts:
+            got = evaluate_text(text, source, embedder)
+            want = reference_score(text, reference, embedder, 0.7)
+            assert (None if got is None else dataclasses.asdict(got)) == want
+            for c in extract_clauses(text):
+                sentence = split_sentences(text)[c.sentence_index]
+                assert source.scored[sentence] == reference_best_match(c, reference, embedder)
+
+    def test_tied_source_clause_goes_to_smallest_key(self, hashed256):
+        sentence = "Each module exports a single namespace."  # src:5 and src:11
+        [clause] = extract_clauses(sentence)
+        for mode in MODES:
+            reference = ReferenceSource(TIED_SOURCE, hashed256, mode)
+            assert reference_best_match(clause, reference, hashed256)[0] == "src:11"
+            source = build_source_index(TIED_SOURCE, hashed256, mode)
+            assert evaluate_text(sentence, source, hashed256).factscore == 1.0
+            assert source.scored[sentence][0] == "src:11"
 
 
 class TestOracles:

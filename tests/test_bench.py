@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 import requests
 from cache_entries import json_entry, stored_vector
+from scoring_reference import ReferenceSource, reference_score
 
 import coi_rag
 from coi_rag.adherence import AdherenceReport, build_source_index, evaluate_text
@@ -1279,6 +1280,27 @@ class TestStageBatches:
             text = strip_citations(item["text"], spec.title)
             want = evaluate_text(text, source, reference, t=golden_cfg.threshold)
             assert AdherenceReport(**{f: item[f] for f in report_fields}) == want
+
+
+class TestScoringReference:
+    """The frozen plain scorer of ``tests/scoring_reference.py`` reproduces every scored golden item."""
+
+    @pytest.mark.parametrize("matching", ["whole_clause", "component_weighted"])
+    def test_golden_items_bit_exact(self, golden_cfg, matching):
+        golden_cfg.matching = matching
+        assert run_experiment(golden_cfg).failed == 0
+        embedder = golden_cfg.build_embedder()
+        sources = {
+            spec.tag: ReferenceSource(read_document(spec.path).text, embedder, matching)
+            for spec in golden_cfg.corpora
+        }
+        scored = [i for i in read_jsonl(golden_cfg.output_dir / "items.jsonl") if "factscore" in i]
+        assert len(scored) == 36 and {i["matching"] for i in scored} == {matching}
+        for item in scored:
+            text = strip_citations(item["text"], golden_cfg.corpus(item["tag"]).title)
+            want = reference_score(text, sources[item["tag"]], embedder, golden_cfg.threshold)
+            # json.dumps writes each float's repr: equal strings are equal bits.
+            assert json.dumps({f: item[f] for f in want}) == json.dumps(want), item["question_id"]
 
 
 class TestCorpusMatch:

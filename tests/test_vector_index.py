@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coi_rag.providers import CallCache, HashedEmbedder, ProviderError, RemoteEmbedder
+from coi_rag.records import json_line
 from coi_rag.vector_index import VectorIndex, build_index, clamp01, cosine, row_scores
 
 EMBED_TOKENS = ("a", "b", "the", "The", "the.", "caf\u00e9", "\u6771\u4eac", "x\x1cy", "42")
@@ -240,6 +243,77 @@ class TestTopK:
         assert loaded.keys == index.keys
         assert loaded.payload("y") == {"n": 2}
         np.testing.assert_allclose(loaded.vectors, index.vectors)
+
+
+# Values whose reprs differ in form: signed zeros, subnormals, scientific notation.
+SAVE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, -1e-05, 1.5e-07, 1e16, 1e+16 + 2.0,
+    -2.5e20, 0.1, 1.0 / 3.0, 0.5, -1.0, 123456.789,
+)
+save_values = st.sampled_from(SAVE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+save_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(save_values, min_size=cols, max_size=cols), min_size=1, max_size=6)
+).map(np.array)
+
+
+def per_row_lines(index: VectorIndex) -> str:
+    """The bytes ``save`` must write: ``json_line`` of each row's key, payload and vector."""
+    return "".join(
+        json_line({"key": key, "payload": payload, "vector": vec.tolist()})
+        for key, vec, payload in zip(index.keys, index.vectors, index.payloads)
+    )
+
+
+class TestSave:
+    """``VectorIndex.save`` writes the per-row ``json_line`` bytes, and ``load`` reads back every bit."""
+
+    @staticmethod
+    def saved(index: VectorIndex, tmp_path) -> str:
+        index.save(tmp_path / "index.jsonl")
+        return (tmp_path / "index.jsonl").read_text(encoding="utf-8")
+
+    @staticmethod
+    def index(vectors) -> VectorIndex:
+        vectors = np.asarray(vectors, dtype=float)
+        keys = [f"k\u00e9{i}" for i in range(len(vectors))]
+        payloads = [{"n": i, "t": "\u6771\u4eac", "w": [0.5, -0.0]} for i in range(len(keys))]
+        return VectorIndex(keys, vectors, payloads)
+
+    @pytest.mark.parametrize("vectors", [
+        [[0.25, 0.25, 0.5, 0.25], [0.5, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]],  # repeated values
+        [[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]],  # signed zeros side by side: equal floats, other bits
+        [[5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]],  # subnormals, one row
+        [[1e-05], [1e16], [1e+16 + 2.0], [-2.5e20], [1.5e-07]],  # scientific reprs, one column
+        [[0.1]],  # one row, one column
+        [[np.nan, np.inf, -np.inf, 1.0]],  # non-finite values take json's own spellings
+        np.zeros((3, 0)),  # rows with no columns
+        np.arange(24.0).reshape(4, 6)[::2, 1::2],  # a strided view, not a contiguous array
+    ])
+    def test_bytes_equal_per_row_json_lines(self, tmp_path, vectors):
+        index = self.index(vectors)
+        assert self.saved(index, tmp_path) == per_row_lines(index)
+
+    @given(save_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_random_matrices_bytes_and_bit_exact_round_trip(self, vectors):
+        index = self.index(vectors)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.jsonl"
+            index.save(path)
+            assert path.read_text(encoding="utf-8") == per_row_lines(index)
+            loaded = VectorIndex.load(path)
+        assert loaded.keys == index.keys
+        assert loaded.payloads == index.payloads
+        assert loaded.vectors.shape == index.vectors.shape
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
+
+    def test_embedded_index_round_trip_is_bit_exact(self, tmp_path):
+        emb = HashedEmbedder(64)
+        index = build_index([(f"c{i}", text, None) for i, text in enumerate(EMBED_TOKENS)], emb)
+        assert self.saved(index, tmp_path) == per_row_lines(index)
+        loaded = VectorIndex.load(tmp_path / "index.jsonl")
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert loaded.keys == index.keys and loaded.payloads == index.payloads
 
 
 def lexsort_top_1(index: VectorIndex, scores: np.ndarray) -> list[tuple[str, float]]:
